@@ -18,6 +18,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -25,7 +26,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 
 	"fullview/internal/analytic"
 	"fullview/internal/barrier"
@@ -34,6 +34,7 @@ import (
 	"fullview/internal/deploy"
 	"fullview/internal/experiment"
 	"fullview/internal/geom"
+	"fullview/internal/jsonlog"
 	"fullview/internal/report"
 	"fullview/internal/rng"
 	"fullview/internal/sensor"
@@ -213,27 +214,16 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// writeSVGAtomic renders the scene to a temp file in the target
-// directory and renames it into place, so a crash or write error never
-// leaves a truncated SVG under the requested name.
+// writeSVGAtomic renders the scene and replaces path with it through
+// jsonlog.WriteAtomic, so a crash or write error never leaves a
+// truncated or empty SVG under the requested name.
 func writeSVGAtomic(path string, scene *viz.Scene) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("create svg: %w", err)
+	var buf bytes.Buffer
+	if _, err := scene.WriteTo(&buf); err != nil {
+		return fmt.Errorf("render svg: %w", err)
 	}
-	tmp := f.Name()
-	_, werr := scene.WriteTo(f)
-	cerr := f.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp, path)
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("write svg: %w", werr)
+	if err := jsonlog.WriteAtomic(path, buf.Bytes()); err != nil {
+		return fmt.Errorf("write svg: %w", err)
 	}
 	return nil
 }

@@ -10,26 +10,23 @@
 //
 // # Durability
 //
-// Every write replaces the journal atomically: the full contents go to
-// a temporary file in the same directory, the file is fsynced, and the
-// temporary is renamed over the journal (rename within a directory is
-// atomic on POSIX filesystems). A crash or kill at any instant
-// therefore leaves either the previous journal or the new one — never a
-// torn line. Loading additionally tolerates a truncated final line, so
-// journals written by foreign tools or damaged by filesystem loss still
-// resume from their intact prefix.
+// Every write replaces the journal atomically through
+// jsonlog.WriteAtomic, so a crash or kill at any instant leaves either
+// the previous journal or the new one — never a torn line. Loading
+// follows the jsonlog decode and torn-tail rules, so journals damaged by
+// filesystem loss still resume from their intact prefix.
 package checkpoint
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
+
+	"fullview/internal/jsonlog"
 )
 
 // Version is the journal format version written to new headers.
@@ -118,71 +115,27 @@ func Open(path string, h Header) (*Journal, error) {
 	return j, nil
 }
 
-// parse decodes a journal image into its header and records. The final
-// line is allowed to be torn (truncated mid-write by a foreign writer);
-// any earlier malformed line is ErrCorrupt.
+// parse decodes a journal image into its header and records under the
+// jsonlog decode and torn-tail rules.
 func parse(data []byte) (Header, map[int]json.RawMessage, error) {
 	var h Header
 	results := make(map[int]json.RawMessage)
-	if len(data) == 0 {
-		return h, nil, fmt.Errorf("%w: empty journal", ErrCorrupt)
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(nil, 64<<20)
-	lineEnd := 0 // byte offset just past the last line consumed
-	if !sc.Scan() {
-		return h, nil, fmt.Errorf("%w: missing header", ErrCorrupt)
-	}
-	headerLine := sc.Bytes()
-	lineEnd += len(headerLine) + 1
-	if err := strictUnmarshal(headerLine, &h); err != nil {
-		return h, nil, fmt.Errorf("%w: bad header: %v", ErrCorrupt, err)
-	}
-	if h.Version != Version {
-		return h, nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, h.Version)
-	}
-	line := 1
-	for sc.Scan() {
-		raw := sc.Bytes()
-		lineEnd += len(raw) + 1
-		line++
-		if len(bytes.TrimSpace(raw)) == 0 {
-			continue
+	_, err := jsonlog.Replay(data, func(hdr Header) error {
+		if h = hdr; h.Version != Version {
+			return fmt.Errorf("unsupported version %d", h.Version)
 		}
-		var rec record
-		if err := strictUnmarshal(raw, &rec); err != nil {
-			// A defective *final* line is a torn write: drop it and keep
-			// the intact prefix. Interior damage is real corruption.
-			if lineEnd >= len(data) {
-				break
-			}
-			return h, nil, fmt.Errorf("%w: line %d: %v", ErrCorrupt, line+1, err)
-		}
+		return nil
+	}, func(rec record) error {
 		if rec.Result == nil {
-			if lineEnd >= len(data) {
-				break
-			}
-			return h, nil, fmt.Errorf("%w: line %d: record without result", ErrCorrupt, line+1)
+			return errors.New("record without result")
 		}
 		results[rec.Trial] = rec.Result
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return h, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return h, results, nil
-}
-
-// strictUnmarshal decodes one JSON document and rejects trailing data,
-// so a line holding two concatenated objects cannot pass as valid.
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data after JSON document")
-	}
-	return nil
 }
 
 // Path returns the journal's file path.
@@ -276,56 +229,28 @@ func (j *Journal) Record(trial int, result any) error {
 // j.mu.
 func (j *Journal) flushLocked() error {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(j.header); err != nil {
-		return fmt.Errorf("checkpoint: encode header: %w", err)
+	if err := j.encodeLocked(&buf); err != nil {
+		return fmt.Errorf("checkpoint: encode journal: %w", err)
 	}
-	// Deterministic record order: ascending trial index.
-	for i := 0; i < j.header.Trials; i++ {
-		raw, ok := j.results[i]
-		if !ok {
-			continue
-		}
-		if err := enc.Encode(record{Trial: i, Result: raw}); err != nil {
-			return fmt.Errorf("checkpoint: encode trial %d: %w", i, err)
-		}
+	if err := jsonlog.WriteAtomic(j.path, buf.Bytes()); err != nil {
+		return fmt.Errorf("checkpoint: write journal: %w", err)
 	}
-	return writeAtomic(j.path, buf.Bytes())
+	return nil
 }
 
-// writeAtomic replaces path with data via temp-file + fsync + rename in
-// the destination directory.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: create temp: %w", err)
+// encodeLocked writes the journal image: the header, then the records
+// in ascending trial order. Callers hold j.mu.
+func (j *Journal) encodeLocked(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	if err := enc.Encode(j.header); err != nil {
+		return err
 	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
+	for i := 0; i < j.header.Trials; i++ {
+		if raw, ok := j.results[i]; ok {
+			if err := enc.Encode(record{Trial: i, Result: raw}); err != nil {
+				return err
+			}
 		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return fmt.Errorf("checkpoint: write temp: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: fsync temp: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: close temp: %w", err)
-	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("checkpoint: rename: %w", err)
-	}
-	// Persist the directory entry so the rename survives power loss.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }
@@ -365,16 +290,8 @@ func (j *Journal) WriteTo(w io.Writer) (int64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(j.header); err != nil {
+	if err := j.encodeLocked(&buf); err != nil {
 		return 0, err
-	}
-	for i := 0; i < j.header.Trials; i++ {
-		if raw, ok := j.results[i]; ok {
-			if err := enc.Encode(record{Trial: i, Result: raw}); err != nil {
-				return 0, err
-			}
-		}
 	}
 	return buf.WriteTo(w)
 }

@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,6 +15,7 @@ import (
 
 	"fullview/internal/depjournal"
 	"fullview/internal/faultinject"
+	"fullview/internal/jsonlog"
 	"fullview/internal/telemetry"
 )
 
@@ -275,14 +274,9 @@ func (a *AntiEntropy) logf(format string, args ...any) {
 // empty ids are all refused — because a malformed digest map must fail
 // the round loudly rather than trigger bogus pulls.
 func ParseDigests(data []byte) (map[string]depjournal.DigestInfo, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var out map[string]depjournal.DigestInfo
-	if err := dec.Decode(&out); err != nil {
+	if err := jsonlog.Decode(data, &out); err != nil {
 		return nil, fmt.Errorf("cluster: digest map: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("cluster: digest map: trailing data")
 	}
 	for id, d := range out {
 		if id == "" {

@@ -1,13 +1,13 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/url"
 	"os"
 	"strings"
+
+	"fullview/internal/jsonlog"
 )
 
 // Member is one cluster replica: a stable name (the ring identity —
@@ -58,14 +58,9 @@ func LoadPeers(path string) (*Peers, error) {
 // are rejected — a misspelt key silently changing cluster topology is
 // the kind of error that must fail loudly.
 func ParsePeers(data []byte) (*Peers, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var p Peers
-	if err := dec.Decode(&p); err != nil {
+	if err := jsonlog.Decode(data, &p); err != nil {
 		return nil, err
-	}
-	if dec.More() {
-		return nil, errors.New("trailing data after peers document")
 	}
 	if err := p.validate(); err != nil {
 		return nil, err

@@ -7,14 +7,13 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand/v2"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"fullview/internal/retry"
 	"fullview/internal/telemetry"
 )
 
@@ -453,7 +452,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, shard string, 
 			if r.Context().Err() != nil {
 				return // client is gone; nobody is listening for a reply
 			}
-			rt.sleep(r.Context(), rt.backoff(attempt, ""))
+			retry.Sleep(r.Context(), rt.backoff(attempt, ""))
 			continue
 		}
 		rt.breakerObserve(b, resp.StatusCode)
@@ -463,7 +462,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, shard string, 
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			lastErr = fmt.Errorf("shard %s answered %d", shard, resp.StatusCode)
-			rt.sleep(r.Context(), rt.backoff(attempt, retryAfter))
+			retry.Sleep(r.Context(), rt.backoff(attempt, retryAfter))
 			continue
 		}
 		defer resp.Body.Close()
@@ -582,7 +581,7 @@ func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request, key string
 // unavailable answers the router's own 503 with the cluster-uniform
 // jittered Retry-After.
 func (rt *Router) unavailable(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", retryAfterValue())
+	w.Header().Set("Retry-After", retry.After())
 	writeError(w, http.StatusServiceUnavailable, msg)
 }
 
@@ -591,27 +590,10 @@ func (rt *Router) unavailable(w http.ResponseWriter, msg string) {
 // the replicas' jittered contract), otherwise capped exponential
 // growth with ±50% jitter.
 func (rt *Router) backoff(attempt int, retryAfter string) time.Duration {
-	if s, err := strconv.ParseFloat(strings.TrimSpace(retryAfter), 64); err == nil && s >= 0 {
-		return time.Duration(s * float64(time.Second))
+	if d, ok := retry.ParseAfter(retryAfter); ok {
+		return d
 	}
-	d := rt.cfg.BackoffBase << attempt
-	if d > rt.cfg.BackoffCap {
-		d = rt.cfg.BackoffCap
-	}
-	return d/2 + time.Duration(rand.Int64N(int64(d)))
-}
-
-// sleep waits for d or until ctx is cancelled.
-func (rt *Router) sleep(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
+	return retry.Jitter(retry.Backoff(rt.cfg.BackoffBase, rt.cfg.BackoffCap, attempt), 0.5)
 }
 
 // Readiness rollup states. ReadyOK/ReadyStarting/ReadyDegraded mirror
@@ -737,13 +719,6 @@ func (rt *Router) logf(format string, args ...any) {
 	if rt.cfg.Logger != nil {
 		rt.cfg.Logger.Printf(format, args...)
 	}
-}
-
-// retryAfterValue mirrors the replicas' Retry-After contract: 1 second
-// ±20% jitter, formatted as fractional seconds.
-func retryAfterValue() string {
-	v := 1 + 0.2*(2*rand.Float64()-1)
-	return strconv.FormatFloat(v, 'f', 2, 64)
 }
 
 // hopHeaders are the per-connection headers stripped when relaying a

@@ -14,11 +14,10 @@
 // "fvcd/deployments"}; every further line is one Record. A Record with
 // an empty Op is a registration; Op "reaim", "remove", or "add" is a
 // mutation of the most recent registration with the same id, applied in
-// file order. Records are appended (O_APPEND write + fsync per call, so
-// a kill -9 loses at most the operation whose success was never
-// acknowledged), and the whole file is rewritten with the atomic
-// temp+fsync+rename discipline of internal/checkpoint when compaction
-// runs.
+// file order. Records are appended through a jsonlog.Log (one write and
+// one fsync per call, so a kill -9 loses at most the operation whose
+// success was never acknowledged), and compaction rewrites the whole
+// file atomically (jsonlog.Log.Rewrite).
 //
 // Mutation indices address the *live* camera list at the time the
 // record was written: position i in registration order, as already
@@ -30,9 +29,10 @@
 //
 // # Replay
 //
-// Open replays the journal into memory. A torn final line — the
-// signature of a crash mid-append — is dropped; malformed interior
-// lines are refused with ErrCorrupt (they indicate real damage, and
+// Open replays the journal into memory under the jsonlog decode and
+// torn-tail rules: a torn final line — the signature of a crash
+// mid-append — is dropped; malformed interior lines and records with an
+// unknown op are refused with ErrCorrupt (they indicate real damage, and
 // silently skipping registrations would turn restart into data loss).
 // A mutation for an id with no prior registration is likewise
 // ErrCorrupt: the writer always journals the registration first.
@@ -57,16 +57,14 @@
 package depjournal
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"fullview/internal/faultinject"
+	"fullview/internal/jsonlog"
 )
 
 // Version is the journal format version written to new headers.
@@ -227,12 +225,11 @@ type Journal struct {
 	path         string
 	compactBytes int64
 	materialize  MaterializeFunc
-	f            *os.File       // O_APPEND handle for live appends
+	log          *jsonlog.Log[Record]
 	ids          map[string]int // id → index into deps
 	deps         []*depState    // registration order
 	dupLines     int64          // duplicate registration lines in the file
 	lines        int64          // record lines currently in the file
-	size         int64          // file size in bytes
 	closed       bool
 }
 
@@ -257,10 +254,14 @@ func Open(path string, opts Options) (*Journal, error) {
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("depjournal: read journal: %w", err)
 	}
-	if len(data) > 0 {
-		recs, lines, good, perr := parse(data)
-		if perr != nil {
-			return nil, perr
+	if len(data) == 0 {
+		if j.log, err = jsonlog.Create[Record](path, header{Version: Version, Kind: Kind}); err != nil {
+			return nil, fmt.Errorf("depjournal: create journal: %w", err)
+		}
+	} else {
+		recs, lines, good, err := parse(data)
+		if err != nil {
+			return nil, err
 		}
 		for _, r := range recs {
 			if err := j.link(r); err != nil {
@@ -268,40 +269,13 @@ func Open(path string, opts Options) (*Journal, error) {
 			}
 		}
 		j.lines = lines
-		j.size = good
-		if good < int64(len(data)) {
-			// A torn final line was dropped from the replay; cut it from the
-			// file too, so the next append cannot land after torn bytes and
-			// turn them into interior corruption.
-			if err := os.Truncate(path, good); err != nil {
-				return nil, fmt.Errorf("depjournal: truncate torn line: %w", err)
-			}
+		if j.log, err = jsonlog.Reopen[Record](path, good); err != nil {
+			return nil, fmt.Errorf("depjournal: open journal: %w", err)
 		}
-	}
-
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("depjournal: open journal: %w", err)
-	}
-	j.f = f
-	if len(data) == 0 {
-		if err := j.writeHeaderLocked(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	} else if j.size == int64(len(data)) && data[len(data)-1] != '\n' {
-		// The final line parsed fine but lacks its newline (foreign or
-		// interrupted writer): terminate it so the next append starts a
-		// fresh line instead of concatenating onto this one.
-		if _, err := f.Write([]byte{'\n'}); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("depjournal: terminate final line: %w", err)
-		}
-		j.size++
 	}
 	if j.compactNeededLocked() {
 		if err := j.compactLocked(); err != nil {
-			j.f.Close()
+			j.log.Close()
 			return nil, err
 		}
 	}
@@ -334,91 +308,27 @@ func (j *Journal) link(rec Record) error {
 	return nil
 }
 
-// writeHeaderLocked writes the header line to a fresh journal.
-func (j *Journal) writeHeaderLocked() error {
-	line, err := json.Marshal(header{Version: Version, Kind: Kind})
-	if err != nil {
-		return fmt.Errorf("depjournal: encode header: %w", err)
-	}
-	line = append(line, '\n')
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("depjournal: write header: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("depjournal: fsync header: %w", err)
-	}
-	j.size = int64(len(line))
-	return nil
-}
-
 // parse decodes a journal image into its records, the number of record
 // lines it holds (duplicates included), and the byte length of the
-// intact prefix. The final line may be torn and is then dropped (good
-// reports where the intact prefix ends so the caller can truncate);
-// earlier malformed lines are ErrCorrupt.
+// intact prefix (see jsonlog.Replay). A record with an unknown op is
+// ErrCorrupt wherever it sits.
 func parse(data []byte) (recs []Record, lines, good int64, err error) {
-	if len(data) == 0 {
-		return nil, 0, 0, fmt.Errorf("%w: empty journal", ErrCorrupt)
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(nil, 64<<20)
-	lineEnd := 0 // byte offset just past the last line consumed
-	if !sc.Scan() {
-		return nil, 0, 0, fmt.Errorf("%w: missing header", ErrCorrupt)
-	}
-	headerLine := sc.Bytes()
-	lineEnd += len(headerLine) + 1
-	var h header
-	if uerr := strictUnmarshal(headerLine, &h); uerr != nil {
-		return nil, 0, 0, fmt.Errorf("%w: bad header: %v", ErrCorrupt, uerr)
-	}
-	if h.Version != Version || h.Kind != Kind {
-		return nil, 0, 0, fmt.Errorf("%w: unsupported header %+v", ErrCorrupt, h)
-	}
-	good = min(int64(lineEnd), int64(len(data)))
-	lineNo := 1
-	for sc.Scan() {
-		raw := sc.Bytes()
-		lineEnd += len(raw) + 1
-		lineNo++
-		if len(bytes.TrimSpace(raw)) == 0 {
-			good = min(int64(lineEnd), int64(len(data)))
-			continue
+	good, err = jsonlog.Replay(data, func(h header) error {
+		if h.Version != Version || h.Kind != Kind {
+			return fmt.Errorf("unsupported header %+v", h)
 		}
-		var rec Record
-		uerr := strictUnmarshal(raw, &rec)
-		if uerr == nil {
-			uerr = rec.validate()
-		}
-		if uerr != nil {
-			// A defective *final* line is a torn append (crash mid-write):
-			// drop it and keep the intact prefix. Interior damage is real
-			// corruption and refused.
-			if lineEnd >= len(data) {
-				break
-			}
-			return nil, 0, 0, fmt.Errorf("%w: line %d: %v", ErrCorrupt, lineNo, uerr)
+		return nil
+	}, func(rec Record) error {
+		if err := rec.validate(); err != nil {
+			return err
 		}
 		recs = append(recs, rec)
-		lines++
-		good = min(int64(lineEnd), int64(len(data)))
+		return nil
+	})
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if serr := sc.Err(); serr != nil {
-		return nil, 0, 0, fmt.Errorf("%w: %v", ErrCorrupt, serr)
-	}
-	return recs, lines, good, nil
-}
-
-// strictUnmarshal decodes one JSON document and rejects trailing data.
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data after JSON document")
-	}
-	return nil
+	return recs, int64(len(recs)), good, nil
 }
 
 // Append durably records one registration: the record line is written
@@ -583,32 +493,16 @@ func (j *Journal) Version(id string) (uint64, bool) {
 	return d.reg.BaseVersion + uint64(len(d.muts)), true
 }
 
-// writeLocked encodes the records as JSONL, writes them through the
-// O_APPEND handle in one call, and fsyncs. On failure the file is
-// truncated back so a partial batch cannot become interior corruption.
-// Caller holds j.mu; in-memory state is NOT updated here.
+// writeLocked appends the records as one fsynced batch (see
+// jsonlog.Log.Append). Caller holds j.mu; in-memory state is NOT
+// updated here.
 func (j *Journal) writeLocked(recs []Record) error {
 	if err := faultinject.Fire(faultinject.JournalWrite); err != nil {
 		return fmt.Errorf("depjournal: write record: %w", err)
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for i := range recs {
-		if err := enc.Encode(recs[i]); err != nil {
-			return fmt.Errorf("depjournal: encode record: %w", err)
-		}
-	}
-	if _, err := j.f.Write(buf.Bytes()); err != nil {
-		// The file may now hold a partial line; truncate back so a later
-		// successful append cannot create interior corruption.
-		_ = j.f.Truncate(j.size)
+	if err := j.log.Append(recs...); err != nil {
 		return fmt.Errorf("depjournal: write record: %w", err)
 	}
-	if err := j.f.Sync(); err != nil {
-		_ = j.f.Truncate(j.size)
-		return fmt.Errorf("depjournal: fsync record: %w", err)
-	}
-	j.size += int64(buf.Len())
 	j.lines += int64(len(recs))
 	return nil
 }
@@ -623,7 +517,7 @@ func (j *Journal) foldableLocked(d *depState) bool {
 // and actually holds reclaimable lines: duplicate registrations, or
 // mutations a fold would absorb.
 func (j *Journal) compactNeededLocked() bool {
-	if j.compactBytes <= 0 || j.size <= j.compactBytes {
+	if j.compactBytes <= 0 || j.log.Size() <= j.compactBytes {
 		return false
 	}
 	if j.dupLines > 0 {
@@ -696,8 +590,8 @@ func foldDeployment(reg Record, muts []Record, materialize MaterializeFunc) (Rec
 	}, true
 }
 
-// Compact rewrites the journal as a deduplicated, folded snapshot
-// regardless of size, using the atomic temp+fsync+rename discipline.
+// Compact atomically rewrites the journal as a deduplicated, folded
+// snapshot regardless of size.
 func (j *Journal) Compact() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -707,72 +601,26 @@ func (j *Journal) Compact() error {
 	return j.compactLocked()
 }
 
-// compactLocked writes the snapshot and swaps the append handle onto
-// the fresh file. Deployments whose mutations fold are written as one
-// Folded registration; the rest keep registration + mutations verbatim.
-// In-memory state is committed only after the atomic rename succeeds.
-// Callers hold j.mu.
+// compactLocked rewrites the file as the snapshot. Deployments whose
+// mutations fold are written as one Folded registration; the rest keep
+// registration + mutations verbatim. In-memory state is committed only
+// after the rewrite succeeds. Callers hold j.mu.
 func (j *Journal) compactLocked() error {
 	var buf bytes.Buffer
 	stagedDeps, lines, err := encodeSnapshot(&buf, j.stageLocked(), j.materialize)
 	if err != nil {
 		return err
 	}
-	if err := writeAtomic(j.path, buf.Bytes()); err != nil {
-		return err
+	if err := j.log.Rewrite(buf.Bytes()); err != nil {
+		return fmt.Errorf("depjournal: compact: %w", err)
 	}
-	// The rename replaced the inode our O_APPEND handle points at;
-	// reopen so future appends land in the new file.
-	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("depjournal: reopen after compaction: %w", err)
-	}
-	j.f.Close()
-	j.f = f
 	for di := range j.deps {
 		j.deps[di].reg = stagedDeps[di].reg
 		j.deps[di].muts = stagedDeps[di].muts
 		j.deps[di].unfoldable = stagedDeps[di].unfoldable
 	}
 	j.dupLines = 0
-	j.size = int64(buf.Len())
 	j.lines = lines
-	return nil
-}
-
-// writeAtomic replaces path with data via temp-file + fsync + rename in
-// the destination directory, then syncs the directory entry.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("depjournal: create temp: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return fmt.Errorf("depjournal: write temp: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("depjournal: fsync temp: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("depjournal: close temp: %w", err)
-	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("depjournal: rename: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 	return nil
 }
 
@@ -830,7 +678,7 @@ func (j *Journal) Len() int {
 func (j *Journal) Size() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.size
+	return j.log.Size()
 }
 
 // Path returns the journal's file path.
@@ -845,5 +693,5 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	return j.f.Close()
+	return j.log.Close()
 }

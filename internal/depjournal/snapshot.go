@@ -167,10 +167,10 @@ func (j *Journal) SnapshotID(w io.Writer, id string) (int64, error) {
 }
 
 // ParseSnapshot decodes a complete snapshot image — the bytes Snapshot
-// or SnapshotID streamed — into its records. Unlike Open, a torn final
-// line is an error here, not tolerance: a fetched snapshot that does
-// not parse to its last byte was truncated in transfer and must be
-// refused, never half-applied.
+// or SnapshotID streamed — into its records, refusing every image Open
+// would refuse. Unlike Open, a torn final line is an error here, not
+// tolerance: a fetched snapshot that does not parse to its last byte
+// was truncated in transfer and must be refused, never half-applied.
 func ParseSnapshot(data []byte) ([]Record, error) {
 	recs, _, good, err := parse(data)
 	if err != nil {
@@ -178,6 +178,12 @@ func ParseSnapshot(data []byte) ([]Record, error) {
 	}
 	if good != int64(len(data)) {
 		return nil, fmt.Errorf("%w: truncated snapshot (%d of %d bytes parse)", ErrCorrupt, good, len(data))
+	}
+	scratch := &Journal{ids: make(map[string]int)}
+	for _, r := range recs {
+		if err := scratch.link(r); err != nil {
+			return nil, err
+		}
 	}
 	return recs, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"fullview/internal/retry"
 	"fullview/internal/rng"
 	"fullview/internal/sweep"
 )
@@ -44,9 +45,9 @@ type RetryPolicy struct {
 	Retryable func(error) bool
 }
 
-// retryable applies the policy's classifier with the non-negotiable
+// ShouldRetry applies the policy's classifier with the non-negotiable
 // exclusions: programming errors (panics) and cancellation.
-func (p RetryPolicy) retryable(err error) bool {
+func (p RetryPolicy) ShouldRetry(err error) bool {
 	var pe *sweep.PanicError
 	if errors.As(err, &pe) {
 		return false
@@ -58,25 +59,6 @@ func (p RetryPolicy) retryable(err error) bool {
 		return p.Retryable(err)
 	}
 	return errors.Is(err, ErrTransient)
-}
-
-// backoff returns the capped exponential delay before retry attempt
-// `retry` (0-based).
-func (p RetryPolicy) backoff(retry int) time.Duration {
-	if p.BaseDelay <= 0 {
-		return 0
-	}
-	d := p.BaseDelay
-	for i := 0; i < retry; i++ {
-		d *= 2
-		if p.MaxDelay > 0 && d >= p.MaxDelay {
-			return p.MaxDelay
-		}
-	}
-	if p.MaxDelay > 0 && d > p.MaxDelay {
-		return p.MaxDelay
-	}
-	return d
 }
 
 // WithRetry wraps a trial function so transient failures are retried
@@ -96,11 +78,11 @@ func WithRetry[T any](ctx context.Context, policy RetryPolicy, seed uint64, fn T
 	}
 	return func(trial int, r *rng.PCG) (T, error) {
 		out, err := fn(trial, r)
-		for retry := 0; err != nil && retry < policy.MaxAttempts-1; retry++ {
-			if !policy.retryable(err) {
+		for attempt := 0; err != nil && attempt < policy.MaxAttempts-1; attempt++ {
+			if !policy.ShouldRetry(err) {
 				return out, err
 			}
-			if waitErr := sleepContext(ctx, policy.backoff(retry)); waitErr != nil {
+			if waitErr := retry.Sleep(ctx, retry.Backoff(policy.BaseDelay, policy.MaxDelay, attempt)); waitErr != nil {
 				return out, fmt.Errorf("experiment: retry abandoned: %w", errors.Join(err, waitErr))
 			}
 			out, err = fn(trial, rng.New(seed, uint64(trial)))
@@ -109,21 +91,6 @@ func WithRetry[T any](ctx context.Context, policy RetryPolicy, seed uint64, fn T
 			return out, fmt.Errorf("experiment: after %d attempts: %w", policy.MaxAttempts, err)
 		}
 		return out, nil
-	}
-}
-
-// sleepContext waits for d or until ctx is done, whichever is first.
-func sleepContext(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-timer.C:
-		return nil
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"fullview/internal/retry"
 	"fullview/internal/rng"
 	"fullview/internal/sweep"
 )
@@ -152,18 +153,19 @@ func TestRetryPolicyBackoff(t *testing.T) {
 		50 * time.Millisecond, // capped
 		50 * time.Millisecond,
 	}
-	for retry, w := range want {
-		if got := p.backoff(retry); got != w {
-			t.Errorf("backoff(%d) = %v, want %v", retry, got, w)
+	for i, w := range want {
+		if got := retry.Backoff(p.BaseDelay, p.MaxDelay, i); got != w {
+			t.Errorf("backoff(%d) = %v, want %v", i, got, w)
 		}
 	}
-	if got := (RetryPolicy{}).backoff(3); got != 0 {
+	zero := RetryPolicy{}
+	if got := retry.Backoff(zero.BaseDelay, zero.MaxDelay, 3); got != 0 {
 		t.Errorf("zero-policy backoff = %v", got)
 	}
 	// Uncapped growth must not overflow into negative durations for sane
 	// retry counts.
 	uncapped := RetryPolicy{BaseDelay: time.Second}
-	if got := uncapped.backoff(10); got != 1024*time.Second {
+	if got := retry.Backoff(uncapped.BaseDelay, uncapped.MaxDelay, 10); got != 1024*time.Second {
 		t.Errorf("uncapped backoff(10) = %v", got)
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math/big"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -46,7 +45,7 @@ import (
 	"fullview/internal/core"
 	"fullview/internal/experiment"
 	"fullview/internal/faultinject"
-	"fullview/internal/sweep"
+	"fullview/internal/retry"
 )
 
 // Kind names what a job computes.
@@ -788,13 +787,9 @@ func (m *Manager) runJob(j *job) {
 			return
 		}
 		m.completeBand(j, band, stats, time.Since(t0))
-		if m.cfg.Throttle > 0 {
-			select {
-			case <-ctx.Done():
-				m.abandon(j)
-				return
-			case <-time.After(m.cfg.Throttle):
-			}
+		if m.cfg.Throttle > 0 && retry.Sleep(ctx, m.cfg.Throttle) != nil {
+			m.abandon(j)
+			return
 		}
 	}
 	m.finishJob(j, StateDone, "", m.merge(j))
@@ -817,20 +812,17 @@ func (m *Manager) abandon(j *job) {
 // never retry.
 func (m *Manager) runBand(ctx context.Context, runner BandRunner, band int) (core.RegionStats, error) {
 	pol := m.cfg.Retry
-	var last error
 	for attempt := 1; ; attempt++ {
 		stats, err := m.bandAttempt(ctx, runner, band)
 		if err == nil {
 			return stats, nil
 		}
-		last = err
-		if ctx.Err() != nil || attempt >= pol.MaxAttempts || !m.retryableBand(err) {
-			return core.RegionStats{}, last
+		var pe *PanicError
+		if ctx.Err() != nil || attempt >= pol.MaxAttempts || errors.As(err, &pe) || !pol.ShouldRetry(err) {
+			return core.RegionStats{}, err
 		}
-		select {
-		case <-ctx.Done():
-			return core.RegionStats{}, ctx.Err()
-		case <-time.After(jitter(backoffDelay(pol, attempt-1))):
+		if err := retry.Sleep(ctx, retry.Jitter(retry.Backoff(pol.BaseDelay, pol.MaxDelay, attempt-1), 0.2)); err != nil {
+			return core.RegionStats{}, err
 		}
 	}
 }
@@ -851,57 +843,6 @@ func (m *Manager) bandAttempt(ctx context.Context, runner BandRunner, band int) 
 		return stats, ferr
 	}
 	return runner(ctx, band)
-}
-
-func (m *Manager) retryableBand(err error) bool {
-	var pe *PanicError
-	var se *sweep.PanicError
-	if errors.As(err, &pe) || errors.As(err, &se) {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	if m.cfg.Retry.Retryable != nil {
-		return m.cfg.Retry.Retryable(err)
-	}
-	return errors.Is(err, experiment.ErrTransient)
-}
-
-// backoffDelay mirrors experiment.RetryPolicy's unexported backoff:
-// BaseDelay doubling per retry, capped at MaxDelay.
-func backoffDelay(p experiment.RetryPolicy, retry int) time.Duration {
-	if p.BaseDelay <= 0 {
-		return 0
-	}
-	d := p.BaseDelay
-	for i := 0; i < retry; i++ {
-		d *= 2
-		if p.MaxDelay > 0 && d >= p.MaxDelay {
-			return p.MaxDelay
-		}
-	}
-	if p.MaxDelay > 0 && d > p.MaxDelay {
-		return p.MaxDelay
-	}
-	return d
-}
-
-// jitter spreads d by ±20% so retries from concurrent jobs don't
-// synchronise.
-func jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	span := int64(d) * 2 / 5
-	if span <= 0 {
-		return d
-	}
-	n, err := rand.Int(rand.Reader, big.NewInt(span))
-	if err != nil {
-		return d
-	}
-	return time.Duration(int64(d) - span/2 + n.Int64())
 }
 
 // completeBand records a finished band: journal first (failure degrades

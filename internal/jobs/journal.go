@@ -1,29 +1,27 @@
 package jobs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"fullview/internal/core"
 	"fullview/internal/faultinject"
+	"fullview/internal/jsonlog"
 )
 
 // The job journal format: one JSONL file per job under <Dir>. Line 1 is
 // the header (format version, job id, creation time, and the full spec
 // — everything needed to re-derive the job's work after a crash); every
 // further line is one record: a completed band's RegionStats, or the
-// terminal state. Records are appended with the depjournal discipline
-// (O_APPEND write + fsync per record, truncate-back on a failed write),
-// so a kill -9 loses at most the band whose completion was never
-// acknowledged; replay tolerates a torn final line and refuses interior
-// damage. Once a job reaches a terminal state its file is compacted to
-// header + terminal record via the checkpoint-style atomic
-// temp+fsync+rename rewrite.
+// terminal state. Records are appended through a jsonlog.Log (write +
+// fsync per record, truncate-back on a failed write), so a kill -9
+// loses at most the band whose completion was never acknowledged;
+// replay follows the jsonlog decode and torn-tail rules. Once a job
+// reaches a terminal state its file is compacted to header + terminal
+// record with jsonlog.WriteAtomic.
 const (
 	// Version is the job journal format version.
 	Version = 1
@@ -98,93 +96,38 @@ func (r *record) validate(spec Spec) error {
 
 // parseJob decodes one job journal image: the header, the completed
 // bands, and the terminal record if the job finished. good is the byte
-// length of the intact prefix — the final line may be torn (a crash
-// mid-append) and is then dropped so the caller can truncate; any
-// earlier malformed line, or a record after the terminal one, is
-// ErrCorrupt.
+// length of the intact prefix (a torn final line is dropped so the
+// caller can truncate it); a record that violates the schema, or any
+// record after the terminal one, is ErrCorrupt.
 func parseJob(data []byte) (hdr header, bands map[int]core.RegionStats, term *record, good int64, err error) {
-	if len(data) == 0 {
-		return hdr, nil, nil, 0, fmt.Errorf("%w: empty file", ErrCorrupt)
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(nil, 64<<20)
-	lineEnd := 0
-	if !sc.Scan() {
-		return hdr, nil, nil, 0, fmt.Errorf("%w: missing header", ErrCorrupt)
-	}
-	headerLine := sc.Bytes()
-	lineEnd += len(headerLine) + 1
-	if uerr := strictUnmarshal(headerLine, &hdr); uerr != nil {
-		return hdr, nil, nil, 0, fmt.Errorf("%w: bad header: %v", ErrCorrupt, uerr)
-	}
-	if uerr := hdr.validate(); uerr != nil {
-		return hdr, nil, nil, 0, fmt.Errorf("%w: bad header: %v", ErrCorrupt, uerr)
-	}
-	good = min(int64(lineEnd), int64(len(data)))
 	bands = make(map[int]core.RegionStats)
-	lineNo := 1
-	for sc.Scan() {
-		raw := sc.Bytes()
-		lineEnd += len(raw) + 1
-		lineNo++
-		if len(bytes.TrimSpace(raw)) == 0 {
-			good = min(int64(lineEnd), int64(len(data)))
-			continue
+	good, err = jsonlog.Replay(data, func(h header) error {
+		hdr = h
+		return h.validate()
+	}, func(rec record) error {
+		if err := rec.validate(hdr.Spec); err != nil {
+			return err
 		}
-		var rec record
-		if uerr := strictUnmarshal(raw, &rec); uerr != nil {
-			// An undecodable *final* line is a torn append (a crash
-			// mid-write can only persist a prefix of the line): drop it
-			// and keep the intact prefix. Interior damage is real
-			// corruption and refused.
-			if lineEnd >= len(data) {
-				break
-			}
-			return hdr, nil, nil, 0, fmt.Errorf("%w: line %d: %v", ErrCorrupt, lineNo, uerr)
-		}
-		// A record that decodes but violates the schema — band out of
-		// range, record after the terminal one — cannot come from a torn
-		// write of this format's writer; that is corruption wherever it
-		// sits.
-		uerr := rec.validate(hdr.Spec)
-		if uerr == nil && term != nil {
-			uerr = errors.New("record after terminal record")
-		}
-		if uerr != nil {
-			return hdr, nil, nil, 0, fmt.Errorf("%w: line %d: %v", ErrCorrupt, lineNo, uerr)
+		if term != nil {
+			return errors.New("record after terminal record")
 		}
 		if rec.Band != nil {
 			bands[*rec.Band] = *rec.Stats
 		} else {
-			r := rec
-			term = &r
+			term = &rec
 		}
-		good = min(int64(lineEnd), int64(len(data)))
-	}
-	if serr := sc.Err(); serr != nil {
-		return hdr, nil, nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, serr)
+		return nil
+	})
+	if err != nil {
+		return hdr, nil, nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return hdr, bands, term, good, nil
-}
-
-// strictUnmarshal decodes one JSON document and rejects trailing data.
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data after JSON document")
-	}
-	return nil
 }
 
 // jobFile is one job's open journal handle.
 type jobFile struct {
 	path string
-	f    *os.File
-	size int64
+	log  *jsonlog.Log[record]
 	hdr  header
 }
 
@@ -195,72 +138,39 @@ func createJobFile(path string, hdr header) (*jobFile, error) {
 	if err := faultinject.Fire(faultinject.JobJournalWrite); err != nil {
 		return nil, fmt.Errorf("jobs: create journal: %w", err)
 	}
-	line, err := json.Marshal(hdr)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: encode header: %w", err)
-	}
-	line = append(line, '\n')
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
+	l, err := jsonlog.Create[record](path, hdr)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: create journal: %w", err)
 	}
-	jf := &jobFile{path: path, f: f, hdr: hdr}
-	if _, err := f.Write(line); err != nil {
-		jf.remove()
-		return nil, fmt.Errorf("jobs: write header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		jf.remove()
-		return nil, fmt.Errorf("jobs: fsync header: %w", err)
-	}
-	jf.size = int64(len(line))
-	return jf, nil
+	return &jobFile{path: path, log: l, hdr: hdr}, nil
 }
 
-// reopenJobFile opens an existing (replayed) job journal for appending,
-// first truncating away a torn tail so a later append cannot land after
-// torn bytes and turn them into interior corruption.
+// reopenJobFile opens a replayed job journal for appending; jsonlog
+// cuts the torn tail past good and terminates an unterminated final
+// record first.
 func reopenJobFile(path string, hdr header, good int64) (*jobFile, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	l, err := jsonlog.Reopen[record](path, good)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: reopen journal: %w", err)
 	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("jobs: truncate torn line: %w", err)
-	}
-	return &jobFile{path: path, f: f, size: good, hdr: hdr}, nil
+	return &jobFile{path: path, log: l, hdr: hdr}, nil
 }
 
-// append durably writes one record: O_APPEND write + fsync, with
-// truncate-back on failure so a partial line cannot become interior
-// corruption. The faultinject.JobJournalWrite point fires before the
-// write.
+// append durably writes one record. The faultinject.JobJournalWrite
+// point fires before the write.
 func (jf *jobFile) append(rec record) error {
 	if err := faultinject.Fire(faultinject.JobJournalWrite); err != nil {
 		return fmt.Errorf("jobs: write record: %w", err)
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("jobs: encode record: %w", err)
-	}
-	line = append(line, '\n')
-	if _, err := jf.f.Write(line); err != nil {
-		_ = jf.f.Truncate(jf.size)
+	if err := jf.log.Append(rec); err != nil {
 		return fmt.Errorf("jobs: write record: %w", err)
 	}
-	if err := jf.f.Sync(); err != nil {
-		_ = jf.f.Truncate(jf.size)
-		return fmt.Errorf("jobs: fsync record: %w", err)
-	}
-	jf.size += int64(len(line))
 	return nil
 }
 
-// compact rewrites the journal as header + terminal record only (the
-// band records are subsumed by the result), via the atomic
-// temp+fsync+rename discipline, and closes the append handle — a
-// terminal job never writes again.
+// compact atomically rewrites the journal as header + terminal record
+// only (the band records are subsumed by the result) and closes the
+// append handle — a terminal job never writes again.
 func (jf *jobFile) compact(term record) error {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -270,58 +180,16 @@ func (jf *jobFile) compact(term record) error {
 	if err := enc.Encode(term); err != nil {
 		return fmt.Errorf("jobs: encode terminal: %w", err)
 	}
-	if err := writeAtomic(jf.path, buf.Bytes()); err != nil {
-		return err
+	if err := jsonlog.WriteAtomic(jf.path, buf.Bytes()); err != nil {
+		return fmt.Errorf("jobs: compact journal: %w", err)
 	}
-	jf.size = int64(buf.Len())
 	jf.close()
 	return nil
 }
 
-func (jf *jobFile) close() {
-	if jf.f != nil {
-		jf.f.Close()
-		jf.f = nil
-	}
-}
+func (jf *jobFile) close() { jf.log.Close() }
 
 func (jf *jobFile) remove() {
 	jf.close()
 	os.Remove(jf.path)
-}
-
-// writeAtomic replaces path with data via temp-file + fsync + rename in
-// the destination directory, then syncs the directory entry.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("jobs: create temp: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return fmt.Errorf("jobs: write temp: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("jobs: fsync temp: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("jobs: close temp: %w", err)
-	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("jobs: rename: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }

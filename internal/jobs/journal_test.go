@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -139,6 +140,71 @@ func TestReopenAfterTornLineResumesCleanly(t *testing.T) {
 	}
 	if len(bands) != 2 || good != int64(len(data)) {
 		t.Fatalf("after repair: bands %d good %d/%d", len(bands), good, len(data))
+	}
+}
+
+// TestResumeAfterUnterminatedBand: a crash can persist a band record
+// but not its trailing newline. The restarted job must append its next
+// bands on fresh lines, so a second restart resumes the job again
+// instead of quarantining its journal as corrupt.
+func TestResumeAfterUnterminatedBand(t *testing.T) {
+	net := testNet(t, 150, 7)
+	dir := t.TempDir()
+	spec := surveySpec(6)
+	exec := realExec(t, net)
+	run, err := exec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := header{Version: Version, Kind: FileKind, ID: "job-newline", CreatedNS: time.Now().UnixNano(), Spec: spec}
+	var buf bytes.Buffer
+	buf.Write(mustLine(t, hdr))
+	for b := 0; b < 2; b++ {
+		stats, err := run(context.Background(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(mustLine(t, record{Band: intp(b), Stats: &stats}))
+	}
+	path := filepath.Join(dir, hdr.ID+fileSuffix)
+	if err := os.WriteFile(path, bytes.TrimSuffix(buf.Bytes(), []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// First restart: journal bands 2 and 3, then stop at band 4 the way
+	// a kill would (no terminal record).
+	stopAt4 := func(s Spec) (BandRunner, error) {
+		r, err := exec(s)
+		return func(ctx context.Context, band int) (core.RegionStats, error) {
+			if band >= 4 {
+				<-ctx.Done()
+				return core.RegionStats{}, ctx.Err()
+			}
+			return r(ctx, band)
+		}, err
+	}
+	m1, err := New(quietConfig(Config{Dir: dir}), stopAt4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1.Start()
+	waitFor(t, "bands 2 and 3 journaled", func() bool { return m1.BandsDone() == 2 })
+	m1.Close()
+
+	// Second restart: the job resumes from four bands and finishes
+	// bit-identical to an uninterrupted survey.
+	m2 := newManager(t, Config{Dir: dir}, exec)
+	m2.Start()
+	snap, err := m2.Get(hdr.ID)
+	if err != nil {
+		t.Fatalf("job lost on the second restart: %v", err)
+	}
+	if !snap.Resumed || snap.BandsDone < 4 {
+		t.Fatalf("second restart restored %+v, want 4 journaled bands", snap)
+	}
+	final := waitTerminal(t, m2, hdr.ID)
+	if want := wholeGrid(t, net, spec); final.State != StateDone || final.Result.Stats[0] != want[0] {
+		t.Fatalf("resumed job ended %+v, want result %+v", final, want)
 	}
 }
 

@@ -3,8 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"math/rand/v2"
-	"strconv"
 	"time"
 
 	"fullview/internal/telemetry"
@@ -59,15 +57,3 @@ func (a *admission) acquire(ctx context.Context) error {
 
 // release returns a slot taken by acquire.
 func (a *admission) release() { <-a.slots }
-
-// retryAfter returns the Retry-After value for a retryable rejection —
-// the 429 of a saturated admission queue and the 503 of a failing
-// journal alike: a 1-second base jittered ±20%, so a burst of clients
-// rejected in the same instant does not re-stampede on the same second.
-// The value is fractional seconds (RFC 9110 specifies integer
-// delta-seconds, but rounding to whole seconds would erase the jitter
-// entirely; clients that truncate still land on a sane 0 or 1).
-func retryAfter() string {
-	v := 1 + 0.2*(2*rand.Float64()-1)
-	return strconv.FormatFloat(v, 'f', 2, 64)
-}

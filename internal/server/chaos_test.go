@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"fullview/internal/faultinject"
+	"fullview/internal/retry"
 )
 
 // do drives one request through the handler directly (no TCP), which
@@ -340,7 +341,7 @@ func TestPanicRecoveryZeroAlloc(t *testing.T) {
 func TestRetryAfterJitter(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 200; i++ {
-		s := retryAfter()
+		s := retry.After()
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			t.Fatalf("Retry-After %q is not a number: %v", s, err)

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +18,8 @@ import (
 	"fullview/internal/depcache"
 	"fullview/internal/depjournal"
 	"fullview/internal/faultinject"
+	"fullview/internal/jsonlog"
+	"fullview/internal/retry"
 	"fullview/internal/telemetry"
 )
 
@@ -42,13 +43,8 @@ const (
 // handler validates it (camera caps use the default configuration).
 func DeploymentIDFromRequest(body []byte) (string, error) {
 	var req registerRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := jsonlog.Decode(body, &req); err != nil {
 		return "", fmt.Errorf("malformed registration: %v", err)
-	}
-	if dec.More() {
-		return "", errors.New("trailing data after JSON body")
 	}
 	shim := &Server{cfg: Config{}.withDefaults()}
 	net, err := shim.buildNetwork(&req)
@@ -197,17 +193,13 @@ func (c *clusterState) postMirror(s *Server, peer string, batch []depjournal.Rec
 		s.logf("cluster: encode mirror batch: %v", err)
 		return false
 	}
-	backoff := mirrorBackoffBase
 	for attempt := 0; attempt < mirrorAttempts; attempt++ {
 		if attempt > 0 {
 			c.mirrorRetries.Inc()
 			select {
 			case <-c.done:
 				return false
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > mirrorBackoffCap {
-				backoff = mirrorBackoffCap
+			case <-time.After(retry.Backoff(mirrorBackoffBase, mirrorBackoffCap, attempt-1)):
 			}
 		}
 		if err := faultinject.Fire(faultinject.MirrorDrop); err != nil {
@@ -466,43 +458,19 @@ func (s *Server) maybeWarmFromPeer(path string) {
 }
 
 // installSnapshot validates a fetched snapshot by fully replaying it,
-// then installs it at the journal path via temp + rename. Validation
-// first: a corrupt snapshot must never brick the boot — depjournal.Open
-// refuses interior corruption, and refusing here means we fall back to
-// a cold start instead.
+// then installs it at the journal path atomically. Validation first: a
+// corrupt snapshot must never brick the boot — depjournal.Open refuses
+// interior corruption, and refusing here means we fall back to a cold
+// start instead.
 func installSnapshot(path string, data []byte) error {
 	if len(data) == 0 {
 		return errors.New("empty snapshot")
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".warm*")
-	if err != nil {
-		return fmt.Errorf("create temp: %w", err)
-	}
-	name := tmp.Name()
-	defer os.Remove(name)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("write temp: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fsync temp: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("close temp: %w", err)
-	}
-	j, err := depjournal.Open(name, depjournal.Options{CompactBytes: -1})
-	if err != nil {
+	if _, err := depjournal.ParseSnapshot(data); err != nil {
 		return fmt.Errorf("snapshot does not replay: %w", err)
 	}
-	j.Close()
-	if err := os.Rename(name, path); err != nil {
+	if err := jsonlog.WriteAtomic(path, data); err != nil {
 		return fmt.Errorf("install: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"fullview/internal/deploy"
 	"fullview/internal/faultinject"
 	"fullview/internal/geom"
+	"fullview/internal/retry"
 	"fullview/internal/sensor"
 	"fullview/internal/spatial"
 )
@@ -484,7 +485,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		// so this 503 carries the same jittered Retry-After as every
 		// other retryable rejection.
 		code = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", retryAfter())
+		w.Header().Set("Retry-After", retry.After())
 	}
 	body := map[string]any{"status": state}
 	if reason != "" {

@@ -9,6 +9,7 @@ import (
 
 	"fullview/internal/deploy"
 	"fullview/internal/geom"
+	"fullview/internal/retry"
 	"fullview/internal/rng"
 	"fullview/internal/sensor"
 )
@@ -208,7 +209,7 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 // emits goes through here, so clients can rely on the header being
 // present whenever retrying is the right move.
 func writeRetryable(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Retry-After", retryAfter())
+	w.Header().Set("Retry-After", retry.After())
 	writeError(w, code, msg)
 }
 
