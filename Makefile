@@ -59,6 +59,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCameraCovers -fuzztime=15s ./internal/sensor/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=15s ./internal/checkpoint/
 	$(GO) test -run=NONE -fuzz=FuzzReplay -fuzztime=15s ./internal/depjournal/
+	$(GO) test -run=NONE -fuzz=FuzzApply -fuzztime=15s ./internal/depjournal/
 	$(GO) test -run=NONE -fuzz=FuzzReplay -fuzztime=15s ./internal/jobs/
 	$(GO) test -run=NONE -fuzz=FuzzParseDigests -fuzztime=15s ./internal/cluster/
 	$(GO) test -run=NONE -fuzz=FuzzReplay -fuzztime=15s ./internal/jsonlog/

@@ -16,10 +16,11 @@
 // With -cluster peers.json and -self NAME, the daemon runs as one
 // replica of an fvcd cluster: deployments are placed on replicas by a
 // consistent-hash ring over the peers file's member names, every
-// journal append is mirrored asynchronously to the other members, the
-// local journal is served to warming peers on GET /v1/internal/
-// snapshot, and a replica starting with no local journal warms from a
-// peer snapshot first. -state is required in this mode. Add
+// journal append is mirrored asynchronously to the other members, and a
+// replica whose journal opens empty warms from its peers with one
+// anti-entropy round (per-deployment snapshots pulled over
+// GET /v1/internal/snapshot?id=) before serving. -state is required in
+// this mode. Add
 // -antientropy DURATION to run the self-healing reconciler: at each
 // interval the replica compares per-deployment journal digests with
 // its peers and pulls any deployment it is missing or behind on,

@@ -26,8 +26,8 @@ const (
 	// DigestPath answers the replica's per-deployment digest map
 	// (JSON: id → {digest, version}).
 	DigestPath = "/v1/internal/digest"
-	// SnapshotPath streams a journal snapshot; with ?id= it streams the
-	// single-deployment image (404 when the id is not journaled).
+	// SnapshotPath streams the single-deployment snapshot image named by
+	// ?id= (404 when the id is not journaled).
 	SnapshotPath = "/v1/internal/snapshot"
 )
 
@@ -38,7 +38,8 @@ type AntiEntropyStore interface {
 	// Digests returns the local per-deployment content digests.
 	Digests() map[string]depjournal.DigestInfo
 	// Apply installs one deployment's fetched snapshot records,
-	// replacing any local copy.
+	// replacing any local copy that is behind; depjournal.ErrStale when
+	// the local copy is already as new.
 	Apply(id string, recs []depjournal.Record) error
 }
 
@@ -80,11 +81,30 @@ type AntiEntropy struct {
 	pulls  *telemetry.Counter
 	errs   *telemetry.Counter
 
+	// ctx is cancelled by Stop, which aborts the periodic loop's
+	// in-flight peer calls instead of waiting out their timeouts.
+	ctx       context.Context
+	stop      context.CancelFunc
 	startOnce sync.Once
-	stopOnce  sync.Once
-	done      chan struct{}
 	wg        sync.WaitGroup
 }
+
+// RoundResult reports one reconciliation pass.
+type RoundResult struct {
+	// Pulled counts the deployments repaired.
+	Pulled int
+	// Reached reports whether any peer answered its digest request;
+	// false means every peer was unreachable (a whole-cluster first boot
+	// looks like this).
+	Reached bool
+	// Err is the first failure after a peer answered — a bad digest
+	// answer, a failed snapshot fetch, or a failed apply — or nil. A
+	// pull that lost the race to a newer local copy is not a failure.
+	Err error
+}
+
+// errUnreachable marks a peer call that got no HTTP answer at all.
+var errUnreachable = errors.New("peer unreachable")
 
 // NewAntiEntropy builds a reconciler. It does not start the periodic
 // loop — call Start for that, or drive Round directly.
@@ -104,8 +124,8 @@ func NewAntiEntropy(cfg AntiEntropyConfig) (*AntiEntropy, error) {
 	a := &AntiEntropy{
 		cfg:    cfg,
 		client: cfg.Client,
-		done:   make(chan struct{}),
 	}
+	a.ctx, a.stop = context.WithCancel(context.Background())
 	a.rounds = cfg.Registry.Counter("fvcd_antientropy_rounds_total",
 		"Anti-entropy reconciliation rounds completed.")
 	a.pulls = cfg.Registry.Counter("fvcd_antientropy_pulls_total",
@@ -129,10 +149,10 @@ func (a *AntiEntropy) Start() {
 			defer t.Stop()
 			for {
 				select {
-				case <-a.done:
+				case <-a.ctx.Done():
 					return
 				case <-t.C:
-					ctx, cancel := context.WithTimeout(context.Background(), a.cfg.Interval*4+time.Second)
+					ctx, cancel := context.WithTimeout(a.ctx, a.cfg.Interval*4+time.Second)
 					a.Round(ctx)
 					cancel()
 				}
@@ -141,28 +161,34 @@ func (a *AntiEntropy) Start() {
 	})
 }
 
-// Stop halts the periodic loop and waits for an in-flight round to
-// finish. Safe to call without Start and to call twice.
+// Stop halts the periodic loop, cancelling an in-flight round's peer
+// calls, and waits for it to return. Safe to call without Start and to
+// call twice.
 func (a *AntiEntropy) Stop() {
-	a.stopOnce.Do(func() { close(a.done) })
+	a.stop()
 	a.wg.Wait()
 }
 
-// Round runs one reconciliation pass over every peer and returns the
-// number of deployments repaired. Errors are counted, logged, and
-// skipped — a partitioned peer must not stall repairs from reachable
-// ones — so a Round against an unreachable cluster is a cheap no-op,
-// not a failure.
-func (a *AntiEntropy) Round(ctx context.Context) int {
-	pulled := 0
+// Round runs one reconciliation pass over every peer and reports what
+// it repaired and whether any peer answered. Errors are counted,
+// logged, and skipped — a partitioned peer must not stall repairs from
+// reachable ones — so a Round against an unreachable cluster is a cheap
+// no-op, not a failure.
+func (a *AntiEntropy) Round(ctx context.Context) RoundResult {
+	var res RoundResult
 	local := a.cfg.Local.Digests()
 	for _, peer := range a.cfg.Peers {
 		remote, err := a.fetchDigests(ctx, peer)
 		if err != nil {
 			a.errs.Inc()
 			a.logf("antientropy: digests from %s: %v", peer, err)
+			if !errors.Is(err, errUnreachable) {
+				res.Reached = true
+				res.fail(fmt.Errorf("digests from %s: %w", peer, err))
+			}
 			continue
 		}
+		res.Reached = true
 		// Sorted ids make repair order (and its logs) deterministic.
 		ids := make([]string, 0, len(remote))
 		for id := range remote {
@@ -186,32 +212,40 @@ func (a *AntiEntropy) Round(ctx context.Context) int {
 				if errors.Is(err, depjournal.ErrStale) {
 					// The local copy advanced past the digest snapshot
 					// while this round ran (a write or mirror apply
-					// landed); Reinstall's locked version re-check
-					// refused the rollback. Not a fault — the next
-					// round compares fresh digests.
+					// landed); the journal's locked version gate refused
+					// the rollback. Not a fault — the next round compares
+					// fresh digests.
 					a.logf("antientropy: pull %s from %s lost the race to a newer local copy: %v", id, peer, err)
 					continue
 				}
 				a.errs.Inc()
 				a.logf("antientropy: pull %s from %s: %v", id, peer, err)
+				res.fail(fmt.Errorf("pull %s from %s: %w", id, peer, err))
 				continue
 			}
 			// Track the repair locally so a later peer in this round is
 			// compared against the post-repair version.
 			local[id] = theirs
-			pulled++
+			res.Pulled++
 			a.pulls.Inc()
 			a.logf("antientropy: repaired %s from %s (version %d)", id, peer, theirs.Version)
 		}
 	}
 	a.rounds.Inc()
-	return pulled
+	return res
+}
+
+// fail records err as the round's failure unless an earlier one was.
+func (r *RoundResult) fail(err error) {
+	if r.Err == nil {
+		r.Err = err
+	}
 }
 
 // fetchDigests retrieves and parses one peer's digest map.
 func (a *AntiEntropy) fetchDigests(ctx context.Context, peer string) (map[string]depjournal.DigestInfo, error) {
 	if err := faultinject.Fire(faultinject.DigestFetch); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", errUnreachable, err)
 	}
 	body, err := a.get(ctx, peer+DigestPath)
 	if err != nil {
@@ -249,7 +283,7 @@ func (a *AntiEntropy) get(ctx context.Context, u string) ([]byte, error) {
 	}
 	resp, err := a.client.Do(req)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", errUnreachable, err)
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)

@@ -35,8 +35,9 @@ func aeRec(id string, n int) depjournal.Record {
 	return depjournal.Record{ID: id, Cameras: cams}
 }
 
+// aeReaim is the first mutation of a fresh registration (version 1).
 func aeReaim(id string, orient float64) []depjournal.Record {
-	return []depjournal.Record{{ID: id, Op: depjournal.OpReaim, Reaim: []depjournal.ReaimOp{{I: 0, Orient: orient}}}}
+	return []depjournal.Record{{ID: id, Op: depjournal.OpReaim, Reaim: []depjournal.ReaimOp{{I: 0, Orient: orient}}, BaseVersion: 1}}
 }
 
 // aeStore adapts a journal to AntiEntropyStore and records applies.
@@ -48,7 +49,7 @@ type aeStore struct {
 func (s *aeStore) Digests() map[string]depjournal.DigestInfo { return s.j.Digests() }
 func (s *aeStore) Apply(id string, recs []depjournal.Record) error {
 	s.applied = append(s.applied, id)
-	return s.j.Reinstall(id, recs)
+	return s.j.Apply(id, recs)
 }
 
 // servePeer exposes a journal over the two cluster-internal endpoints,
@@ -100,7 +101,7 @@ func TestAntiEntropyRoundRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pulled := ae.Round(context.Background()); pulled != 2 {
+	if pulled := ae.Round(context.Background()).Pulled; pulled != 2 {
 		t.Fatalf("round pulled %d, want 2 (bbbb behind, cccc missing)", pulled)
 	}
 	want := peer.Digests()
@@ -113,7 +114,7 @@ func TestAntiEntropyRoundRepairs(t *testing.T) {
 	if len(store.applied) != 2 {
 		t.Fatalf("applied %v, want exactly [bbbb cccc]", store.applied)
 	}
-	if pulled := ae.Round(context.Background()); pulled != 0 {
+	if pulled := ae.Round(context.Background()).Pulled; pulled != 0 {
 		t.Fatalf("converged round pulled %d, want 0", pulled)
 	}
 }
@@ -140,7 +141,7 @@ func TestAntiEntropyNeverPullsBackwards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pulled := ae.Round(context.Background()); pulled != 0 {
+	if pulled := ae.Round(context.Background()).Pulled; pulled != 0 {
 		t.Fatalf("pulled %d from a stale peer, want 0", pulled)
 	}
 	if got := local.Digests(); got["aaaa"] != before["aaaa"] {
@@ -193,7 +194,7 @@ func TestAntiEntropyStaleRaceDoesNotRollBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pulled := ae.Round(context.Background()); pulled != 0 {
+	if pulled := ae.Round(context.Background()).Pulled; pulled != 0 {
 		t.Fatalf("lost race counted %d pulls, want 0", pulled)
 	}
 	if len(store.applied) != 1 {
@@ -225,13 +226,13 @@ func TestAntiEntropyFaultInjection(t *testing.T) {
 	}
 
 	undo := faultinject.Set(faultinject.DigestFetch, faultinject.Error(errors.New("partitioned")))
-	if pulled := ae.Round(context.Background()); pulled != 0 {
+	if pulled := ae.Round(context.Background()).Pulled; pulled != 0 {
 		t.Fatalf("pulled %d through a failed digest fetch", pulled)
 	}
 	undo()
 
 	undo = faultinject.Set(faultinject.AntiEntropyApply, faultinject.Error(errors.New("apply torn")))
-	if pulled := ae.Round(context.Background()); pulled != 0 {
+	if pulled := ae.Round(context.Background()).Pulled; pulled != 0 {
 		t.Fatalf("counted %d pulls when apply failed", pulled)
 	}
 	if len(store.applied) != 0 {
@@ -239,7 +240,7 @@ func TestAntiEntropyFaultInjection(t *testing.T) {
 	}
 	undo()
 
-	if pulled := ae.Round(context.Background()); pulled != 1 {
+	if pulled := ae.Round(context.Background()).Pulled; pulled != 1 {
 		t.Fatalf("healed round pulled %d, want 1", pulled)
 	}
 	if local.Digests()["aaaa"] != peer.Digests()["aaaa"] {

@@ -41,6 +41,16 @@
 // wins in place and resets the mutation history that followed the
 // earlier one.
 //
+// # The version gate
+//
+// Every batch enters through Apply, behind one version check taken
+// under the journal lock: the owner's stamped mutations
+// (AppendMutations), a peer's mirrored records, and a per-id snapshot
+// installed by anti-entropy or a booting replica. A deployment's
+// version — its registration's BaseVersion plus the mutation records
+// after it — therefore only moves forward, and a refused batch writes
+// nothing.
+//
 // # Compaction
 //
 // When the file grows past CompactBytes and holds reclaimable lines
@@ -97,16 +107,25 @@ var (
 	ErrClosed = errors.New("depjournal: journal is closed")
 	// ErrNoID reports an attempt to append a record without an id.
 	ErrNoID = errors.New("depjournal: record has no id")
-	// ErrUnknownID reports a mutation append for an unregistered id.
+	// ErrUnknownID reports a mutation batch for an unregistered id.
 	ErrUnknownID = errors.New("depjournal: mutation for unregistered id")
 	// ErrNotFound reports a lookup (snapshot filter, digest) for an id
 	// the journal does not hold.
 	ErrNotFound = errors.New("depjournal: id not journaled")
-	// ErrStale reports a Reinstall whose fetched history is not ahead
-	// of the local copy — the local deployment advanced between the
-	// caller's version comparison and the install. The caller lost the
-	// race; re-comparing next round is the recovery.
-	ErrStale = errors.New("depjournal: reinstall is not ahead of the local copy")
+	// ErrInvalid reports a batch no writer produces: a record for another
+	// id, a second registration, an unknown op, or mutations that are
+	// unstamped or not stamped consecutively. Retrying cannot fix it.
+	ErrInvalid = errors.New("depjournal: invalid record batch")
+	// ErrStale reports a batch the local copy already holds: mutations
+	// whose first stamp is at or below the local version, or a
+	// registration-led batch that is not strictly ahead of it. Nothing
+	// is written; the local copy is at least as new.
+	ErrStale = errors.New("depjournal: batch is not ahead of the local copy")
+	// ErrGap reports mutations whose first stamp skips past the local
+	// version plus one: the records in between are missing here, and
+	// appending would fabricate a history the owner never had. Nothing
+	// is written; a per-id snapshot install closes the gap.
+	ErrGap = errors.New("depjournal: batch skips versions the local copy lacks")
 )
 
 // header is the first journal line.
@@ -331,166 +350,143 @@ func parse(data []byte) (recs []Record, lines, good int64, err error) {
 	return recs, int64(len(recs)), good, nil
 }
 
-// Append durably records one registration: the record line is written
-// through the O_APPEND handle and fsynced before Append returns, so a
-// crash immediately after cannot lose it. Appending an id the journal
-// already holds is a cheap no-op — in particular it does NOT reset the
-// id's mutation history; a re-registration names the same lineage. The
-// faultinject.JournalWrite point fires before the write.
+// Append durably records one registration through Apply. Appending an
+// id the journal already holds is a cheap no-op — in particular it does
+// NOT reset the id's mutation history; a re-registration names the
+// same lineage.
 func (j *Journal) Append(rec Record) error {
-	if rec.ID == "" {
-		return ErrNoID
-	}
 	if rec.Op != "" {
 		return fmt.Errorf("depjournal: Append takes registrations; use AppendMutations for op %q", rec.Op)
+	}
+	if err := j.Apply(rec.ID, []Record{rec}); err != nil && !errors.Is(err, ErrStale) {
+		return err
+	}
+	return nil
+}
+
+// AppendMutations durably records the owner's batch of mutations of
+// one registered deployment through Apply, so it passes the same
+// version gate as a replicated batch: each record must be stamped with
+// the version it produces, continuing the local version. An empty batch
+// is a no-op.
+func (j *Journal) AppendMutations(id string, muts []Record) error {
+	if len(muts) == 0 {
+		return nil
+	}
+	if muts[0].Op == "" {
+		return fmt.Errorf("%w: mutation 0 has no op", ErrInvalid)
+	}
+	return j.Apply(id, muts)
+}
+
+// Apply durably records one batch of a deployment's records, all lines
+// in one write and one fsync, behind the version gate. The batch's
+// first record picks the rule, checked under the journal lock against
+// the live copy, so no caller acts on a version it read earlier:
+//
+//   - A registration followed by its mutations (a per-id snapshot, or
+//     a mirrored registration) replaces the local history only if its
+//     version — the registration's BaseVersion plus its mutation count —
+//     is strictly ahead; an unknown id installs. Otherwise ErrStale,
+//     which makes a re-sent bare registration of a known id ErrStale.
+//     Replay's last-wins rule makes the appended registration supersede
+//     the old history on the next Open, so a replica that missed
+//     arbitrary records converges to the sender's exact bytes.
+//   - Mutations must be stamped (BaseVersion) with the versions they
+//     produce, consecutively, starting at the local version plus one. A
+//     first stamp at or below the local version is ErrStale (already
+//     held); one further ahead is ErrGap (records missing here). A
+//     mutation of an unregistered id is ErrUnknownID.
+//
+// A refused batch writes nothing; a malformed one is ErrInvalid. The
+// faultinject.JournalWrite point fires before the write.
+func (j *Journal) Apply(id string, recs []Record) error {
+	if err := checkBatch(id, recs); err != nil {
+		return err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
-	if _, ok := j.ids[rec.ID]; ok {
-		return nil
+	di, known := j.ids[id]
+	var cur uint64
+	if known {
+		cur = j.deps[di].version()
 	}
-	if err := j.writeLocked([]Record{rec}); err != nil {
+	if recs[0].Op == "" {
+		if incoming := recs[0].BaseVersion + uint64(len(recs)-1); known && incoming <= cur {
+			return fmt.Errorf("%w: %s incoming version %d, local %d", ErrStale, id, incoming, cur)
+		}
+	} else {
+		switch first := recs[0].BaseVersion; {
+		case !known:
+			return fmt.Errorf("%w: %s", ErrUnknownID, id)
+		case first <= cur:
+			return fmt.Errorf("%w: %s mutation version %d, local %d", ErrStale, id, first, cur)
+		case first > cur+1:
+			return fmt.Errorf("%w: %s mutation version %d, local %d", ErrGap, id, first, cur)
+		}
+	}
+	if err := j.writeLocked(recs); err != nil {
 		return err
 	}
-	j.ids[rec.ID] = len(j.deps)
-	j.deps = append(j.deps, &depState{reg: rec})
+	switch {
+	case recs[0].Op != "":
+		j.deps[di].muts = append(j.deps[di].muts, recs...)
+	case known:
+		// The superseded registration and its mutations are now dead
+		// lines, reclaimable at the next compaction.
+		j.dupLines += 1 + int64(len(j.deps[di].muts))
+		j.deps[di] = &depState{reg: recs[0], muts: append([]Record(nil), recs[1:]...)}
+	default:
+		j.ids[id] = len(j.deps)
+		j.deps = append(j.deps, &depState{reg: recs[0], muts: append([]Record(nil), recs[1:]...)})
+	}
 	if j.compactNeededLocked() {
-		// Compaction failing must not fail the append — the record is
+		// Compaction failing must not fail the apply — the records are
 		// durable either way; the oversized file is only a cost.
 		_ = j.compactLocked()
 	}
 	return nil
 }
 
-// AppendMutations durably records a batch of mutations of one
-// registered deployment — all lines are written in one syscall and
-// fsynced once, so a crash either keeps the whole batch or none of it
-// past the torn-line cutoff. Records must carry the deployment's id and
-// a mutation Op; the id must already be registered (ErrUnknownID
-// otherwise, so the journal can never hold a dangling mutation).
-func (j *Journal) AppendMutations(id string, muts []Record) error {
-	if id == "" {
-		return ErrNoID
-	}
-	if len(muts) == 0 {
-		return nil
-	}
-	for i := range muts {
-		if muts[i].ID != id {
-			return fmt.Errorf("depjournal: mutation %d has id %q, want %q", i, muts[i].ID, id)
-		}
-		if muts[i].Op == "" {
-			return fmt.Errorf("depjournal: mutation %d has no op", i)
-		}
-		if err := muts[i].validate(); err != nil {
-			return fmt.Errorf("depjournal: mutation %d: %w", i, err)
-		}
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	di, ok := j.ids[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownID, id)
-	}
-	if err := j.writeLocked(muts); err != nil {
-		return err
-	}
-	j.deps[di].muts = append(j.deps[di].muts, muts...)
-	if j.compactNeededLocked() {
-		_ = j.compactLocked()
-	}
-	return nil
-}
-
-// Reinstall durably replaces one deployment's journaled history with
-// recs — a registration followed by its mutations, as fetched from a
-// peer's per-id snapshot (SnapshotID). The records are appended as one
-// fsynced batch; replay's last-wins duplicate-registration rule makes
-// the appended registration supersede the local history on the next
-// Open, and the in-memory state is reset to match immediately. This is
-// the anti-entropy apply path: it never merges histories (the fetched
-// canonical stream IS the deployment's state), so a replica that
-// missed arbitrary mirror records converges to the peer's exact bytes.
-//
-// The incoming version (the registration's BaseVersion plus its
-// mutation count) is re-checked against the local copy under the
-// journal lock: a reconciler compares versions from a digest map
-// captured earlier, and a write or mirror apply that lands in between
-// must not be rolled back by the now-stale install. A fetch that is
-// not strictly ahead returns ErrStale and journals nothing — the
-// caller re-compares next round.
-func (j *Journal) Reinstall(id string, recs []Record) error {
+// checkBatch refuses, before the lock is taken, a batch no writer
+// produces (see Apply).
+func checkBatch(id string, recs []Record) error {
 	if id == "" {
 		return ErrNoID
 	}
 	if len(recs) == 0 {
-		return errors.New("depjournal: reinstall with no records")
+		return fmt.Errorf("%w: no records", ErrInvalid)
 	}
-	if recs[0].Op != "" {
-		return fmt.Errorf("depjournal: reinstall record 0 is a %q mutation, want a registration", recs[0].Op)
+	mutFirst := recs[0].Op != ""
+	if mutFirst && recs[0].BaseVersion == 0 {
+		return fmt.Errorf("%w: mutation 0 of %s is unstamped", ErrInvalid, id)
 	}
 	for i := range recs {
-		if recs[i].ID != id {
-			return fmt.Errorf("depjournal: reinstall record %d has id %q, want %q", i, recs[i].ID, id)
+		r := &recs[i]
+		switch {
+		case r.ID != id:
+			return fmt.Errorf("%w: record %d has id %q, want %q", ErrInvalid, i, r.ID, id)
+		case i > 0 && r.Op == "":
+			return fmt.Errorf("%w: record %d is a second registration", ErrInvalid, i)
+		case mutFirst && r.BaseVersion != recs[0].BaseVersion+uint64(i):
+			return fmt.Errorf("%w: mutation %d is stamped %d, want %d", ErrInvalid, i, r.BaseVersion, recs[0].BaseVersion+uint64(i))
 		}
-		if i > 0 && recs[i].Op == "" {
-			return fmt.Errorf("depjournal: reinstall record %d is a second registration", i)
+		if err := r.validate(); err != nil {
+			return fmt.Errorf("%w: record %d: %v", ErrInvalid, i, err)
 		}
-		if err := recs[i].validate(); err != nil {
-			return fmt.Errorf("depjournal: reinstall record %d: %w", i, err)
-		}
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	incoming := recs[0].BaseVersion + uint64(len(recs)-1)
-	if i, ok := j.ids[id]; ok {
-		d := j.deps[i]
-		if cur := d.reg.BaseVersion + uint64(len(d.muts)); incoming <= cur {
-			return fmt.Errorf("%w: %s incoming version %d, local %d", ErrStale, id, incoming, cur)
-		}
-	}
-	if err := j.writeLocked(recs); err != nil {
-		return err
-	}
-	muts := append([]Record(nil), recs[1:]...)
-	if i, ok := j.ids[id]; ok {
-		// The superseded registration and its mutations are now dead
-		// lines, reclaimable at the next compaction.
-		j.dupLines += 1 + int64(len(j.deps[i].muts))
-		j.deps[i] = &depState{reg: recs[0], muts: muts}
-	} else {
-		j.ids[id] = len(j.deps)
-		j.deps = append(j.deps, &depState{reg: recs[0], muts: muts})
-	}
-	if j.compactNeededLocked() {
-		_ = j.compactLocked()
 	}
 	return nil
 }
 
-// Version returns a deployment's logical version: the mutation count
+// version returns the deployment's logical version: the mutation count
 // folded into its registration plus the mutation records that follow
 // it. This equals the served index version (each journaled mutation
-// record is one version bump), so replicas can order their copies of a
-// deployment without comparing record streams.
-func (j *Journal) Version(id string) (uint64, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	i, ok := j.ids[id]
-	if !ok {
-		return 0, false
-	}
-	d := j.deps[i]
-	return d.reg.BaseVersion + uint64(len(d.muts)), true
+// record is one version bump).
+func (d *depState) version() uint64 {
+	return d.reg.BaseVersion + uint64(len(d.muts))
 }
 
 // writeLocked appends the records as one fsynced batch (see

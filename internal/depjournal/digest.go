@@ -19,8 +19,9 @@ type DigestInfo struct {
 	// still digest identically, and any dropped or divergent record
 	// changes the digest.
 	Digest string `json:"digest"`
-	// Version is the deployment's logical version (see
-	// Journal.Version), letting the reconciler order two divergent
+	// Version is the deployment's logical version (its registration's
+	// BaseVersion plus the mutation records after it — the served index
+	// version), letting the reconciler order two divergent
 	// copies: the higher version strictly supersedes (mutations have a
 	// single writer — the ring owner — so versions never fork).
 	Version uint64 `json:"version"`
@@ -39,7 +40,7 @@ func digestDep(st stagedDep) (DigestInfo, error) {
 }
 
 // Digests computes every journaled deployment's content digest with
-// the same copy-under-lock discipline as Snapshot: the per-deployment
+// the same copy-under-lock discipline as SnapshotID: the per-deployment
 // state is copied under the journal lock (record values and slice
 // headers only), then the lock is released and hashing runs against
 // the copy, so appends are never blocked behind sha256. A deployment

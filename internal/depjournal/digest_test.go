@@ -11,8 +11,8 @@ import (
 // TestDigestInvariantAcrossHistories pins the anti-entropy foundation:
 // a deployment's digest is a function of its logical state, not of how
 // the journal file reached it. A live journal (registration + mutation
-// appends), a compacted one (mutations folded), and one replayed from
-// a snapshot all digest identically.
+// appends), a compacted one (mutations folded), and one warmed from
+// per-id snapshots all digest identically.
 func TestDigestInvariantAcrossHistories(t *testing.T) {
 	j, _ := snapshotJournal(t)
 	before := j.Digests()
@@ -25,14 +25,10 @@ func TestDigestInvariantAcrossHistories(t *testing.T) {
 		}
 	}
 
-	// Snapshot-replayed journal (what a warmed peer holds).
-	var buf bytes.Buffer
-	if _, err := j.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	peer := replaySnapshot(t, buf.Bytes())
+	// Snapshot-warmed journal (what a warmed peer holds).
+	peer := warmFrom(t, j, snapshotIDs...)
 	if got := peer.Digests(); !digestsEqual(got, before) {
-		t.Fatalf("snapshot-replayed digests %v, want %v", got, before)
+		t.Fatalf("snapshot-warmed digests %v, want %v", got, before)
 	}
 
 	// Compaction folds mutations in place; the digest must not move.
@@ -46,7 +42,7 @@ func TestDigestInvariantAcrossHistories(t *testing.T) {
 	// A new mutation must move exactly its deployment's digest and bump
 	// its version by one.
 	if err := j.AppendMutations("aaaa", []Record{
-		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: -1}}},
+		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: -1}}, BaseVersion: 3},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +58,13 @@ func TestDigestInvariantAcrossHistories(t *testing.T) {
 			t.Fatalf("mutation of aaaa moved digest[%s]", id)
 		}
 	}
+}
+
+// versionOf reads a deployment's logical version the way a peer sees
+// it: through its digest.
+func versionOf(j *Journal, id string) (uint64, bool) {
+	d, ok := j.Digest(id)
+	return d.Version, ok
 }
 
 func digestsEqual(a, b map[string]DigestInfo) bool {
@@ -142,12 +145,12 @@ func TestParseSnapshotRefusesTruncation(t *testing.T) {
 	}
 }
 
-// TestReinstallConvergesDivergentJournal drives the full anti-entropy
+// TestApplyConvergesDivergentJournal drives the full anti-entropy
 // repair cycle at the journal layer: a replica that missed mirror
-// records fetches the owner's per-id snapshot, Reinstalls it, and must
+// records fetches the owner's per-id snapshot, Applies it, and must
 // land on the owner's digest — and keep it across a restart, since
-// Reinstall relies on replay's last-wins rule.
-func TestReinstallConvergesDivergentJournal(t *testing.T) {
+// the install relies on replay's last-wins rule.
+func TestApplyConvergesDivergentJournal(t *testing.T) {
 	owner, _ := snapshotJournal(t)
 
 	// The divergent replica has aaaa's registration but missed both of
@@ -175,8 +178,8 @@ func TestReinstallConvergesDivergentJournal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := replica.Reinstall(id, recs); err != nil {
-			t.Fatalf("Reinstall(%s): %v", id, err)
+		if err := replica.Apply(id, recs); err != nil {
+			t.Fatalf("Apply(%s): %v", id, err)
 		}
 	}
 	for _, id := range []string{"aaaa", "cccc"} {
@@ -184,14 +187,14 @@ func TestReinstallConvergesDivergentJournal(t *testing.T) {
 		if !ok || got != ownerDigests[id] {
 			t.Fatalf("digest[%s] = %+v after reinstall, want %+v", id, got, ownerDigests[id])
 		}
-		gotV, _ := replica.Version(id)
+		gotV, _ := versionOf(replica, id)
 		if gotV != ownerDigests[id].Version {
-			t.Fatalf("Version(%s) = %d, want %d", id, gotV, ownerDigests[id].Version)
+			t.Fatalf("version(%s) = %d, want %d", id, gotV, ownerDigests[id].Version)
 		}
 	}
 
 	// The repair must be durable: a reopened replica replays the
-	// reinstalled registration as last-wins and keeps the digests.
+	// installed registration as last-wins and keeps the digests.
 	if err := replica.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +210,12 @@ func TestReinstallConvergesDivergentJournal(t *testing.T) {
 	}
 }
 
-// TestReinstallRefusesStale pins the anti-entropy TOCTOU guard: the
+// TestApplyRefusesStale pins the anti-entropy TOCTOU guard: the
 // reconciler compares versions against a digest map captured at round
 // start, so a write that lands between the comparison and the install
-// must not be rolled back by the now-stale fetch. Reinstall re-checks
+// must not be rolled back by the now-stale fetch. Apply re-checks
 // under the journal lock and refuses anything not strictly ahead.
-func TestReinstallRefusesStale(t *testing.T) {
+func TestApplyRefusesStale(t *testing.T) {
 	owner, _ := snapshotJournal(t)
 	replica, _ := snapshotJournal(t) // identical history: aaaa at version 2
 
@@ -233,53 +236,53 @@ func TestReinstallRefusesStale(t *testing.T) {
 	// nothing written.
 	recs := fetch("aaaa")
 	size := replica.Size()
-	if err := replica.Reinstall("aaaa", recs); !errors.Is(err, ErrStale) {
-		t.Fatalf("equal-version reinstall: err %v, want ErrStale", err)
+	if err := replica.Apply("aaaa", recs); !errors.Is(err, ErrStale) {
+		t.Fatalf("equal-version install: err %v, want ErrStale", err)
 	}
 	if replica.Size() != size {
-		t.Fatal("refused reinstall wrote bytes")
+		t.Fatal("refused install wrote bytes")
 	}
 
 	// The race itself: the replica advances past the fetched snapshot
 	// (a write landed after the digest comparison). The stale install
 	// must be refused and the newer local copy kept.
 	if err := replica.AppendMutations("aaaa", []Record{
-		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: 1.5}}},
+		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: 1.5}}, BaseVersion: 3},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	ahead, _ := replica.Digest("aaaa")
 	size = replica.Size()
-	if err := replica.Reinstall("aaaa", recs); !errors.Is(err, ErrStale) {
-		t.Fatalf("behind-version reinstall: err %v, want ErrStale", err)
+	if err := replica.Apply("aaaa", recs); !errors.Is(err, ErrStale) {
+		t.Fatalf("behind-version install: err %v, want ErrStale", err)
 	}
 	if replica.Size() != size {
-		t.Fatal("refused reinstall wrote bytes")
+		t.Fatal("refused install wrote bytes")
 	}
 	if got, _ := replica.Digest("aaaa"); got != ahead {
-		t.Fatalf("refused reinstall moved the digest: %+v, want %+v", got, ahead)
+		t.Fatalf("refused install moved the digest: %+v, want %+v", got, ahead)
 	}
 
 	// A strictly-ahead fetch still installs: the guard gates rollback,
 	// not repair.
 	if err := owner.AppendMutations("aaaa", []Record{
-		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: -2}}},
-		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 1, Orient: 0.5}}},
+		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: -2}}, BaseVersion: 3},
+		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 1, Orient: 0.5}}, BaseVersion: 4},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := replica.Reinstall("aaaa", fetch("aaaa")); err != nil {
-		t.Fatalf("strictly-ahead reinstall refused: %v", err)
+	if err := replica.Apply("aaaa", fetch("aaaa")); err != nil {
+		t.Fatalf("strictly-ahead install refused: %v", err)
 	}
 	want, _ := owner.Digest("aaaa")
 	if got, _ := replica.Digest("aaaa"); got != want {
-		t.Fatalf("digest %+v after ahead reinstall, want %+v", got, want)
+		t.Fatalf("digest %+v after ahead install, want %+v", got, want)
 	}
 }
 
-// TestReinstallValidation: malformed record sets are refused before
+// TestApplyValidation: malformed record sets are refused before
 // anything is written.
-func TestReinstallValidation(t *testing.T) {
+func TestApplyValidation(t *testing.T) {
 	j, _ := snapshotJournal(t)
 	size := j.Size()
 	cases := []struct {
@@ -293,12 +296,12 @@ func TestReinstallValidation(t *testing.T) {
 		{"second registration", "aaaa", []Record{{ID: "aaaa"}, {ID: "aaaa"}}},
 	}
 	for _, tc := range cases {
-		if err := j.Reinstall(tc.id, tc.recs); err == nil {
-			t.Errorf("%s: Reinstall accepted", tc.name)
+		if err := j.Apply(tc.id, tc.recs); err == nil {
+			t.Errorf("%s: Apply accepted", tc.name)
 		}
 	}
 	if j.Size() != size {
-		t.Fatal("refused reinstalls wrote bytes")
+		t.Fatal("refused applies wrote bytes")
 	}
 }
 
@@ -306,25 +309,25 @@ func TestReinstallValidation(t *testing.T) {
 // survive folding (BaseVersion carries the folded count).
 func TestVersionCounts(t *testing.T) {
 	j, _ := snapshotJournal(t)
-	v, ok := j.Version("aaaa")
+	v, ok := versionOf(j, "aaaa")
 	if !ok || v != 2 {
-		t.Fatalf("Version(aaaa) = %d,%v, want 2", v, ok)
+		t.Fatalf("version(aaaa) = %d,%v, want 2", v, ok)
 	}
-	if _, ok := j.Version("zzzz"); ok {
-		t.Fatal("Version of unknown id reported ok")
+	if _, ok := versionOf(j, "zzzz"); ok {
+		t.Fatal("version of unknown id reported ok")
 	}
 	if err := j.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := j.Version("aaaa"); v != 2 {
-		t.Fatalf("post-fold Version(aaaa) = %d, want 2", v)
+	if v, _ := versionOf(j, "aaaa"); v != 2 {
+		t.Fatalf("post-fold version(aaaa) = %d, want 2", v)
 	}
 	if err := j.AppendMutations("aaaa", []Record{
-		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: 1}}},
+		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: 1}}, BaseVersion: 3},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := j.Version("aaaa"); v != 3 {
-		t.Fatalf("Version(aaaa) = %d after folded+1, want 3", v)
+	if v, _ := versionOf(j, "aaaa"); v != 3 {
+		t.Fatalf("version(aaaa) = %d after folded+1, want 3", v)
 	}
 }

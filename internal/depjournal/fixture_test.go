@@ -12,8 +12,8 @@ import (
 // accepting journals already on disk. The fixture holds recipe and
 // explicit registrations, reaim/remove/add mutations, a Folded
 // registration with a baseVersion (written by Compact) followed by a
-// later mutation, a duplicate registration (written by Reinstall), and
-// a torn final line.
+// later mutation, a duplicate registration (written by an anti-entropy
+// install), and a torn final line.
 func TestReplayFixture(t *testing.T) {
 	data, err := os.ReadFile("testdata/deployments.jsonl")
 	if err != nil {
@@ -53,7 +53,7 @@ func TestReplayFixture(t *testing.T) {
 		if got := j.Mutations(id); !reflect.DeepEqual(got, want) {
 			t.Errorf("Mutations(%s) = %+v, want %+v", id, got, want)
 		}
-		if v, ok := j.Version(id); !ok || v != wantVersions[id] {
+		if v, ok := versionOf(j, id); !ok || v != wantVersions[id] {
 			t.Errorf("Version(%s) = %d, %v, want %d", id, v, ok, wantVersions[id])
 		}
 	}

@@ -3,6 +3,9 @@ package depjournal
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -148,6 +151,167 @@ func FuzzReplay(f *testing.F) {
 				if !jsonEq(d.muts[k], w.muts[k]) {
 					t.Fatalf("deployment %d mutation %d drifted", i, k)
 				}
+			}
+		}
+	})
+}
+
+// FuzzApply drives one journal through random interleavings of the
+// ways records arrive — owner mutation appends, mirrored tails that may
+// be stale, gapped or contiguous, and full per-id images, folded or
+// verbatim — with compactions and reopens mixed in, against a model of
+// the version gate. Each deployment has one authoritative history (the
+// owner's), and every batch is a slice of it. After every step: the
+// outcome is the one the model predicts, no version decreases, a
+// refused batch leaves the file byte-identical, every digest equals the
+// canonical digest of the history prefix the model says is held, and a
+// copy of the file reopened from disk digests exactly like the live
+// journal.
+func FuzzApply(f *testing.F) {
+	f.Add([]byte{2, 0, 3, 0, 0, 2, 1, 0, 2, 2, 1, 4, 0, 9, 3, 0})
+	f.Add([]byte{0, 1, 2, 0, 2, 1, 5, 1, 1, 1, 4, 2, 1, 0, 7, 3, 2, 4, 1})
+	f.Add([]byte{2, 2, 9, 1, 1, 2, 4, 0, 2, 2, 0, 3, 1, 4, 2, 1, 2, 1, 1, 0, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 120 {
+			ops = ops[:120]
+		}
+		next := func() int {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return int(b)
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, "deployments.jsonl")
+		j, err := Open(path, Options{CompactBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { j.Close() }()
+
+		ids := []string{"aaaa", "bbbb", "cccc"}
+		// history[k] is deployment k's authoritative mutation history;
+		// record i is stamped with the version it produces, i+1.
+		history := make([][]Record, len(ids))
+		extend := func(k int, upto uint64) {
+			for v := uint64(len(history[k])) + 1; v <= upto; v++ {
+				history[k] = append(history[k], Record{ID: ids[k], Op: OpReaim,
+					Reaim: []ReaimOp{{I: int(v % 3), Orient: float64(v)}}, BaseVersion: v})
+			}
+		}
+		held := map[string]uint64{} // the model: id → version held
+		for len(ops) > 0 {
+			op, k := next()%5, next()%len(ids)
+			id := ids[k]
+			cur, known := held[id]
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var batch []Record
+			var want error
+			var after uint64
+			switch op {
+			case 0, 1: // a mutation tail starting near the next version
+				start := int(cur) + 1 + next()%5 - 2
+				if start < 1 {
+					start = 1
+				}
+				n := 1 + next()%3
+				extend(k, uint64(start+n-1))
+				batch = history[k][start-1 : start-1+n]
+				after = uint64(start + n - 1)
+				switch {
+				case !known:
+					want = ErrUnknownID
+				case uint64(start) <= cur:
+					want = ErrStale
+				case uint64(start) > cur+1:
+					want = ErrGap
+				}
+			case 2: // a full image of some prefix, folded or verbatim
+				v := uint64(next()) % (uint64(len(history[k])) + 2)
+				extend(k, v)
+				reg := explicitRec(id, 3)
+				batch = append([]Record{reg}, history[k][:v]...)
+				if v > 0 && next()%2 == 0 {
+					folded, ok := foldDeployment(reg, history[k][:v], nil)
+					if !ok {
+						t.Fatalf("history of %s does not fold", id)
+					}
+					batch = []Record{folded}
+				}
+				after = v
+				if known && v <= cur {
+					want = ErrStale
+				}
+			case 3:
+				if err := j.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			case 4:
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if j, err = Open(path, Options{CompactBytes: -1}); err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+			}
+			if batch != nil {
+				if op == 0 {
+					err = j.AppendMutations(id, batch)
+				} else {
+					err = j.Apply(id, batch)
+				}
+				if !errors.Is(err, want) {
+					t.Fatalf("batch for %s at version %d (held %d, known %v): err %v, want %v", id, batch[0].BaseVersion, cur, known, err, want)
+				}
+				if err == nil {
+					held[id] = after
+				} else if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, before) {
+					t.Fatalf("refused batch changed the file (read err %v)", err)
+				}
+			}
+
+			got := j.Digests()
+			if len(got) != len(held) {
+				t.Fatalf("journal holds %d deployments, model %d", len(got), len(held))
+			}
+			for k, id := range ids {
+				v, ok := held[id]
+				if !ok {
+					continue
+				}
+				d, ok := got[id]
+				if !ok || d.Version != v {
+					t.Fatalf("%s at version %d, model %d", id, d.Version, v)
+				}
+				want, err := digestDep(canonicalize(stagedDep{reg: explicitRec(id, 3), muts: history[k][:v]}, nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d != want {
+					t.Fatalf("%s digest %+v, want the canonical digest at version %d %+v", id, d, v, want)
+				}
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp := filepath.Join(dir, "copy.jsonl")
+			if err := os.WriteFile(cp, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(cp, Options{CompactBytes: -1})
+			if err != nil {
+				t.Fatalf("file does not reopen: %v", err)
+			}
+			reDigests := re.Digests()
+			re.Close()
+			if !digestsEqual(reDigests, got) {
+				t.Fatalf("reopened digests %v, live %v", reDigests, got)
 			}
 		}
 	})

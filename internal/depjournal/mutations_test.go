@@ -1,6 +1,7 @@
 package depjournal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"reflect"
@@ -32,9 +33,9 @@ func TestMutationsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	muts := []Record{
-		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: 2.5}, {I: 2, Orient: -1}}},
-		{ID: "aaaa", Op: OpRemove, Remove: []int{1}},
-		{ID: "aaaa", Op: OpAdd, Cameras: []Camera{{X: 0.9, Y: 0.9, Radius: 0.2, Aperture: 1.1}}},
+		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: 2.5}, {I: 2, Orient: -1}}, BaseVersion: 1},
+		{ID: "aaaa", Op: OpRemove, Remove: []int{1}, BaseVersion: 2},
+		{ID: "aaaa", Op: OpAdd, Cameras: []Camera{{X: 0.9, Y: 0.9, Radius: 0.2, Aperture: 1.1}}, BaseVersion: 3},
 	}
 	if err := j.AppendMutations("aaaa", muts[:2]); err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestAppendMutationsValidation(t *testing.T) {
 	if err := j.Append(explicitRec("aaaa", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendMutations("zzzz", []Record{{ID: "zzzz", Op: OpRemove, Remove: []int{0}}}); !errors.Is(err, ErrUnknownID) {
+	if err := j.AppendMutations("zzzz", []Record{{ID: "zzzz", Op: OpRemove, Remove: []int{0}, BaseVersion: 1}}); !errors.Is(err, ErrUnknownID) {
 		t.Fatalf("unregistered id: err = %v, want ErrUnknownID", err)
 	}
 	if err := j.AppendMutations("aaaa", []Record{{ID: "bbbb", Op: OpRemove}}); err == nil {
@@ -91,6 +92,64 @@ func TestAppendMutationsValidation(t *testing.T) {
 	// Empty batch is a no-op.
 	if err := j.AppendMutations("aaaa", nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAppendMutationsGate pins the owner half of the version gate: a
+// stamp at or below the local version is ErrStale, one past the next
+// version is ErrGap, and unstamped or non-consecutive stamps are
+// ErrInvalid — each refusal leaving the file bytes and the version as
+// they were — while the continuation lands.
+func TestAppendMutationsGate(t *testing.T) {
+	path := testPath(t)
+	j, err := Open(path, Options{CompactBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Append(explicitRec("aaaa", 2)); err != nil {
+		t.Fatal(err)
+	}
+	reaim := func(v uint64) Record {
+		return Record{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: float64(v)}}, BaseVersion: v}
+	}
+	if err := j.AppendMutations("aaaa", []Record{reaim(1), reaim(2)}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		muts []Record
+		want error
+	}{
+		{"stale", []Record{reaim(2)}, ErrStale},
+		{"overlapping", []Record{reaim(2), reaim(3)}, ErrStale},
+		{"gapped", []Record{reaim(4)}, ErrGap},
+		{"unstamped", []Record{reaim(0)}, ErrInvalid},
+		{"non-consecutive", []Record{reaim(3), reaim(5)}, ErrInvalid},
+	} {
+		if err := j.AppendMutations("aaaa", tc.muts); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Fatalf("%s: refused batch changed the file", tc.name)
+		}
+		if v, _ := versionOf(j, "aaaa"); v != 2 {
+			t.Fatalf("%s: version %d after a refused batch, want 2", tc.name, v)
+		}
+	}
+	if err := j.AppendMutations("aaaa", []Record{reaim(3)}); err != nil {
+		t.Fatalf("continuation refused: %v", err)
+	}
+	if v, _ := versionOf(j, "aaaa"); v != 3 {
+		t.Fatalf("version %d after the continuation, want 3", v)
 	}
 }
 
@@ -122,7 +181,7 @@ func TestTornFinalMutationLine(t *testing.T) {
 	if err := j.Append(explicitRec("aaaa", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendMutations("aaaa", []Record{{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: 1}}}}); err != nil {
+	if err := j.AppendMutations("aaaa", []Record{{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: 1}}, BaseVersion: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -145,7 +204,7 @@ func TestTornFinalMutationLine(t *testing.T) {
 	if len(muts) != 1 || muts[0].Op != OpReaim {
 		t.Fatalf("replayed mutations = %+v, want the one intact reaim", muts)
 	}
-	if err := j2.AppendMutations("aaaa", []Record{{ID: "aaaa", Op: OpRemove, Remove: []int{1}}}); err != nil {
+	if err := j2.AppendMutations("aaaa", []Record{{ID: "aaaa", Op: OpRemove, Remove: []int{1}, BaseVersion: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
@@ -201,9 +260,9 @@ func TestFoldOnCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	muts := []Record{
-		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: 9.75}}},
-		{ID: "aaaa", Op: OpRemove, Remove: []int{1}},
-		{ID: "aaaa", Op: OpAdd, Cameras: []Camera{{X: 0.9, Y: 0.9, Orient: -3, Radius: 0.2, Aperture: 1.1, Group: 7}}},
+		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: 9.75}}, BaseVersion: 1},
+		{ID: "aaaa", Op: OpRemove, Remove: []int{1}, BaseVersion: 2},
+		{ID: "aaaa", Op: OpAdd, Cameras: []Camera{{X: 0.9, Y: 0.9, Orient: -3, Radius: 0.2, Aperture: 1.1, Group: 7}}, BaseVersion: 3},
 	}
 	if err := j.AppendMutations("aaaa", muts); err != nil {
 		t.Fatal(err)
@@ -250,7 +309,7 @@ func TestFoldOnCompaction(t *testing.T) {
 // registration and mutations are kept verbatim.
 func TestFoldRecipeNeedsMaterialize(t *testing.T) {
 	recipe := Record{ID: "aaaa", Profile: "1:0.1:0.5", N: 2, Seed: 7}
-	mut := Record{ID: "aaaa", Op: OpRemove, Remove: []int{0}}
+	mut := Record{ID: "aaaa", Op: OpRemove, Remove: []int{0}, BaseVersion: 1}
 
 	// Without a hook: kept verbatim.
 	path := testPath(t)
@@ -316,7 +375,7 @@ func TestFoldFailureKeepsRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Removing the only camera folds to an empty list — unfoldable.
-	if err := j.AppendMutations("aaaa", []Record{{ID: "aaaa", Op: OpRemove, Remove: []int{0}}}); err != nil {
+	if err := j.AppendMutations("aaaa", []Record{{ID: "aaaa", Op: OpRemove, Remove: []int{0}, BaseVersion: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Compact(); err != nil {
@@ -350,7 +409,7 @@ func TestCompactionFoldsPastThreshold(t *testing.T) {
 	}
 	for i := 0; i < 64; i++ {
 		if err := j.AppendMutations("aaaa", []Record{
-			{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: float64(i)}}},
+			{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: float64(i)}}, BaseVersion: uint64(i) + 1},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +456,7 @@ func TestAppendMutationsInjectedFailure(t *testing.T) {
 	}
 	diskGone := errors.New("injected: disk gone")
 	remove := faultinject.Set(faultinject.JournalWrite, faultinject.Error(diskGone))
-	mut := Record{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: 1}}}
+	mut := Record{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: 1}}, BaseVersion: 1}
 	if err := j.AppendMutations("aaaa", []Record{mut}); !errors.Is(err, diskGone) {
 		t.Fatalf("AppendMutations under injection = %v, want %v", err, diskGone)
 	}
@@ -426,9 +485,9 @@ func TestMutationBatchAtomicOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := []Record{
-		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 1, Orient: 0.5}}},
-		{ID: "aaaa", Op: OpRemove, Remove: []int{0}},
-		{ID: "aaaa", Op: OpAdd, Cameras: []Camera{{X: 0.2, Y: 0.8, Radius: 0.1, Aperture: 0.6}}},
+		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 1, Orient: 0.5}}, BaseVersion: 1},
+		{ID: "aaaa", Op: OpRemove, Remove: []int{0}, BaseVersion: 2},
+		{ID: "aaaa", Op: OpAdd, Cameras: []Camera{{X: 0.2, Y: 0.8, Radius: 0.1, Aperture: 0.6}}, BaseVersion: 3},
 	}
 	if err := j.AppendMutations("aaaa", batch); err != nil {
 		t.Fatal(err)

@@ -38,11 +38,11 @@ func (j *Journal) stageLocked() []stagedDep {
 // canonicalize reduces one staged deployment to its snapshot form: a
 // single Folded registration when the mutations fold, the registration
 // and mutations verbatim otherwise. This is the canonical shape of a
-// deployment's record stream — compaction writes it, Snapshot streams
+// deployment's record stream — compaction writes it, SnapshotID streams
 // it, and the per-deployment content digests hash it — so two replicas
 // holding the same logical state produce identical bytes regardless of
 // how their journal files got there (live appends, mirror batches, a
-// snapshot warm, or any compaction history).
+// snapshot install, or any compaction history).
 func canonicalize(d stagedDep, materialize MaterializeFunc) stagedDep {
 	if stageFoldable(d, materialize) {
 		if folded, ok := foldDeployment(d.reg, d.muts, materialize); ok {
@@ -72,10 +72,11 @@ func encodeDep(enc *json.Encoder, st stagedDep) (int64, error) {
 // encodeSnapshot writes the compacted snapshot image of deps to w:
 // the journal header, then each deployment in canonical form. This is
 // THE compaction format — Compact calls it to build the replacement
-// file, Snapshot calls it to stream the same bytes to a peer — so a
-// snapshot always replays through Open exactly like a freshly
-// compacted journal. Returns the staged states as written (so
-// compaction can commit them) and the record line count.
+// file, SnapshotID calls it on one deployment to stream that id's part
+// of the same bytes to a peer — so a per-id snapshot always replays
+// through Open exactly like a freshly compacted journal. Returns the
+// staged states as written (so compaction can commit them) and the
+// record line count.
 func encodeSnapshot(w io.Writer, deps []stagedDep, materialize MaterializeFunc) ([]stagedDep, int64, error) {
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(header{Version: Version, Kind: Kind}); err != nil {
@@ -107,40 +108,20 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Snapshot streams the journal's current compacted state to w — the
-// byte-identical image Compact would write to disk — without pausing
-// appends: the per-deployment state is copied under the lock (cheap —
-// record values and slice headers, no camera-list deep copies), then
-// the lock is released and encoding runs against the copy. Appends and
-// compactions that land while a snapshot is streaming affect neither
-// its consistency nor its content: the snapshot captures the journal
-// as of the copy instant.
-//
-// Unlike compaction, Snapshot commits nothing — fold results and
-// unfoldable discoveries are discarded, the file is untouched. Returns
-// the number of bytes written.
-func (j *Journal) Snapshot(w io.Writer) (int64, error) {
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return 0, ErrClosed
-	}
-	deps := j.stageLocked()
-	materialize := j.materialize
-	j.mu.Unlock()
-
-	cw := &countWriter{w: w}
-	_, _, err := encodeSnapshot(cw, deps, materialize)
-	return cw.n, err
-}
-
 // SnapshotID streams the snapshot image of a single deployment — the
-// journal header plus that id's canonical record lines — with the same
-// copy-under-lock discipline as Snapshot. The image replays through
-// ParseSnapshot (or Open) on its own, which is what the anti-entropy
-// reconciler fetches to repair one divergent deployment without
-// shipping the whole journal. ErrNotFound is returned, with nothing
-// written to w, when the id is not journaled.
+// journal header plus that id's canonical record lines, exactly the
+// lines Compact would write for it — without pausing appends: the
+// deployment's state is copied under the lock (cheap — record values
+// and slice headers, no camera-list deep copies), then the lock is
+// released and encoding runs against the copy, so appends and
+// compactions that land mid-stream affect neither its consistency nor
+// its content. Unlike compaction it commits nothing: the file and the
+// in-memory state are untouched.
+//
+// The image replays through ParseSnapshot (or Open) on its own; it is
+// what the anti-entropy reconciler and a booting replica fetch to
+// install one deployment. ErrNotFound is returned, with nothing written
+// to w, when the id is not journaled. Returns the bytes written.
 func (j *Journal) SnapshotID(w io.Writer, id string) (int64, error) {
 	j.mu.Lock()
 	if j.closed {
@@ -158,16 +139,12 @@ func (j *Journal) SnapshotID(w io.Writer, id string) (int64, error) {
 	j.mu.Unlock()
 
 	cw := &countWriter{w: w}
-	enc := json.NewEncoder(cw)
-	if err := enc.Encode(header{Version: Version, Kind: Kind}); err != nil {
-		return cw.n, fmt.Errorf("depjournal: encode header: %w", err)
-	}
-	_, err := encodeDep(enc, canonicalize(st, materialize))
+	_, _, err := encodeSnapshot(cw, []stagedDep{st}, materialize)
 	return cw.n, err
 }
 
-// ParseSnapshot decodes a complete snapshot image — the bytes Snapshot
-// or SnapshotID streamed — into its records, refusing every image Open
+// ParseSnapshot decodes a complete snapshot image — the bytes
+// SnapshotID streamed — into its records, refusing every image Open
 // would refuse. Unlike Open, a torn final line is an error here, not
 // tolerance: a fetched snapshot that does not parse to its last byte
 // was truncated in transfer and must be refused, never half-applied.

@@ -2,10 +2,12 @@ package depjournal
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -25,8 +27,8 @@ func snapshotJournal(t *testing.T) (*Journal, string) {
 		t.Fatal(err)
 	}
 	if err := j.AppendMutations("aaaa", []Record{
-		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 1, Orient: 2.25}}},
-		{ID: "aaaa", Op: OpRemove, Remove: []int{0}},
+		{ID: "aaaa", Op: OpReaim, Reaim: []ReaimOp{{I: 1, Orient: 2.25}}, BaseVersion: 1},
+		{ID: "aaaa", Op: OpRemove, Remove: []int{0}, BaseVersion: 2},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func snapshotJournal(t *testing.T) (*Journal, string) {
 		t.Fatal(err)
 	}
 	if err := j.AppendMutations("bbbb", []Record{
-		{ID: "bbbb", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: 1}}},
+		{ID: "bbbb", Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: 1}}, BaseVersion: 1},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -44,36 +46,54 @@ func snapshotJournal(t *testing.T) (*Journal, string) {
 	return j, path
 }
 
-// replaySnapshot writes snapshot bytes to a fresh path and opens them
-// as a journal — exactly what a peer warming from the snapshot does.
-func replaySnapshot(t *testing.T, data []byte) *Journal {
+// snapshotIDs are the deployments snapshotJournal holds, in
+// registration order.
+var snapshotIDs = []string{"aaaa", "bbbb", "cccc"}
+
+// warmFrom installs each id's per-id snapshot from src into a fresh
+// journal through Apply — exactly what a booting replica's warm round
+// does — and returns it.
+func warmFrom(t *testing.T, src *Journal, ids ...string) *Journal {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "snapshot.jsonl")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	dst, err := Open(testPath(t), Options{CompactBytes: -1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := Open(path, Options{CompactBytes: -1})
-	if err != nil {
-		t.Fatalf("snapshot does not replay: %v", err)
+	t.Cleanup(func() { dst.Close() })
+	for _, id := range ids {
+		var buf bytes.Buffer
+		if _, err := src.SnapshotID(&buf, id); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := ParseSnapshot(buf.Bytes())
+		if err != nil {
+			t.Fatalf("snapshot of %s does not parse: %v", id, err)
+		}
+		if err := dst.Apply(id, recs); err != nil {
+			t.Fatalf("Apply(%s): %v", id, err)
+		}
 	}
-	t.Cleanup(func() { j.Close() })
-	return j
+	return dst
 }
 
 // TestSnapshotBitIdenticalToCompaction pins the shipping guarantee: the
-// bytes Snapshot streams to a peer are exactly the bytes Compact writes
-// locally, so a peer-warmed journal and a locally-compacted one are the
-// same file.
+// bytes SnapshotID streams to a peer are the journal header followed by
+// exactly the lines Compact writes locally for that id, so a peer that
+// installs it holds what a local compaction would.
 func TestSnapshotBitIdenticalToCompaction(t *testing.T) {
 	j, path := snapshotJournal(t)
 
-	var buf bytes.Buffer
-	n, err := j.Snapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("Snapshot reported %d bytes, wrote %d", n, buf.Len())
+	shipped := map[string][]byte{}
+	for _, id := range snapshotIDs {
+		var buf bytes.Buffer
+		n, err := j.SnapshotID(&buf, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != int64(buf.Len()) {
+			t.Fatalf("SnapshotID(%s) reported %d bytes, wrote %d", id, n, buf.Len())
+		}
+		shipped[id] = buf.Bytes()
 	}
 
 	if err := j.Compact(); err != nil {
@@ -83,23 +103,32 @@ func TestSnapshotBitIdenticalToCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), disk) {
-		t.Fatalf("snapshot differs from compaction:\nsnapshot:\n%s\ncompacted:\n%s", buf.Bytes(), disk)
+	lines := strings.SplitAfter(string(disk), "\n")
+	head, want := lines[0], map[string]string{}
+	for _, line := range lines[1:] {
+		if line == "" {
+			continue
+		}
+		var r Record
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
+			t.Fatal(err)
+		}
+		want[r.ID] += line
+	}
+	for _, id := range snapshotIDs {
+		if got := string(shipped[id]); got != head+want[id] {
+			t.Fatalf("snapshot of %s differs from its compacted lines:\nsnapshot:\n%s\ncompacted:\n%s%s", id, got, head, want[id])
+		}
 	}
 }
 
-// TestSnapshotReplaysToSameState: a journal opened from the snapshot
-// answers Records/Lookup/Mutations exactly like the source journal
-// after compaction — the state a warmed peer serves from is the state
-// the donor held.
+// TestSnapshotReplaysToSameState: a journal warmed from the per-id
+// snapshots answers Records/Lookup/Mutations exactly like the source
+// journal after compaction — the state a warmed peer serves from is the
+// state the donor held.
 func TestSnapshotReplaysToSameState(t *testing.T) {
 	j, _ := snapshotJournal(t)
-
-	var buf bytes.Buffer
-	if _, err := j.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	warmed := replaySnapshot(t, buf.Bytes())
+	warmed := warmFrom(t, j, snapshotIDs...)
 
 	if err := j.Compact(); err != nil {
 		t.Fatal(err)
@@ -107,7 +136,7 @@ func TestSnapshotReplaysToSameState(t *testing.T) {
 	if got, want := warmed.Records(), j.Records(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("warmed records\n%+v\nwant\n%+v", got, want)
 	}
-	for _, id := range []string{"aaaa", "bbbb", "cccc"} {
+	for _, id := range snapshotIDs {
 		if got, want := warmed.Mutations(id), j.Mutations(id); !reflect.DeepEqual(got, want) {
 			t.Fatalf("warmed mutations for %s = %+v, want %+v", id, got, want)
 		}
@@ -123,7 +152,7 @@ func TestSnapshotReplaysToSameState(t *testing.T) {
 	}
 }
 
-// TestSnapshotCommitsNothing: unlike Compact, Snapshot must not touch
+// TestSnapshotCommitsNothing: unlike Compact, SnapshotID must not touch
 // the journal — not its file, not its in-memory mutation lists.
 func TestSnapshotCommitsNothing(t *testing.T) {
 	j, path := snapshotJournal(t)
@@ -133,8 +162,10 @@ func TestSnapshotCommitsNothing(t *testing.T) {
 	}
 	mutsBefore := j.Mutations("aaaa")
 
-	if _, err := j.Snapshot(new(bytes.Buffer)); err != nil {
-		t.Fatal(err)
+	for _, id := range snapshotIDs {
+		if _, err := j.SnapshotID(new(bytes.Buffer), id); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	after, err := os.ReadFile(path)
@@ -142,10 +173,10 @@ func TestSnapshotCommitsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before, after) {
-		t.Fatal("Snapshot modified the journal file")
+		t.Fatal("SnapshotID modified the journal file")
 	}
 	if got := j.Mutations("aaaa"); !reflect.DeepEqual(got, mutsBefore) {
-		t.Fatalf("Snapshot folded the in-memory mutations: %+v", got)
+		t.Fatalf("SnapshotID folded the in-memory mutations: %+v", got)
 	}
 	// And appends still land after a snapshot.
 	if err := j.Append(rec("dddd", 4)); err != nil {
@@ -173,7 +204,7 @@ func TestSnapshotMidAppendReplaysConsistently(t *testing.T) {
 	reg := explicitRec(depID, 4)
 	muts := make([]Record, total)
 	for k := range muts {
-		muts[k] = Record{ID: depID, Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: float64(k + 1)}}}
+		muts[k] = Record{ID: depID, Op: OpReaim, Reaim: []ReaimOp{{I: 0, Orient: float64(k + 1)}}, BaseVersion: uint64(k + 1)}
 	}
 	// expected[k] is the folded state after the first k mutations.
 	expected := make([]Record, total+1)
@@ -203,7 +234,7 @@ func TestSnapshotMidAppendReplaysConsistently(t *testing.T) {
 	dir := t.TempDir()
 	checkSnapshot := func(i int) int {
 		var buf bytes.Buffer
-		if _, err := j.Snapshot(&buf); err != nil {
+		if _, err := j.SnapshotID(&buf, depID); err != nil {
 			t.Fatal(err)
 		}
 		sp := filepath.Join(dir, "snap.jsonl")
@@ -263,7 +294,7 @@ func TestSnapshotClosed(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Snapshot(new(bytes.Buffer)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Snapshot on closed journal = %v, want ErrClosed", err)
+	if _, err := j.SnapshotID(new(bytes.Buffer), "aaaa"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SnapshotID on closed journal = %v, want ErrClosed", err)
 	}
 }

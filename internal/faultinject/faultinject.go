@@ -67,11 +67,6 @@ const (
 	// the job must fail with a structured error while the daemon keeps
 	// serving.
 	JobPanic Point = "job-panic"
-	// SnapshotFetch fires before a fresh replica fetches a warm-start
-	// journal snapshot from a cluster peer. An error makes the fetch
-	// fail as if every peer were unreachable; the replica then starts
-	// cold and reports degraded readiness while continuing to serve.
-	SnapshotFetch Point = "snapshot-fetch"
 	// MirrorDrop fires inside each mirror-post attempt, before the HTTP
 	// request is sent. An error fails that attempt exactly like a
 	// transport error: it consumes one of the bounded retries, and a
@@ -85,7 +80,8 @@ const (
 	// AntiEntropyApply fires after a divergent deployment's snapshot is
 	// fetched and parsed, before it is applied locally. An error abandons
 	// that repair (it is retried next round), exercising the
-	// repair-interrupted path.
+	// repair-interrupted path; in a booting replica's warm round it
+	// leaves the replica serving degraded.
 	AntiEntropyApply Point = "antientropy-apply"
 )
 

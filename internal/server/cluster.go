@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -71,15 +70,14 @@ type mirrorBatch struct {
 // compared to the indexes it describes — is asynchronously replicated
 // to every peer. That one decision buys the whole failure story: any
 // replica can warm a dead peer's replacement from its own journal
-// (GET /v1/internal/snapshot), a mis-routed request still answers
-// correctly (the journal revives any deployment anywhere), and
+// (per-id GET /v1/internal/snapshot pulls), a mis-routed request still
+// answers correctly (the journal revives any deployment anywhere), and
 // membership changes need no data-migration protocol.
 type clusterState struct {
 	peers  []string // normalized peer base URLs
 	client *http.Client
 
 	snapshotBytes *telemetry.Counter
-	snapshots     *telemetry.Counter
 	mirrorSent    *telemetry.Counter
 	mirrorRetries *telemetry.Counter
 	mirrorDropped *telemetry.Counter
@@ -99,27 +97,28 @@ type clusterState struct {
 	// dropped, for FlushMirror.
 	queues  map[string]chan []depjournal.Record
 	pending atomic.Int64
-	done    chan struct{}
-	wg      sync.WaitGroup
+	// ctx is cancelled by close: it stops the mirror workers and aborts
+	// their in-flight posts, so a peer that never answers cannot hold a
+	// shutdown for the client timeout.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 // mirrorQueueDepth bounds each peer's unsent mirror queue. A peer that
 // stays unreachable long enough to overflow it loses those records
-// from the mirror stream — and recovers them wholesale the next time
-// any replica warms from a snapshot, which is why overflow drops
-// (counted, logged) instead of blocking the write path.
+// from the mirror stream — and anti-entropy pulls them back later,
+// which is why overflow drops (counted, logged) instead of blocking the
+// write path.
 const mirrorQueueDepth = 256
 
-// newClusterState wires the cluster machinery onto s. Called from New
-// before openState, so the snapshot warm path can use the HTTP client.
+// newClusterState wires the cluster machinery onto s.
 func newClusterState(s *Server) *clusterState {
 	c := &clusterState{
 		peers:  make([]string, 0, len(s.cfg.PeerURLs)),
 		client: &http.Client{Timeout: 30 * time.Second},
 		snapshotBytes: s.m.reg.Counter("fvcd_cluster_snapshot_bytes_total",
-			"Bytes of journal snapshot streamed to warming peers."),
-		snapshots: s.m.reg.Counter("fvcd_cluster_snapshots_total",
-			"Journal snapshots served to warming peers."),
+			"Bytes of per-deployment journal snapshots streamed to pulling peers."),
 		mirrorSent: s.m.reg.Counter("fvcd_cluster_mirror_sent_total",
 			"Journal record batches mirrored to a peer successfully."),
 		mirrorRetries: s.m.reg.Counter("fvcd_mirror_retries_total",
@@ -131,8 +130,8 @@ func newClusterState(s *Server) *clusterState {
 		mirrorStale: s.m.reg.Counter("fvcd_cluster_mirror_stale_total",
 			"Mirrored records skipped because the local copy already held their version (duplicate delivery)."),
 		queues: make(map[string]chan []depjournal.Record),
-		done:   make(chan struct{}),
 	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	for _, u := range s.cfg.PeerURLs {
 		u = strings.TrimRight(u, "/")
 		if u == "" {
@@ -149,12 +148,12 @@ func newClusterState(s *Server) *clusterState {
 
 // mirrorWorker drains one peer's queue, posting each batch with
 // bounded retries. Exits on close; batches still queued at shutdown
-// are abandoned (the peer heals from a snapshot).
+// are abandoned (anti-entropy heals the peer).
 func (c *clusterState) mirrorWorker(s *Server, peer string, q chan []depjournal.Record) {
 	defer c.wg.Done()
 	for {
 		select {
-		case <-c.done:
+		case <-c.ctx.Done():
 			return
 		case batch := <-q:
 			if c.postMirror(s, peer, batch) {
@@ -197,7 +196,7 @@ func (c *clusterState) postMirror(s *Server, peer string, batch []depjournal.Rec
 		if attempt > 0 {
 			c.mirrorRetries.Inc()
 			select {
-			case <-c.done:
+			case <-c.ctx.Done():
 				return false
 			case <-time.After(retry.Backoff(mirrorBackoffBase, mirrorBackoffCap, attempt-1)):
 			}
@@ -205,7 +204,7 @@ func (c *clusterState) postMirror(s *Server, peer string, batch []depjournal.Rec
 		if err := faultinject.Fire(faultinject.MirrorDrop); err != nil {
 			continue
 		}
-		req, err := http.NewRequest(http.MethodPost, peer+"/v1/internal/mirror", bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(c.ctx, http.MethodPost, peer+"/v1/internal/mirror", bytes.NewReader(body))
 		if err != nil {
 			return false
 		}
@@ -228,10 +227,10 @@ func (c *clusterState) postMirror(s *Server, peer string, batch []depjournal.Rec
 	return false
 }
 
-// close stops the mirror workers. Called from Shutdown after the HTTP
-// drain, so no handler is still enqueueing.
+// close stops the mirror workers, aborting any post in flight. Called
+// from Shutdown after the HTTP drain, so no handler is still enqueueing.
 func (c *clusterState) close() {
-	close(c.done)
+	c.cancel()
 	c.wg.Wait()
 }
 
@@ -239,7 +238,7 @@ func (c *clusterState) close() {
 // Non-blocking by design: the client's request was already durable
 // locally when this runs, and a slow peer must not add latency (or
 // failure) to it. An overflowing queue drops the batch for that peer —
-// counted — and the peer heals from a snapshot later.
+// counted — and anti-entropy heals the peer later.
 func (s *Server) mirrorRecords(recs []depjournal.Record) {
 	c := s.cluster
 	if c == nil || len(recs) == 0 {
@@ -279,45 +278,33 @@ func (s *Server) FlushMirror(ctx context.Context) error {
 	}
 }
 
-// handleSnapshot streams the local journal's compacted snapshot — the
-// byte image a local Compact would write — to a warming peer, or, with
-// ?id=, the single-deployment image the anti-entropy reconciler
-// fetches to repair one divergent deployment (404 when the id is not
-// journaled here). Appends are not paused (depjournal copies under
-// lock and encodes outside it); records landing mid-stream are simply
-// not in this snapshot and reach the peer through the mirror instead.
+// handleSnapshot streams one deployment's snapshot image (?id=): the
+// journal header plus that id's canonical record lines, the lines a
+// local Compact would write for it. Anti-entropy and a booting replica
+// fetch it to install the deployment; 404 when the id is not journaled
+// here. Appends are not paused (depjournal copies under lock and
+// encodes outside it).
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.journal == nil {
-		writeError(w, http.StatusNotFound, "no durable journal on this replica")
+	id := r.URL.Query().Get("id")
+	if id == "" {
+		writeError(w, http.StatusBadRequest, "snapshot needs ?id=")
 		return
 	}
-	if id := r.URL.Query().Get("id"); id != "" {
-		// Per-id 404s must be answered before any body bytes go out, and
-		// SnapshotID guarantees it writes nothing on an unknown id.
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		n, err := s.journal.SnapshotID(w, id)
-		if errors.Is(err, depjournal.ErrNotFound) {
-			writeError(w, http.StatusNotFound, err.Error())
-			return
-		}
-		s.cluster.snapshotBytes.Add(n)
-		if err != nil {
-			s.logf("cluster: per-id snapshot of %s failed after %d bytes: %v", id, n, err)
-			panic(http.ErrAbortHandler)
-		}
-		return
-	}
+	// Per-id 404s must be answered before any body bytes go out, and
+	// SnapshotID guarantees it writes nothing on an unknown id.
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	n, err := s.journal.Snapshot(w)
+	n, err := s.journal.SnapshotID(w, id)
+	if errors.Is(err, depjournal.ErrNotFound) {
+		writeError(w, http.StatusNotFound, err.Error())
+		return
+	}
 	s.cluster.snapshotBytes.Add(n)
-	s.cluster.snapshots.Inc()
 	if err != nil {
 		// Headers are gone; all we can do is cut the stream so the peer
-		// sees a truncated (and therefore invalid) snapshot.
-		s.logf("cluster: snapshot stream failed after %d bytes: %v", n, err)
+		// sees a truncated (and therefore refused) snapshot.
+		s.logf("cluster: snapshot of %s failed after %d bytes: %v", id, n, err)
 		panic(http.ErrAbortHandler)
 	}
-	s.logf("cluster: served journal snapshot (%d bytes) to %s", n, r.RemoteAddr)
 }
 
 // handleDigest answers the replica's per-deployment digest map — the
@@ -326,38 +313,23 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // fresh: a stale digest would mask exactly the divergence the endpoint
 // exists to reveal.
 func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
-	if s.journal == nil {
-		writeError(w, http.StatusNotFound, "no durable journal on this replica")
-		return
-	}
 	writeJSON(w, http.StatusOK, s.journal.Digests())
 }
 
-// handleMirror applies a peer's mirror batch to the local journal:
-// registrations append (idempotent on known ids), mutations append to
-// their deployment's history. Any locally cached entry for a mirrored
-// id is invalidated — its state advanced on the owning shard, so the
-// next local use must rebuild from the journal. A journal write
-// failure answers 503 + Retry-After (the peer retries); a mutation
-// whose registration never arrived here is answered 422 and dropped —
-// retrying cannot fix it, and the gap heals at the next snapshot warm
-// or anti-entropy round.
+// handleMirror applies a peer's mirror batch through applyReplicated,
+// one run at a time — a run starts at a registration or at a change of
+// id and carries the mutations after it. Per run:
 //
-// Mutation records arrive stamped with the logical version they
-// produce (applyPatch stamps them), which makes the apply idempotent
-// and gap-safe against the anti-entropy repair path racing the mirror:
-// a record at or below the local version is a duplicate (an AE pull
-// already covered it, or the peer re-sent) and is skipped; a record
-// more than one ahead means intervening mutations were lost here, and
-// appending it would fabricate a history the owner never had — it is
-// skipped too, and the reconciler pulls the authoritative copy
-// instead. Unstamped records (version 0: a pre-stamping peer) apply
-// unconditionally, the old behaviour.
+//   - applied: the cached entry is invalidated;
+//   - depjournal.ErrStale (already held: a duplicate delivery, or an
+//     anti-entropy pull got there first): skipped and counted;
+//   - depjournal.ErrGap (records missing here): skipped and logged;
+//     appending would fabricate a history the owner never had, and
+//     anti-entropy pulls the authoritative copy instead;
+//   - a mutation for an id never registered here, or a malformed batch:
+//     422, since retrying cannot fix it;
+//   - a journal write failure: 503 + Retry-After, and the peer retries.
 func (s *Server) handleMirror(w http.ResponseWriter, r *http.Request) {
-	if s.journal == nil {
-		writeError(w, http.StatusNotFound, "no durable journal on this replica")
-		return
-	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var batch mirrorBatch
 	if err := decodeBody(r, &batch); err != nil {
@@ -365,129 +337,82 @@ func (s *Server) handleMirror(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	applied := 0
-	for _, rec := range batch.Records {
-		var err error
-		if rec.Op == "" {
-			err = s.journal.Append(rec)
-		} else if v, ok := s.journal.Version(rec.ID); ok && rec.BaseVersion != 0 && rec.BaseVersion != v+1 {
-			if rec.BaseVersion <= v {
-				s.cluster.mirrorStale.Inc()
-			} else {
-				s.logf("cluster: mirror gap for %s: record is version %d, local is %d (anti-entropy will repair)",
-					rec.ID, rec.BaseVersion, v)
-			}
-			continue
-		} else {
-			err = s.journal.AppendMutations(rec.ID, []depjournal.Record{rec})
+	defer func() { s.cluster.mirrorApplied.Add(int64(applied)) }()
+	for recs := batch.Records; len(recs) > 0; {
+		n := 1
+		for n < len(recs) && recs[n].ID == recs[0].ID && recs[n].Op != "" {
+			n++
 		}
+		run := recs[:n]
+		recs = recs[n:]
+		err := s.applyReplicated(run[0].ID, run)
 		switch {
 		case err == nil:
-			applied++
-			s.cache.Invalidate(rec.ID)
-		case errors.Is(err, depjournal.ErrUnknownID):
-			s.logf("cluster: mirror skipped %s mutation for unknown id %s", rec.Op, rec.ID)
-			writeError(w, http.StatusUnprocessableEntity,
-				fmt.Sprintf("mutation for id %s this replica never saw registered", rec.ID))
-			s.cluster.mirrorApplied.Add(int64(applied))
+			applied += len(run)
+		case errors.Is(err, depjournal.ErrStale):
+			s.cluster.mirrorStale.Add(int64(len(run)))
+		case errors.Is(err, depjournal.ErrGap):
+			s.logf("cluster: mirror gap, anti-entropy will repair: %v", err)
+		case errors.Is(err, depjournal.ErrUnknownID), errors.Is(err, depjournal.ErrInvalid),
+			errors.Is(err, depjournal.ErrNoID):
+			s.logf("cluster: mirror refused: %v", err)
+			writeError(w, http.StatusUnprocessableEntity, err.Error())
 			return
 		default:
 			s.setJournalErr(err)
 			writeRetryable(w, http.StatusServiceUnavailable, "journal write failed: "+err.Error())
-			s.cluster.mirrorApplied.Add(int64(applied))
 			return
 		}
 	}
 	s.setJournalErr(nil)
-	s.cluster.mirrorApplied.Add(int64(applied))
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// maybeWarmFromPeer fills an absent (or empty) journal file from a
-// peer snapshot before the journal opens, so a replaced replica starts
-// with the cluster's full deployment history instead of an empty
-// registry. Failure modes, by design:
-//
-//   - local journal already has content  → no fetch (local truth wins)
-//   - no peer reachable at all           → cold start, NOT degraded
-//     (the signature of a whole-cluster first boot)
-//   - a peer answered but the fetch or its snapshot was bad — or the
-//     faultinject.SnapshotFetch point fired — → cold start, readiness
-//     DEGRADED (still serving; re-registrations and mirrors heal it,
-//     a restart retries the warm)
-func (s *Server) maybeWarmFromPeer(path string) {
-	if st, err := os.Stat(path); err == nil && st.Size() > 0 {
-		return
+// applyReplicated is the one way a peer's records enter this replica —
+// mirror pushes, anti-entropy pulls and the boot warm all land here:
+// the journal's locked version gate (depjournal.Journal.Apply), then
+// invalidation of any cached entry for the id, so the next use rebuilds
+// from the advanced journal. Replicated records are never re-mirrored:
+// every replica reconciles for itself.
+func (s *Server) applyReplicated(id string, recs []depjournal.Record) error {
+	if err := s.journal.Apply(id, recs); err != nil {
+		return err
 	}
-	if err := faultinject.Fire(faultinject.SnapshotFetch); err != nil {
-		s.setWarmErr(fmt.Errorf("injected fault: %w", err))
-		s.logf("cluster: peer warm failed (injected), starting cold: %v", err)
-		return
-	}
-	anyResponded := false
-	var lastErr error
-	for _, peer := range s.cluster.peers {
-		resp, err := s.cluster.client.Get(peer + "/v1/internal/snapshot")
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		anyResponded = true
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			lastErr = fmt.Errorf("read snapshot from %s: %w", peer, err)
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			lastErr = fmt.Errorf("peer %s answered %d to snapshot fetch", peer, resp.StatusCode)
-			continue
-		}
-		if err := installSnapshot(path, data); err != nil {
-			lastErr = fmt.Errorf("snapshot from %s: %w", peer, err)
-			continue
-		}
-		s.logf("cluster: warmed journal from %s (%d bytes)", peer, len(data))
-		return
-	}
-	if !anyResponded {
-		s.logf("cluster: no peer reachable for journal warm, starting cold (first boot?): %v", lastErr)
-		return
-	}
-	s.setWarmErr(lastErr)
-	s.logf("cluster: peer warm failed, starting cold and degraded: %v", lastErr)
-}
-
-// installSnapshot validates a fetched snapshot by fully replaying it,
-// then installs it at the journal path atomically. Validation first: a
-// corrupt snapshot must never brick the boot — depjournal.Open refuses
-// interior corruption, and refusing here means we fall back to a cold
-// start instead.
-func installSnapshot(path string, data []byte) error {
-	if len(data) == 0 {
-		return errors.New("empty snapshot")
-	}
-	if _, err := depjournal.ParseSnapshot(data); err != nil {
-		return fmt.Errorf("snapshot does not replay: %w", err)
-	}
-	if err := jsonlog.WriteAtomic(path, data); err != nil {
-		return fmt.Errorf("install: %w", err)
-	}
+	s.cache.Invalidate(id)
 	return nil
 }
 
-// setWarmErr records a failed peer warm for /readyz.
-func (s *Server) setWarmErr(err error) {
-	s.stateMu.Lock()
-	s.warmErr = err
-	s.stateMu.Unlock()
+// bootRoundTimeout bounds the boot warm, so a peer that accepts but
+// never answers cannot hold startup past it.
+const bootRoundTimeout = 30 * time.Second
+
+// warmFromPeers fills a journal that opened empty with one anti-entropy
+// round, so a replaced replica starts with the cluster's deployments
+// instead of an empty registry. Outcomes (DESIGN.md §12):
+//
+//   - no peer answered → cold start, NOT degraded (the signature of a
+//     whole-cluster first boot);
+//   - a peer answered but a digest, pull or apply failed → whatever was
+//     pulled is kept, readiness DEGRADED until restart (still serving;
+//     anti-entropy and mirrors heal the journal, a restart retries).
+func (s *Server) warmFromPeers() {
+	ctx, cancel := context.WithTimeout(s.cluster.ctx, bootRoundTimeout)
+	defer cancel()
+	res := s.cluster.antientropy.Round(ctx)
+	switch {
+	case res.Err != nil:
+		// New has not returned yet, so no reader of warmErr exists.
+		s.warmErr = res.Err
+		s.logf("cluster: peer warm failed after %d deployments, serving degraded: %v", res.Pulled, res.Err)
+	case !res.Reached:
+		s.logf("cluster: no peer reachable for journal warm, starting cold (first boot?)")
+	default:
+		s.logf("cluster: boot round warmed journal from peers (%d deployments)", res.Pulled)
+	}
 }
 
 // antiEntropyStore adapts the server to cluster.AntiEntropyStore: the
-// digest side reads the journal, the apply side reinstalls the fetched
-// records and invalidates any cached entry so the next use rebuilds
-// from the repaired journal. Applies deliberately do NOT re-mirror —
-// every replica reconciles for itself, so echoing a repair back into
-// the mirror stream would only add duplicate deliveries.
+// digest side reads the journal, the apply side is applyReplicated.
 type antiEntropyStore struct{ s *Server }
 
 func (a antiEntropyStore) Digests() map[string]depjournal.DigestInfo {
@@ -495,17 +420,13 @@ func (a antiEntropyStore) Digests() map[string]depjournal.DigestInfo {
 }
 
 func (a antiEntropyStore) Apply(id string, recs []depjournal.Record) error {
-	if err := a.s.journal.Reinstall(id, recs); err != nil {
-		return err
-	}
-	a.s.cache.Invalidate(id)
-	return nil
+	return a.s.applyReplicated(id, recs)
 }
 
-// newAntiEntropy builds the reconciler once the journal is open.
-// Called from New on clustered servers with a durable journal; the
-// periodic loop starts only when an interval was configured, but Round
-// stays drivable either way.
+// newAntiEntropy builds the reconciler once the journal is open, warms
+// an empty journal from the peers with one round, and only then starts
+// the periodic loop (when an interval was configured; Round stays
+// drivable either way). Called from New on clustered servers.
 func (s *Server) newAntiEntropy() {
 	ae, err := cluster.NewAntiEntropy(cluster.AntiEntropyConfig{
 		Peers:    s.cluster.peers,
@@ -522,6 +443,9 @@ func (s *Server) newAntiEntropy() {
 		return
 	}
 	s.cluster.antientropy = ae
+	if s.journal.Len() == 0 {
+		s.warmFromPeers()
+	}
 	ae.Start()
 }
 
@@ -532,5 +456,5 @@ func (s *Server) AntiEntropyRound(ctx context.Context) int {
 	if s.cluster == nil || s.cluster.antientropy == nil {
 		return 0
 	}
-	return s.cluster.antientropy.Round(ctx)
+	return s.cluster.antientropy.Round(ctx).Pulled
 }

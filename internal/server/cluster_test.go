@@ -3,9 +3,9 @@ package server
 // Cluster suite: boots a real 3-replica fvcd cluster on loopback TCP
 // with a stateless router in front, and drives the sharding contract
 // end to end — ring-routed registrations and patches, async journal
-// mirroring, kill -9 of a replica, a replacement warming from a peer
-// snapshot, and query/survey answers bit-identical to a single-node
-// oracle throughout. The snapshot-fetch failure path runs under
+// mirroring, kill -9 of a replica, a replacement warming from its peers
+// in a boot anti-entropy round, and query/survey answers bit-identical
+// to a single-node oracle throughout. The warm-failure path runs under
 // internal/faultinject, so the degraded-but-serving verdict is
 // deterministic.
 
@@ -21,6 +21,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -171,7 +172,7 @@ func stripElapsed(t *testing.T, body []byte) []byte {
 // 3-replica cluster with a router answers every query and survey
 // bit-identically to a single-node oracle — before a fault, and after
 // the owning replica is kill -9'd (listener torn down, state dir
-// lost) and its replacement warms its journal from a peer snapshot.
+// lost) and its replacement warms its journal from its peers.
 func TestClusterKillWarmRestartBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a 3-replica TCP cluster")
@@ -302,22 +303,10 @@ func TestClusterKillWarmRestartBitIdentical(t *testing.T) {
 
 	compareAll("after kill -9 and peer warm")
 
-	// The warm was served by a survivor: its snapshot counters moved.
-	var snapshots float64
-	for i, r := range reps {
-		if i == victim {
-			continue
-		}
-		_, metrics, _ := httpDo(t, "GET", r.url+"/metrics", nil)
-		for _, line := range strings.Split(string(metrics), "\n") {
-			if strings.HasPrefix(line, "fvcd_cluster_snapshots_total") {
-				v, _ := strconv.ParseFloat(line[strings.LastIndex(line, " ")+1:], 64)
-				snapshots += v
-			}
-		}
-	}
-	if snapshots < 1 {
-		t.Error("no survivor served a snapshot, yet the replacement warmed")
+	// The warm was the replacement's boot anti-entropy round: it pulled
+	// every deployment from the survivors.
+	if pulls := urlMetricValue(t, reborn.url, "fvcd_antientropy_pulls_total"); pulls != float64(len(ids)) {
+		t.Errorf("replacement pulled %v deployments in its boot round, want %d", pulls, len(ids))
 	}
 
 	// And the router did real routing: its forward counters cover the
@@ -377,16 +366,22 @@ func TestClusterRouterReadyzRollsUpReplicas(t *testing.T) {
 	}
 }
 
-// TestClusterSnapshotFetchFaultDegradedButServing: when a peer is
-// reachable but the snapshot fetch fails (injected), the replica
-// starts cold and reports degraded — yet keeps serving registrations
-// and queries. Contrast with no-peer-reachable, which is a clean cold
-// start (whole-cluster first boot), pinned at the end.
+// TestClusterSnapshotFetchFaultDegradedButServing: when a peer answers
+// the boot warm round but installing its snapshot fails (injected), the
+// replica starts cold and reports degraded — yet keeps serving
+// registrations and queries. Contrast with no-peer-reachable, which is
+// a clean cold start (whole-cluster first boot), pinned at the end.
 func TestClusterSnapshotFetchFaultDegradedButServing(t *testing.T) {
 	defer faultinject.Reset()
-	remove := faultinject.Set(faultinject.SnapshotFetch, faultinject.Error(errors.New("snapshot pipe burst")))
+	donor := mustNew(t, Config{StateDir: t.TempDir(), PeerURLs: []string{"http://127.0.0.1:1"}})
+	peer := httptest.NewServer(donor.Handler())
+	defer peer.Close()
+	if rec := do(t, donor.Handler(), "POST", "/v1/deployments", camerasBody(t, testNetwork(t, 10, 2))); rec.Code != http.StatusCreated {
+		t.Fatalf("register on the donor: %d %s", rec.Code, rec.Body.String())
+	}
+	remove := faultinject.Set(faultinject.AntiEntropyApply, faultinject.Error(errors.New("snapshot pipe burst")))
 
-	srv := mustNew(t, Config{StateDir: t.TempDir(), PeerURLs: []string{"http://127.0.0.1:1"}})
+	srv := mustNew(t, Config{StateDir: t.TempDir(), PeerURLs: []string{peer.URL}})
 	h := srv.Handler()
 	deadline := time.Now().Add(5 * time.Second)
 	var ready struct {
@@ -449,7 +444,7 @@ func TestClusterMirrorAppliesAndInvalidates(t *testing.T) {
 	// A peer owning this deployment applied a patch and mirrors the
 	// mutation record here.
 	batch, err := json.Marshal(map[string]any{"records": []map[string]any{{
-		"id": reg.ID, "op": "remove", "remove": []int{0},
+		"id": reg.ID, "op": "remove", "remove": []int{0}, "baseVersion": 1,
 	}}})
 	if err != nil {
 		t.Fatal(err)
@@ -474,12 +469,78 @@ func TestClusterMirrorAppliesAndInvalidates(t *testing.T) {
 		t.Fatal("query answer unchanged after mirrored mutation — stale cache served")
 	}
 
+	// Replays of that record (stale) and records past a gap are skipped
+	// by the journal's version gate without failing the batch; an
+	// unstamped record is refused outright.
+	for _, tc := range []struct {
+		rec  map[string]any
+		code int
+	}{
+		{map[string]any{"id": reg.ID, "op": "remove", "remove": []int{0}, "baseVersion": 1}, http.StatusNoContent},
+		{map[string]any{"id": reg.ID, "op": "remove", "remove": []int{0}, "baseVersion": 3}, http.StatusNoContent},
+		{map[string]any{"id": reg.ID, "op": "remove", "remove": []int{0}}, http.StatusUnprocessableEntity},
+	} {
+		body, _ := json.Marshal(map[string]any{"records": []map[string]any{tc.rec}})
+		if rec := do(t, h, "POST", "/v1/internal/mirror", body); rec.Code != tc.code {
+			t.Fatalf("mirror of %v: %d, want %d", tc.rec, rec.Code, tc.code)
+		}
+	}
+	if ins := inspect(t, h, reg.ID); ins.Version != 1 {
+		t.Fatalf("version %d after stale, gapped and unstamped mirrors, want 1", ins.Version)
+	}
+
 	// A mutation for an id this replica never saw is a 422, not a 5xx.
 	batch, _ = json.Marshal(map[string]any{"records": []map[string]any{{
-		"id": "feedfacefeedface", "op": "remove", "remove": []int{0},
+		"id": "feedfacefeedface", "op": "remove", "remove": []int{0}, "baseVersion": 1,
 	}}})
 	if rec := do(t, h, "POST", "/v1/internal/mirror", batch); rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("mirror of unknown id: %d, want 422", rec.Code)
+	}
+}
+
+// TestShutdownDoesNotWaitOnHungPeer: a peer that accepts connections
+// but never answers must not hold a drain hostage. The mirror post and
+// the anti-entropy round in flight against it are cancelled, so a
+// Shutdown bounded at 2s returns within it.
+func TestShutdownDoesNotWaitOnHungPeer(t *testing.T) {
+	var hang atomic.Bool
+	var mirrorHung, digestHung atomic.Int32
+	release := make(chan struct{})
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !hang.Load() {
+			writeJSON(w, http.StatusOK, map[string]any{}) // an empty digest map: nothing to warm
+			return
+		}
+		if r.URL.Path == cluster.DigestPath {
+			digestHung.Add(1)
+		} else {
+			mirrorHung.Add(1)
+		}
+		<-release
+	}))
+	defer peer.Close()
+	defer close(release)
+
+	srv := mustNew(t, Config{StateDir: t.TempDir(), PeerURLs: []string{peer.URL}, AntiEntropyInterval: 10 * time.Millisecond})
+	h := srv.Handler()
+	hang.Store(true)
+	if rec := do(t, h, "POST", "/v1/deployments", camerasBody(t, testNetwork(t, 10, 4))); rec.Code != http.StatusCreated {
+		t.Fatalf("register: %d %s", rec.Code, rec.Body.String())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for mirrorHung.Load() == 0 || digestHung.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("peer never held a mirror post (%d) and a digest fetch (%d)", mirrorHung.Load(), digestHung.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	srv.Shutdown(ctx)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("Shutdown took %v with a hung peer, want under 2s", took)
 	}
 }
 

@@ -172,7 +172,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.As(err, &bad):
 			writeError(w, http.StatusBadRequest, bad.msg)
-		case errors.Is(err, errNotDurable):
+		case errors.Is(err, errNotDurable), errors.Is(err, depjournal.ErrStale), errors.Is(err, depjournal.ErrGap):
 			writeRetryable(w, http.StatusServiceUnavailable, err.Error())
 		default:
 			writeError(w, http.StatusInternalServerError, err.Error())

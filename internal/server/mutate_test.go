@@ -18,6 +18,7 @@ import (
 	"strings"
 	"testing"
 
+	"fullview/internal/depjournal"
 	"fullview/internal/faultinject"
 	"fullview/internal/geom"
 	"fullview/internal/sensor"
@@ -232,6 +233,89 @@ func TestPatchNotDurable503(t *testing.T) {
 		t.Fatalf("healed patch response = %+v", pr)
 	}
 	waitReadyz(t, h, ReadyOK)
+}
+
+// TestPatchRefusedWhenReplicatedHistoryOvertakesCache: an anti-entropy
+// install can put a newer history in the journal while the cache still
+// holds the older entry — its invalidation is not ordered against a
+// PATCH's mutation lock. A PATCH stamped from that stale entry must be
+// refused by the journal's version gate (503 + Retry-After, readiness
+// untouched, journal unchanged) instead of appending a fabricated
+// version on top of the installed history, and the client's retry must
+// land on the installed state, bit-identical to a server that took the
+// same history as PATCHes.
+func TestPatchRefusedWhenReplicatedHistoryOvertakesCache(t *testing.T) {
+	srv := mustNew(t, Config{StateDir: t.TempDir()})
+	h := srv.Handler()
+	waitReadyz(t, h, ReadyOK)
+	oracle := mustNew(t, Config{})
+	body := camerasBody(t, testNetwork(t, 12, 4))
+	var reg registerResponse
+	for _, hh := range []http.Handler{h, oracle.Handler()} {
+		rec := do(t, hh, "POST", "/v1/deployments", body)
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("register: %d %s", rec.Code, rec.Body.String())
+		}
+		decode(t, rec, &reg)
+	}
+	if _, ok := srv.cache.Get(reg.ID); !ok {
+		t.Fatal("test premise broken: registration not cached")
+	}
+
+	// A newer history (two mutations) lands in the journal behind the
+	// cached entry's back; the oracle takes the same history as PATCHes.
+	base, _ := srv.journal.Lookup(reg.ID)
+	newer := []depjournal.Record{base,
+		{ID: reg.ID, Op: depjournal.OpReaim, Reaim: []depjournal.ReaimOp{{I: 0, Orient: 1.25}}, BaseVersion: 1},
+		{ID: reg.ID, Op: depjournal.OpRemove, Remove: []int{2}, BaseVersion: 2},
+	}
+	if err := srv.journal.Apply(reg.ID, newer); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []patchRequest{{Reaim: []reaimJSON{{Index: 0, Orient: 1.25}}}, {Remove: []int{2}}} {
+		if rec := do(t, oracle.Handler(), "PATCH", "/v1/deployments/"+reg.ID, patchBody(t, p)); rec.Code != http.StatusOK {
+			t.Fatalf("oracle patch: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	digest, _ := srv.journal.Digest(reg.ID)
+	size := srv.journal.Size()
+
+	patch := patchBody(t, patchRequest{Reaim: []reaimJSON{{Index: 1, Orient: 0.5}}})
+	rec := do(t, h, "PATCH", "/v1/deployments/"+reg.ID, patch)
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("patch from the overtaken entry answered %d (Retry-After %q), want 503 with Retry-After: %s",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+	}
+	if got, _ := srv.journal.Digest(reg.ID); got != digest || srv.journal.Size() != size {
+		t.Fatalf("refused patch changed the journal: %+v, want %+v", got, digest)
+	}
+	var ready struct {
+		Status string `json:"status"`
+	}
+	decode(t, do(t, h, "GET", "/readyz", nil), &ready)
+	if ready.Status != ReadyOK {
+		t.Fatalf("readyz = %q after a version-gate refusal, want %q", ready.Status, ReadyOK)
+	}
+
+	// The retry revives from the journal and lands on version 3.
+	rec = do(t, h, "PATCH", "/v1/deployments/"+reg.ID, patch)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("retried patch: %d %s", rec.Code, rec.Body.String())
+	}
+	var pr patchResponse
+	decode(t, rec, &pr)
+	if pr.Version != 3 {
+		t.Fatalf("retried patch at version %d, want 3", pr.Version)
+	}
+	if rec := do(t, oracle.Handler(), "PATCH", "/v1/deployments/"+reg.ID, patch); rec.Code != http.StatusOK {
+		t.Fatalf("oracle patch: %d %s", rec.Code, rec.Body.String())
+	}
+	q := []byte(`{"thetasPi":[0.2,0.25,0.5],"points":[{"x":0.5,"y":0.5},{"x":0.1,"y":0.9},{"x":0.33,"y":0.81}]}`)
+	got := do(t, h, "POST", "/v1/deployments/"+reg.ID+"/query", q).Body.Bytes()
+	want := do(t, oracle.Handler(), "POST", "/v1/deployments/"+reg.ID+"/query", q).Body.Bytes()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("state after the retried patch diverged from the oracle:\n%s\nvs\n%s", got, want)
+	}
 }
 
 // TestPatchRestartBitIdentical is the kill -9 leg of the keystone: a

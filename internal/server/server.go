@@ -170,9 +170,9 @@ type Config struct {
 	// PeerURLs lists the base URLs of the OTHER replicas of an fvcd
 	// cluster (empty means standalone). A clustered server mirrors
 	// every journal append to its peers asynchronously, serves its
-	// journal as a snapshot on GET /v1/internal/snapshot, and — when
-	// its own journal file is missing or empty at startup — warms from
-	// a peer snapshot before opening it. Requires StateDir.
+	// digests and per-deployment snapshots to their anti-entropy
+	// rounds, and — when its journal opens empty — warms from the peers
+	// with one anti-entropy round before serving. Requires StateDir.
 	PeerURLs []string
 	// AntiEntropyInterval is the gap between anti-entropy reconciliation
 	// rounds, in which a clustered replica diffs its per-deployment
@@ -261,7 +261,7 @@ type Server struct {
 
 	stateMu    sync.Mutex
 	journalErr error // last journal-write failure; nil when healthy
-	warmErr    error // failed peer-snapshot warm at startup; sticky until restart
+	warmErr    error // failed boot warm from the peers; set in New, sticky until restart
 
 	mu sync.Mutex
 	hs *http.Server
@@ -286,7 +286,7 @@ func New(cfg Config) (*Server, error) {
 	s.m = s.newMetrics()
 	if len(cfg.PeerURLs) > 0 {
 		if cfg.StateDir == "" {
-			return nil, errors.New("server: cluster peers require StateDir (the mirror and snapshot paths journal)")
+			return nil, errors.New("server: cluster peers require StateDir (replicated records are journaled)")
 		}
 		s.cluster = newClusterState(s)
 	}
@@ -295,7 +295,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	if s.cluster != nil && s.journal != nil {
+	if s.cluster != nil {
 		s.newAntiEntropy()
 	}
 	if err := s.openJobs(); err != nil {
@@ -389,8 +389,8 @@ func (s *Server) routes() *http.ServeMux {
 	// stream never pins a compute slot.
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 
-	// The cluster-internal routes (snapshot shipping, journal mirror)
-	// sit off the admission gate like the observability endpoints:
+	// The cluster-internal routes (per-id snapshots, journal mirror,
+	// digests) sit off the admission gate like the observability endpoints:
 	// replica-to-replica traffic must not compete with client compute
 	// for admission slots.
 	if s.cluster != nil {
@@ -561,8 +561,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	// Stop the mirror workers after the HTTP drain: handlers enqueue
 	// mirror batches, so none can arrive once the drain completes.
-	// Batches still queued are abandoned — the peers heal from a
-	// snapshot, and a drain must not block on an unreachable peer.
+	// Posts in flight are cancelled and queued batches abandoned —
+	// anti-entropy heals the peers, and a drain must not block on an
+	// unreachable or hung peer.
 	if s.cluster != nil {
 		s.cluster.close()
 	}

@@ -46,13 +46,6 @@ func (s *Server) openState() error {
 		return fmt.Errorf("server: create state dir: %w", err)
 	}
 	path := filepath.Join(s.cfg.StateDir, journalFile)
-	// A clustered replica with no local journal yet warms from a peer
-	// snapshot before opening, so a replaced node starts with the
-	// cluster's full deployment history. Best-effort: every failure
-	// mode falls back to a cold start (see maybeWarmFromPeer).
-	if s.cluster != nil {
-		s.maybeWarmFromPeer(path)
-	}
 	j, err := depjournal.Open(path,
 		depjournal.Options{
 			CompactBytes: s.cfg.JournalCompactBytes,
@@ -262,11 +255,25 @@ func (s *Server) persist(id string, req *registerRequest) error {
 // persistMutations journals one PATCH batch before it is applied, with
 // the same degraded-state bookkeeping as persist. Stateless servers
 // (no journal) apply mutations in memory only.
+//
+// The batch is stamped from the cached entry's version, and the
+// journal's version gate refuses it (ErrStale/ErrGap) when a replicated
+// history overtook that entry — an anti-entropy install does not take
+// the mutation lock, so its invalidation can miss an entry a PATCH
+// already holds. That is not a journal fault: readiness is untouched,
+// the stale entry is dropped, and the error becomes the caller's 503,
+// whose retry revives from the journal and stamps from its version.
 func (s *Server) persistMutations(id string, recs []depjournal.Record) error {
 	if s.journal == nil || len(recs) == 0 {
 		return nil
 	}
-	if err := s.journal.AppendMutations(id, recs); err != nil {
+	err := s.journal.AppendMutations(id, recs)
+	if errors.Is(err, depjournal.ErrStale) || errors.Is(err, depjournal.ErrGap) {
+		s.cache.Invalidate(id)
+		s.logf("journal: mutate %s refused, the cached copy is behind the journal: %v", id, err)
+		return err
+	}
+	if err != nil {
 		s.m.journalFailures.Inc()
 		s.setJournalErr(err)
 		s.logf("journal: mutate %s failed: %v", id, err)
@@ -299,7 +306,7 @@ func (s *Server) readiness() (state, reason string) {
 			return ReadyDegraded, "journal writes failing (registrations 503, queries unaffected): " + err.Error()
 		}
 		if werr != nil {
-			return ReadyDegraded, "peer snapshot warm failed at startup (serving cold; restart to retry): " + werr.Error()
+			return ReadyDegraded, "peer snapshot warm failed at startup (serving what was pulled; restart to retry): " + werr.Error()
 		}
 	}
 	if err := s.jobs.JournalErr(); err != nil {

@@ -226,8 +226,9 @@ pid=""
 # a deployment through the router, and assert its query answer matches
 # a single-node oracle byte-for-byte. Then kill -9 one replica, DELETE
 # its state dir (disk loss, not just a crash), restart it, and assert
-# it warmed its journal from a peer snapshot and answers the same query
-# bit-identically — even when asked directly, bypassing the ring.
+# its boot anti-entropy round warmed its journal from the peers and it
+# answers the same query bit-identically — even when asked directly,
+# bypassing the ring.
 mapfile -t ports < <(go run ./scripts/freeport 4)
 p1=${ports[0]} p2=${ports[1]} p3=${ports[2]} p4=${ports[3]}
 peersfile="$workdir/peers.json"
@@ -314,24 +315,24 @@ done
 echo "cluster: $depid registered+patched via router, mirrored to all replicas, verdicts match oracle"
 
 # kill -9 replica r2 and destroy its disk; its replacement must warm
-# from a peer snapshot.
+# from its peers in its boot anti-entropy round.
 kill -9 "$rpid2"
 wait "$rpid2" 2>/dev/null || true
 rm -rf "$workdir/cstate-r2"
 start_replica r2 "$p2" "$workdir/r2-restart.log"; rpid2=$last_pid
 wait_ready "http://127.0.0.1:$p2" "$workdir/r2-restart.log" || exit 1
-grep -q "warmed journal from" "$workdir/r2-restart.log" \
+grep -q "boot round warmed journal from peers" "$workdir/r2-restart.log" \
     || { echo "restarted r2 did not warm from a peer:"; cat "$workdir/r2-restart.log"; exit 1; }
 
 curl -sf -X POST "$router/v1/deployments/$depid/query" -d "$query" >"$workdir/qc2.json"
 diff "$workdir/qc2.json" "$workdir/qo.json" \
     || { echo "cluster query diverged after kill -9 + peer warm"; exit 1; }
 # Even asked directly — bypassing the ring — the warmed replica answers
-# from its peer-shipped journal.
+# from its peer-pulled journal.
 curl -sf -X POST "http://127.0.0.1:$p2/v1/deployments/$depid/query" -d "$query" >"$workdir/qc3.json"
 diff "$workdir/qc3.json" "$workdir/qo.json" \
     || { echo "warmed replica's direct answer diverged"; exit 1; }
-echo "cluster: r2 killed -9 with disk loss, warmed from peer snapshot, answers bit-identical"
+echo "cluster: r2 killed -9 with disk loss, warmed from peers by its boot round, answers bit-identical"
 
 curl -sf "$router/metrics" | grep -q fvcd_cluster_forwards_total \
     || { echo "router /metrics lacks fvcd_cluster_forwards_total"; exit 1; }
@@ -340,7 +341,7 @@ curl -sf "$router/metrics" | grep -q fvcd_cluster_forwards_total \
 # kill -9 r3 but keep its disk. A deployment registered and patched
 # while it is down loses its mirror batches after bounded retries (r3's
 # socket is gone); the restarted r3 keeps its intact journal — behind,
-# not empty, so there is no snapshot warm — and must reconverge through
+# not empty, so there is no boot warm — and must reconverge through
 # the anti-entropy reconciler alone, until all three replicas answer
 # byte-identical digest maps.
 kill -9 "$rpid3"
