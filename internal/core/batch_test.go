@@ -118,7 +118,7 @@ func TestSurveyBatchMutatedSource(t *testing.T) {
 	if _, err := m.Add(adds); err != nil {
 		t.Fatal(err)
 	}
-	for _, src := range []spatial.Source{m, m.Snapshot()} {
+	for _, src := range []spatial.Source{m.Snapshot()} {
 		batchChecker, err := NewCheckerFromSource(src, math.Pi/4)
 		if err != nil {
 			t.Fatal(err)

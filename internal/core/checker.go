@@ -46,10 +46,9 @@ func NewCheckerFromIndex(ix *spatial.Index, theta float64) (*Checker, error) {
 }
 
 // NewCheckerFromSource builds a Checker over any spatial.Source — an
-// immutable Index, a MutableIndex absorbing churn, or a pinned View.
-// Verdicts against a MutableIndex reflect whatever version each point
-// evaluation observes; pin a Snapshot first when a whole batch must see
-// one consistent version.
+// immutable Index or a View pinned from a MutableIndex by Snapshot.
+// Every verdict of the Checker reflects the one deployment version the
+// source holds.
 func NewCheckerFromSource(src spatial.Source, theta float64) (*Checker, error) {
 	return newChecker(src, theta)
 }

@@ -78,8 +78,8 @@ func NewMultiCheckerFromIndex(ix *spatial.Index, thetas []float64) (*MultiChecke
 }
 
 // NewMultiCheckerFromSource builds a MultiChecker over any
-// spatial.Source — an immutable Index, a MutableIndex absorbing churn,
-// or a pinned View (see NewCheckerFromSource for version semantics).
+// spatial.Source — an immutable Index or a pinned View (see
+// NewCheckerFromSource for version semantics).
 func NewMultiCheckerFromSource(ix spatial.Source, thetas []float64) (*MultiChecker, error) {
 	if len(thetas) == 0 {
 		return nil, fmt.Errorf("core: MultiChecker needs at least one effective angle")

@@ -48,7 +48,7 @@ func mutatedPair(t *testing.T) (*spatial.MutableIndex, *sensor.Network) {
 }
 
 // TestCheckerOverMutableEquivalence checks that Checker and
-// MultiChecker verdicts through a churned MutableIndex are
+// MultiChecker verdicts through a View of a churned MutableIndex are
 // bit-identical to checkers over a fresh network built from the final
 // camera list — through the overlay and again after the rebuild.
 func TestCheckerOverMutableEquivalence(t *testing.T) {
@@ -66,11 +66,11 @@ func TestCheckerOverMutableEquivalence(t *testing.T) {
 
 	check := func(tag string) {
 		t.Helper()
-		mc, err := NewMultiCheckerFromSource(m, thetas)
+		mc, err := NewMultiCheckerFromSource(m.Snapshot(), thetas)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewCheckerFromSource(m, math.Pi/2)
+		c, err := NewCheckerFromSource(m.Snapshot(), math.Pi/2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,45 +105,56 @@ func TestCheckerOverMutableEquivalence(t *testing.T) {
 	check("post-rebuild")
 }
 
-// TestCheckerOverlayEmptyZeroAlloc pins the overlay-empty fast path:
-// evaluating points through a MutableIndex whose overlay is empty (at
-// construction, and again after a rebuild folded churn away) must stay
-// at zero allocations per point, exactly like the immutable index.
+// TestCheckerOverlayEmptyZeroAlloc pins the View read path at zero
+// allocations per point, exactly like the immutable index: through a
+// View with a live overlay (the churn read path) and through a View
+// whose overlay is empty after a rebuild folded the churn away.
 func TestCheckerOverlayEmptyZeroAlloc(t *testing.T) {
 	m, _ := mutatedPair(t)
+	if m.OverlaySize() == 0 {
+		t.Fatal("mutation burst left no overlay; test would not exercise the overlay path")
+	}
+	live := m.Snapshot()
 	m.ForceRebuild()
 	m.WaitRebuild()
 	if m.OverlaySize() != 0 {
 		t.Fatalf("overlay size %d after rebuild, want 0", m.OverlaySize())
 	}
-	c, err := NewCheckerFromSource(m, math.Pi/2)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		view *spatial.View
+	}{
+		{"live overlay", live},
+		{"empty overlay", m.Snapshot()},
+	} {
+		c, err := NewCheckerFromSource(tc.view, math.Pi/2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc, err := NewMultiCheckerFromSource(tc.view, []float64{math.Pi / 4, math.Pi / 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(29, 0)
+		// Prime the internal buffers, then demand allocation-free steady
+		// state.
+		for i := 0; i < 50; i++ {
+			p := geom.V(r.Float64(), r.Float64())
+			c.FullViewCovered(p)
+			mc.Evaluate(p)
+		}
+		var p geom.Vec
+		if allocs := testing.AllocsPerRun(200, func() {
+			p = geom.V(r.Float64(), r.Float64())
+			c.FullViewCovered(p)
+		}); allocs != 0 {
+			t.Errorf("%s: Checker.FullViewCovered allocates %.2f per point, want 0", tc.name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(200, func() {
+			p = geom.V(r.Float64(), r.Float64())
+			mc.Evaluate(p)
+		}); allocs != 0 {
+			t.Errorf("%s: MultiChecker.Evaluate allocates %.2f per point, want 0", tc.name, allocs)
+		}
 	}
-	mc, err := NewMultiCheckerFromSource(m, []float64{math.Pi / 4, math.Pi / 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(29, 0)
-	// Prime the internal buffers, then demand allocation-free steady
-	// state.
-	for i := 0; i < 50; i++ {
-		p := geom.V(r.Float64(), r.Float64())
-		c.FullViewCovered(p)
-		mc.Evaluate(p)
-	}
-	var p geom.Vec
-	if allocs := testing.AllocsPerRun(200, func() {
-		p = geom.V(r.Float64(), r.Float64())
-		c.FullViewCovered(p)
-	}); allocs != 0 {
-		t.Errorf("Checker.FullViewCovered allocates %.2f per point on the overlay-empty path, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		p = geom.V(r.Float64(), r.Float64())
-		mc.Evaluate(p)
-	}); allocs != 0 {
-		t.Errorf("MultiChecker.Evaluate allocates %.2f per point on the overlay-empty path, want 0", allocs)
-	}
-	_ = p
 }

@@ -31,8 +31,8 @@ import (
 
 // Entry is one cached deployment: the registered base network, the
 // mutable spatial index serving it, and the fingerprint it is stored
-// under. Entries are shared between requests; reads go through the
-// lock-free Index and per-request checkers are derived from it
+// under. Entries are shared between requests; reads pin a lock-free
+// Index.Snapshot and per-request checkers are derived from that View
 // (core.NewCheckerFromSource / NewMultiCheckerFromSource). Mutations
 // must go through Cache.Mutate so they serialize per deployment.
 type Entry struct {

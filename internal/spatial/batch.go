@@ -31,10 +31,9 @@
 // order, buckets in the same (dy, dx) walk order, candidates in CSR row
 // order, and overlay-added cameras last; the final counting-sort
 // placement is stable in emission order, so each point's slice of the
-// CSR result equals the corresponding AppendCovering /
-// AppendViewedDirections output element for element. The overlay-aware
-// Source path (MutableIndex, View) runs the identical engine with the
-// removed-bitmap check hoisted to once per candidate.
+// CSR result equals AppendViewedDirections(nil, p) element for element.
+// A View runs the identical engine with its overlay, the removed-bitmap
+// check hoisted to once per candidate.
 package spatial
 
 import (
@@ -68,10 +67,9 @@ type BatchScratch struct {
 	gi     []int32   // current group's batch point indices, same order
 	hitPt  []int32   // emission-ordered (point, camera) covering pairs
 	hitCam []int32
-	counts []int32 // per-point hit counts, then placement cursors
-	offs   []int32 // CSR offsets over the batch (len = points+1)
-	cams   []int32 // result storage for AppendCoveringBatch
-	dirs   []float64
+	counts []int32   // per-point hit counts, then placement cursors
+	offs   []int32   // CSR offsets over the batch (len = points+1)
+	dirs   []float64 // result storage for AppendViewedDirectionsBatch
 }
 
 // growI32 returns a length-n slice, reusing s's storage when it is
@@ -97,25 +95,25 @@ func growF64(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// AppendCoveringBatch computes the covering-camera indices of every
-// point in the batch through the cell-sorted gather. The result is CSR
-// over the batch: cams[offs[i]:offs[i+1]] lists the cameras covering
-// points[i], element for element equal to what AppendCovering appends
-// for that point. Both returned slices are owned by sc and are valid
-// until its next batch call.
-func (ix *Index) AppendCoveringBatch(sc *BatchScratch, points []geom.Vec) (cams []int32, offs []int32) {
-	ix.gatherBatch(sc, points, nil)
-	return sc.placeCams(ix, nil)
+// AppendViewedDirectionsBatch computes the viewed directions of the
+// cameras covering every point in the batch through the cell-sorted
+// gather. The result is CSR over the batch: dirs[offs[i]:offs[i+1]]
+// equals AppendViewedDirections(nil, points[i]) element for element.
+// Both returned slices are owned by sc and are valid until its next
+// batch call.
+func (ix *Index) AppendViewedDirectionsBatch(sc *BatchScratch, points []geom.Vec) (dirs []float64, offs []int32) {
+	return ix.appendViewedDirectionsBatch(sc, points, nil)
 }
 
-// AppendViewedDirectionsBatch is AppendCoveringBatch for viewed
-// directions: dirs[offs[i]:offs[i+1]] holds the viewed directions of
-// the cameras covering points[i], element for element equal to the
-// AppendViewedDirections output. Both returned slices are owned by sc
-// and are valid until its next batch call.
-func (ix *Index) AppendViewedDirectionsBatch(sc *BatchScratch, points []geom.Vec) (dirs []float64, offs []int32) {
-	ix.gatherBatch(sc, points, nil)
-	return sc.placeDirs(ix, nil)
+// AppendViewedDirectionsBatch implements Source over the pinned
+// snapshot.
+func (v *View) AppendViewedDirectionsBatch(sc *BatchScratch, points []geom.Vec) ([]float64, []int32) {
+	return v.s.base.appendViewedDirectionsBatch(sc, points, v.s.delta)
+}
+
+func (ix *Index) appendViewedDirectionsBatch(sc *BatchScratch, points []geom.Vec, d *overlay) ([]float64, []int32) {
+	ix.gatherBatch(sc, points, d)
+	return sc.placeDirs(ix, d)
 }
 
 // gatherBatch runs the cell-sorted candidate scan for the whole batch,
@@ -263,7 +261,7 @@ func (sc *BatchScratch) prepareGroup(group []int64) groupView {
 // held across the whole group. The cell-level prefilter rejects a
 // candidate only when its disc provably misses the group's bounding
 // box; every surviving candidate runs the exact covers arithmetic, so
-// emissions are bit-identical to per-point AppendCovering calls.
+// emissions are bit-identical to the per-point gather's.
 //
 // Before the inner loop, the toroidal wrap of each axis is classified
 // once per candidate against the group's bounding box: floating-point
@@ -443,24 +441,12 @@ func (sc *BatchScratch) buildOffsets(n int) int {
 	return int(total)
 }
 
-// placeCams materialises the CSR camera-index result from the emission
-// stream. Placement walks hits in emission order and each point's
-// cursor advances monotonically, so per-point order equals emission
-// order — the point-at-a-time candidate order.
-func (sc *BatchScratch) placeCams(ix *Index, d *overlay) ([]int32, []int32) {
-	n := len(sc.wx)
-	total := sc.buildOffsets(n)
-	sc.cams = growI32(sc.cams, total)
-	for h, p := range sc.hitPt {
-		sc.cams[sc.counts[p]] = sc.hitCam[h]
-		sc.counts[p]++
-	}
-	return sc.cams, sc.offs[:n+1]
-}
-
-// placeDirs is placeCams for viewed directions: base cameras go through
-// the index's viewedDirection (bit-identical to the point path), overlay
-// additions through the exact sensor predicate.
+// placeDirs materialises the CSR viewed-direction result from the
+// emission stream. Placement walks hits in emission order and each
+// point's cursor advances monotonically, so per-point order equals
+// emission order — the point-at-a-time candidate order. Base cameras go
+// through the index's viewedDirection (bit-identical to the point path),
+// overlay additions through the exact sensor predicate.
 func (sc *BatchScratch) placeDirs(ix *Index, d *overlay) ([]float64, []int32) {
 	n := len(sc.wx)
 	total := sc.buildOffsets(n)
@@ -478,38 +464,4 @@ func (sc *BatchScratch) placeDirs(ix *Index, d *overlay) ([]float64, []int32) {
 		sc.counts[p]++
 	}
 	return sc.dirs, sc.offs[:n+1]
-}
-
-// AppendCoveringBatch implements Source over the current snapshot; see
-// Index.AppendCoveringBatch for the result contract and Source for the
-// index semantics of overlay-added cameras.
-func (m *MutableIndex) AppendCoveringBatch(sc *BatchScratch, points []geom.Vec) ([]int32, []int32) {
-	return m.cur.Load().appendCoveringBatch(sc, points)
-}
-
-// AppendViewedDirectionsBatch implements Source over the current
-// snapshot.
-func (m *MutableIndex) AppendViewedDirectionsBatch(sc *BatchScratch, points []geom.Vec) ([]float64, []int32) {
-	return m.cur.Load().appendViewedDirectionsBatch(sc, points)
-}
-
-// AppendCoveringBatch implements Source over the pinned snapshot.
-func (v *View) AppendCoveringBatch(sc *BatchScratch, points []geom.Vec) ([]int32, []int32) {
-	return v.s.appendCoveringBatch(sc, points)
-}
-
-// AppendViewedDirectionsBatch implements Source over the pinned
-// snapshot.
-func (v *View) AppendViewedDirectionsBatch(sc *BatchScratch, points []geom.Vec) ([]float64, []int32) {
-	return v.s.appendViewedDirectionsBatch(sc, points)
-}
-
-func (s *mutSnapshot) appendCoveringBatch(sc *BatchScratch, points []geom.Vec) ([]int32, []int32) {
-	s.base.gatherBatch(sc, points, s.delta)
-	return sc.placeCams(s.base, s.delta)
-}
-
-func (s *mutSnapshot) appendViewedDirectionsBatch(sc *BatchScratch, points []geom.Vec) ([]float64, []int32) {
-	s.base.gatherBatch(sc, points, s.delta)
-	return sc.placeDirs(s.base, s.delta)
 }

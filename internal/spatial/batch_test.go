@@ -4,7 +4,7 @@ package spatial
 // results must equal the point-at-a-time outputs ELEMENT FOR ELEMENT —
 // same values in the same per-point order, compared with == (never a
 // tolerance) — over randomized heterogeneous networks with a 100×
-// radius span, mutated MutableIndex snapshots with a live overlay, and
+// radius span, pinned Views of a mutated MutableIndex with a live overlay, and
 // the wrap-seam / degenerate-batch edge cases. Plus
 // testing.AllocsPerRun pins proving the steady state allocates nothing.
 
@@ -74,30 +74,14 @@ func batchPoints(net *sensor.Network, r *rng.PCG, n int) []geom.Vec {
 	return pts
 }
 
-// assertBatchMatchesPoints checks both batch entry points of src
-// against its point-at-a-time methods with exact equality.
+// assertBatchMatchesPoints checks the batch gather of src against its
+// point-at-a-time gather with exact equality.
 func assertBatchMatchesPoints(t *testing.T, tag string, src Source, sc *BatchScratch, pts []geom.Vec) {
 	t.Helper()
-	cams, offs := src.AppendCoveringBatch(sc, pts)
-	if len(offs) != len(pts)+1 {
-		t.Fatalf("%s: offs length %d, want %d", tag, len(offs), len(pts)+1)
-	}
-	var camBuf []int32
-	for i, p := range pts {
-		camBuf = src.AppendCovering(camBuf[:0], p)
-		got := cams[offs[i]:offs[i+1]]
-		if len(got) != len(camBuf) {
-			t.Fatalf("%s point %d: batch found %d cameras, point path %d",
-				tag, i, len(got), len(camBuf))
-		}
-		for k := range camBuf {
-			if got[k] != camBuf[k] {
-				t.Fatalf("%s point %d: camera order diverges at %d: batch %v, point %v",
-					tag, i, k, got, camBuf)
-			}
-		}
-	}
 	dirs, doffs := src.AppendViewedDirectionsBatch(sc, pts)
+	if len(doffs) != len(pts)+1 {
+		t.Fatalf("%s: offs length %d, want %d", tag, len(doffs), len(pts)+1)
+	}
 	var dirBuf []float64
 	for i, p := range pts {
 		dirBuf = src.AppendViewedDirections(dirBuf[:0], p)
@@ -143,12 +127,8 @@ func TestBatchEdgeCases(t *testing.T) {
 	ix := NewIndex(net)
 	var sc BatchScratch
 
-	cams, offs := ix.AppendCoveringBatch(&sc, nil)
-	if len(cams) != 0 || len(offs) != 1 || offs[0] != 0 {
-		t.Fatalf("empty batch: cams %v offs %v, want empty CSR", cams, offs)
-	}
 	dirs, doffs := ix.AppendViewedDirectionsBatch(&sc, nil)
-	if len(dirs) != 0 || len(doffs) != 1 {
+	if len(dirs) != 0 || len(doffs) != 1 || doffs[0] != 0 {
 		t.Fatalf("empty batch: dirs %v offs %v, want empty CSR", dirs, doffs)
 	}
 
@@ -163,9 +143,9 @@ func TestBatchEdgeCases(t *testing.T) {
 }
 
 // TestBatchMatchesPointPathMutated drives the batch gather through
-// MutableIndex snapshots whose overlay is guaranteed non-empty —
-// removals, re-aims, and additions that have not been folded into the
-// CSR base — and through pinned Views across later mutations.
+// pinned Views whose overlay is guaranteed non-empty — removals,
+// re-aims, and additions that have not been folded into the CSR base —
+// and re-checks each View across later mutations.
 func TestBatchMatchesPointPathMutated(t *testing.T) {
 	r := rng.New(77, 3)
 	cams := baseCameras(t, 250, r)
@@ -184,7 +164,6 @@ func TestBatchMatchesPointPathMutated(t *testing.T) {
 		live += applyMutationCount(t, m, mut)
 		view := m.Snapshot()
 		pts := batchPoints(net, r, 96)
-		assertBatchMatchesPoints(t, "mutable", m, &sc, pts)
 		assertBatchMatchesPoints(t, "view", view, &sc, pts)
 		// Mutate again and re-check the pinned view: its answers must
 		// not move.
@@ -222,7 +201,7 @@ func applyMutationCount(t *testing.T, m *MutableIndex, mut oracleMutation) int {
 
 // TestBatchZeroAllocSteadyState proves the batch gather allocates
 // nothing once its scratch has grown — on the pure index and on a
-// mutated snapshot with a live overlay.
+// pinned View with a live overlay.
 func TestBatchZeroAllocSteadyState(t *testing.T) {
 	net := wideSpanNetwork(t, 400, 9)
 	ix := NewIndex(net)
@@ -238,32 +217,23 @@ func TestBatchZeroAllocSteadyState(t *testing.T) {
 		batchPoints(net, r, 256),
 		batchPoints(net, r, 256),
 	}
+	view := m.Snapshot()
 	var sc BatchScratch
 	for _, pts := range batches { // warm-up: grow scratch to high-water mark
-		ix.AppendCoveringBatch(&sc, pts)
 		ix.AppendViewedDirectionsBatch(&sc, pts)
-		m.AppendCoveringBatch(&sc, pts)
-		m.AppendViewedDirectionsBatch(&sc, pts)
+		view.AppendViewedDirectionsBatch(&sc, pts)
 	}
 	var sink int
 	cases := []struct {
 		name string
 		fn   func([]geom.Vec)
 	}{
-		{"Index.AppendCoveringBatch", func(pts []geom.Vec) {
-			cams, _ := ix.AppendCoveringBatch(&sc, pts)
-			sink += len(cams)
-		}},
 		{"Index.AppendViewedDirectionsBatch", func(pts []geom.Vec) {
 			dirs, _ := ix.AppendViewedDirectionsBatch(&sc, pts)
 			sink += len(dirs)
 		}},
-		{"MutableIndex.AppendCoveringBatch", func(pts []geom.Vec) {
-			cams, _ := m.AppendCoveringBatch(&sc, pts)
-			sink += len(cams)
-		}},
-		{"MutableIndex.AppendViewedDirectionsBatch", func(pts []geom.Vec) {
-			dirs, _ := m.AppendViewedDirectionsBatch(&sc, pts)
+		{"View.AppendViewedDirectionsBatch", func(pts []geom.Vec) {
+			dirs, _ := view.AppendViewedDirectionsBatch(&sc, pts)
 			sink += len(dirs)
 		}},
 	}

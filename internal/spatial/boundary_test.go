@@ -19,15 +19,18 @@ import (
 )
 
 // checkAgainstOracle asserts that the index agrees with the O(n) oracle
-// on count, covering set size and viewed directions for point p.
+// on count, on which cameras cover point p, and on viewed directions.
 func checkAgainstOracle(t *testing.T, net *sensor.Network, ix *Index, p geom.Vec, label string) {
 	t.Helper()
 	want := net.CoveringIndices(p)
 	if got := ix.CountCovering(p); got != len(want) {
 		t.Errorf("%s p=%v: CountCovering = %d, oracle %d", label, p, got, len(want))
 	}
-	if got := ix.AppendCovering(nil, p); len(got) != len(want) {
-		t.Errorf("%s p=%v: AppendCovering yields %d cameras, oracle %d", label, p, len(got), len(want))
+	w := net.Torus().Wrap(p)
+	for i := 0; i < net.Len(); i++ {
+		if got, covered := ix.covers(int32(i), w.X, w.Y), net.Camera(i).Covers(net.Torus(), w); got != covered {
+			t.Errorf("%s p=%v: covers(%d) = %v, Camera.Covers %v", label, p, i, got, covered)
+		}
 	}
 	wantDirs := net.ViewedDirections(p)
 	gotDirs := ix.AppendViewedDirections(nil, p)
@@ -67,7 +70,7 @@ func TestIndexBoundaryExactCases(t *testing.T) {
 		name string
 		p    geom.Vec
 	}{
-		{"exact radius on axis", geom.V(0.5 + r, 0.5)},
+		{"exact radius on axis", geom.V(0.5+r, 0.5)},
 		{"one ulp beyond radius", geom.V(math.Nextafter(0.5+r, 1), 0.5)},
 		{"one ulp inside radius", geom.V(math.Nextafter(0.5+r, 0), 0.5)},
 		{"exact aperture edge dx==dy", geom.V(0.5+h, 0.5+h)},
@@ -75,7 +78,7 @@ func TestIndexBoundaryExactCases(t *testing.T) {
 		{"ulp outside aperture edge", geom.V(0.5+h, math.Nextafter(0.5+h, 1))},
 		{"ulp inside aperture edge", geom.V(0.5+h, math.Nextafter(0.5+h, 0))},
 		{"at the camera position", cam.Pos},
-		{"behind the camera", geom.V(0.5 - 0.1, 0.5)},
+		{"behind the camera", geom.V(0.5-0.1, 0.5)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,26 +129,36 @@ func TestIndexWideRadiusSpan(t *testing.T) {
 	}
 }
 
-// TestAppendCoveringZeroAlloc proves the CSR gather appends into the
-// caller-owned scratch without allocating once capacity is reached.
-func TestAppendCoveringZeroAlloc(t *testing.T) {
+// TestPointGatherZeroAlloc proves the point gathers append into the
+// caller-owned scratch without allocating once capacity is reached — on
+// the pure index and through a View with a live overlay.
+func TestPointGatherZeroAlloc(t *testing.T) {
 	net := randomNetwork(t, 400, 3)
 	ix := NewIndex(net)
 	r := rng.New(5, 2)
+	m := NewMutableIndex(net, MutableOptions{RebuildFraction: -1})
+	if _, err := m.Remove([]int{4, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Add([]sensor.Camera{randomCamera(r)}); err != nil {
+		t.Fatal(err)
+	}
+	view := m.Snapshot()
 	pts := make([]geom.Vec, 64)
 	for i := range pts {
 		pts[i] = geom.V(r.Float64(), r.Float64())
 	}
-	idxBuf := make([]int32, 0, net.Len())
 	dirBuf := make([]float64, 0, net.Len())
-	i := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		p := pts[i%len(pts)]
-		idxBuf = ix.AppendCovering(idxBuf[:0], p)
-		dirBuf = ix.AppendViewedDirections(dirBuf[:0], p)
-		i++
-	})
-	if allocs != 0 {
-		t.Errorf("AppendCovering+AppendViewedDirections: %.1f allocs/op, want 0", allocs)
+	for _, src := range []Source{ix, view} {
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			p := pts[i%len(pts)]
+			dirBuf = src.AppendViewedDirections(dirBuf[:0], p)
+			src.CountCovering(p)
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%T AppendViewedDirections+CountCovering: %.1f allocs/op, want 0", src, allocs)
+		}
 	}
 }

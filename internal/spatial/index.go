@@ -19,12 +19,13 @@
 // slice. A query visits each tier with that tier's own reach, so a
 // heterogeneous network — the paper's whole subject — never scans the
 // neighbourhood of its largest radius on behalf of its smallest group.
-// Candidate enumeration is closure-free: the public methods walk the
-// CSR rows inline and append into caller-owned scratch buffers.
+// Candidate enumeration is closure-free: the gathers walk the CSR rows
+// inline and append into caller-owned scratch buffers.
 package spatial
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"fullview/internal/geom"
@@ -296,48 +297,28 @@ func (t *tier) span(px, py float64) (pcx, pcy, reach int, all bool) {
 	return pcx, pcy, reach, false
 }
 
-// AppendCovering appends the indices of every camera covering p to dst
-// and returns the extended slice, in unspecified order. Passing a
-// reused buffer makes the query allocation-free in the steady state.
-func (ix *Index) AppendCovering(dst []int32, p geom.Vec) []int32 {
-	p = ix.torus.Wrap(p)
-	for ti := range ix.tiers {
-		t := &ix.tiers[ti]
-		pcx, pcy, reach, all := t.span(p.X, p.Y)
-		if all {
-			for _, i := range t.camIdx {
-				if ix.covers(i, p.X, p.Y) {
-					dst = append(dst, i)
-				}
-			}
-			continue
-		}
-		for dy := -reach; dy <= reach; dy++ {
-			row := wrapCell(pcy+dy, t.cells) * t.cells
-			for dx := -reach; dx <= reach; dx++ {
-				b := row + wrapCell(pcx+dx, t.cells)
-				for _, i := range t.camIdx[t.starts[b]:t.starts[b+1]] {
-					if ix.covers(i, p.X, p.Y) {
-						dst = append(dst, i)
-					}
-				}
-			}
-		}
-	}
-	return dst
-}
-
 // AppendViewedDirections appends the viewed directions (angle of P→S)
 // of every camera covering p to dst and returns the extended slice.
 // Passing a reused buffer avoids per-point allocations in grid sweeps.
 func (ix *Index) AppendViewedDirections(dst []float64, p geom.Vec) []float64 {
+	return ix.appendViewedDirections(dst, p, nil)
+}
+
+// appendViewedDirections is the point gather shared by Index and View.
+// d is the mutation overlay (nil for a pure Index): a candidate whose
+// removed bit is set is skipped, and the overlay-added cameras are
+// scanned last with the exact sensor predicates, which the algebraic
+// covers test is bit-identical to by contract. The emission order —
+// tier, bucket walk, CSR row, then added cameras — defines the
+// per-point sequence the batch gather reproduces element for element.
+func (ix *Index) appendViewedDirections(dst []float64, p geom.Vec, d *overlay) []float64 {
 	p = ix.torus.Wrap(p)
 	for ti := range ix.tiers {
 		t := &ix.tiers[ti]
 		pcx, pcy, reach, all := t.span(p.X, p.Y)
 		if all {
 			for _, i := range t.camIdx {
-				if ix.covers(i, p.X, p.Y) {
+				if ix.covers(i, p.X, p.Y) && (d == nil || !d.isRemoved(i)) {
 					dst = append(dst, ix.viewedDirection(i, p.X, p.Y))
 				}
 			}
@@ -348,10 +329,17 @@ func (ix *Index) AppendViewedDirections(dst []float64, p geom.Vec) []float64 {
 			for dx := -reach; dx <= reach; dx++ {
 				b := row + wrapCell(pcx+dx, t.cells)
 				for _, i := range t.camIdx[t.starts[b]:t.starts[b+1]] {
-					if ix.covers(i, p.X, p.Y) {
+					if ix.covers(i, p.X, p.Y) && (d == nil || !d.isRemoved(i)) {
 						dst = append(dst, ix.viewedDirection(i, p.X, p.Y))
 					}
 				}
+			}
+		}
+	}
+	if d != nil {
+		for j := range d.added {
+			if d.added[j].Covers(ix.torus, p) {
+				dst = append(dst, d.added[j].ViewedDirection(ix.torus, p))
 			}
 		}
 	}
@@ -389,35 +377,30 @@ func (ix *Index) CountCovering(p geom.Vec) int {
 	return count
 }
 
-// ForEachCovering calls fn for every camera that covers p, in
-// unspecified order. fn must not retain the camera pointer past the
-// call. Prefer the Append* forms on hot paths; this form exists for
-// callers that need the full camera record.
-func (ix *Index) ForEachCovering(p geom.Vec, fn func(cam *sensor.Camera)) {
+// countCovering is CountCovering through the overlay d (nil for a pure
+// Index). The pristine walk above stays free of overlay checks — it is
+// the k-coverage kernel — so the overlay is applied as a correction:
+// removed base cameras that cover p were counted by the walk and come
+// off, covering added cameras go on.
+func (ix *Index) countCovering(p geom.Vec, d *overlay) int {
+	count := ix.CountCovering(p)
+	if d == nil {
+		return count
+	}
 	p = ix.torus.Wrap(p)
-	for ti := range ix.tiers {
-		t := &ix.tiers[ti]
-		pcx, pcy, reach, all := t.span(p.X, p.Y)
-		if all {
-			for _, i := range t.camIdx {
-				if ix.covers(i, p.X, p.Y) {
-					fn(&ix.cameras[i])
-				}
-			}
-			continue
-		}
-		for dy := -reach; dy <= reach; dy++ {
-			row := wrapCell(pcy+dy, t.cells) * t.cells
-			for dx := -reach; dx <= reach; dx++ {
-				b := row + wrapCell(pcx+dx, t.cells)
-				for _, i := range t.camIdx[t.starts[b]:t.starts[b+1]] {
-					if ix.covers(i, p.X, p.Y) {
-						fn(&ix.cameras[i])
-					}
-				}
+	for w, word := range d.removed {
+		for ; word != 0; word &= word - 1 {
+			if ix.covers(int32(w*64+bits.TrailingZeros64(word)), p.X, p.Y) {
+				count--
 			}
 		}
 	}
+	for j := range d.added {
+		if d.added[j].Covers(ix.torus, p) {
+			count++
+		}
+	}
+	return count
 }
 
 func wrapCell(c, cells int) int {

@@ -27,33 +27,44 @@ func randomNetwork(t *testing.T, n int, seed uint64) *sensor.Network {
 	return net
 }
 
+// TestIndexMatchesBruteForce pins which cameras the index considers
+// covering: ix.covers(i, p) must equal cameras[i].Covers(torus, p) for
+// every camera i, over uniform points and points planted on each
+// camera's position, radius and aperture edges and across the seam,
+// and the gather must find every covering camera.
 func TestIndexMatchesBruteForce(t *testing.T) {
 	net := randomNetwork(t, 500, 42)
 	ix := NewIndex(net)
+	torus := net.Torus()
 	r := rng.New(7, 1)
+	points := make([]geom.Vec, 0, 500+4*net.Len())
 	for trial := 0; trial < 500; trial++ {
-		p := geom.V(r.Float64(), r.Float64())
-
-		want := net.CoveringIndices(p)
-		got := make([]int, 0, len(want))
-		ix.ForEachCovering(p, func(cam *sensor.Camera) {
-			// Recover the index by matching position: positions are
-			// almost surely unique under uniform deployment.
-			for i := 0; i < net.Len(); i++ {
-				if net.Camera(i).Pos == cam.Pos {
-					got = append(got, i)
-					break
-				}
+		points = append(points, geom.V(r.Float64(), r.Float64()))
+	}
+	for i := 0; i < net.Len(); i++ {
+		cam := net.Camera(i)
+		edge := cam.Orient + cam.Aperture/2
+		points = append(points,
+			cam.Pos,
+			torus.Translate(cam.Pos, geom.FromPolar(cam.Radius, cam.Orient)),
+			torus.Translate(cam.Pos, geom.FromPolar(cam.Radius*r.Float64(), edge)),
+			geom.V(cam.Pos.X, math.Nextafter(1, 0)),
+		)
+	}
+	for pi, p := range points {
+		w := torus.Wrap(p)
+		want := 0
+		for i := 0; i < net.Len(); i++ {
+			covered := net.Camera(i).Covers(torus, w)
+			if got := ix.covers(int32(i), w.X, w.Y); got != covered {
+				t.Fatalf("point %d %v: covers(%d) = %v, Camera.Covers %v", pi, p, i, got, covered)
 			}
-		})
-		sort.Ints(got)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: index found %d cameras, brute force %d", trial, len(got), len(want))
+			if covered {
+				want++
+			}
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: index %v, brute force %v", trial, got, want)
-			}
+		if got := ix.CountCovering(p); got != want {
+			t.Fatalf("point %d %v: CountCovering = %d, brute force %d", pi, p, got, want)
 		}
 	}
 }
@@ -73,7 +84,7 @@ func TestAppendViewedDirectionsMatchesBruteForce(t *testing.T) {
 		sort.Float64s(buf)
 		sort.Float64s(want)
 		for i := range want {
-			if math.Abs(buf[i]-want[i]) > 1e-12 {
+			if buf[i] != want[i] { // exact bits: the documented contract
 				t.Fatalf("trial %d: directions differ at %d: %v vs %v", trial, i, buf[i], want[i])
 			}
 		}

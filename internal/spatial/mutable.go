@@ -6,10 +6,10 @@
 // removed base cameras plus a flat list of added cameras consulted after
 // the CSR gather. Every mutation publishes a fresh immutable snapshot
 // (base, overlay, version) behind one atomic pointer, so readers never
-// lock: the overlay-empty fast path is a single atomic load and a nil
-// check before delegating to the base Index unchanged (the same shape
-// faultinject uses for its inert path), which keeps Checker-level reads
-// at zero allocations per point.
+// lock. Reads go through a pinned View (Snapshot): one atomic load, then
+// the base Index's own gathers with the overlay passed as a parameter —
+// nil when the overlay is empty, which is the pure-Index walk and keeps
+// Checker-level reads at zero allocations per point.
 //
 // Results remain bit-identical to a fresh NewIndex over the live camera
 // list: overlay cameras are tested with the exact sensor.Camera
@@ -38,32 +38,22 @@ import (
 // RebuildFraction zero.
 const DefaultRebuildFraction = 0.25
 
-// Source is the read interface shared by the immutable *Index and the
-// overlay-backed *MutableIndex (and its pinned *View). core.Checker and
-// core.MultiChecker evaluate against a Source, so one checker code path
-// serves both frozen and churning deployments.
+// Source is the read interface shared by the immutable *Index and a
+// pinned *View of a MutableIndex. core.Checker and core.MultiChecker
+// evaluate against a Source, so one checker code path serves both
+// frozen deployments and snapshots of churning ones.
 type Source interface {
-	// AppendCovering appends the indices of every camera covering p.
-	// For a MutableIndex the indices are snapshot-scoped: base cameras
-	// keep their base index, overlay-added cameras follow at
-	// baseLen+j. Use AppendViewedDirections/ForEachCovering when camera
-	// identity across mutations matters.
-	AppendCovering(dst []int32, p geom.Vec) []int32
 	// AppendViewedDirections appends the viewed directions of every
 	// camera covering p.
 	AppendViewedDirections(dst []float64, p geom.Vec) []float64
-	// AppendCoveringBatch answers AppendCovering for a whole point batch
-	// through the cell-sorted gather: cams[offs[i]:offs[i+1]] equals the
-	// per-point AppendCovering output element for element. The returned
-	// slices are owned by sc and valid until its next batch call.
-	AppendCoveringBatch(sc *BatchScratch, points []geom.Vec) (cams []int32, offs []int32)
-	// AppendViewedDirectionsBatch is AppendCoveringBatch for viewed
-	// directions.
+	// AppendViewedDirectionsBatch answers AppendViewedDirections for a
+	// whole point batch through the cell-sorted gather:
+	// dirs[offs[i]:offs[i+1]] equals AppendViewedDirections(nil,
+	// points[i]) element for element. The returned slices are owned by
+	// sc and valid until its next batch call.
 	AppendViewedDirectionsBatch(sc *BatchScratch, points []geom.Vec) (dirs []float64, offs []int32)
 	// CountCovering returns the point's k-coverage multiplicity.
 	CountCovering(p geom.Vec) int
-	// ForEachCovering calls fn for every covering camera.
-	ForEachCovering(p geom.Vec, fn func(cam *sensor.Camera))
 	// Torus returns the operational region.
 	Torus() geom.Torus
 	// Len returns the number of live cameras.
@@ -80,7 +70,6 @@ func (ix *Index) Version() uint64 { return 0 }
 // Compile-time Source conformance.
 var (
 	_ Source = (*Index)(nil)
-	_ Source = (*MutableIndex)(nil)
 	_ Source = (*View)(nil)
 )
 
@@ -167,10 +156,10 @@ type camLoc struct {
 	base, add int32
 }
 
-// MutableIndex is a spatial index that accepts mutations. Reads are
-// lock-free and safe from any number of goroutines concurrently with
-// mutations; mutations are serialized internally. See the package
-// comment of this file for the design.
+// MutableIndex is a spatial index that accepts mutations. Reads go
+// through Snapshot and are lock-free and safe from any number of
+// goroutines concurrently with mutations; mutations are serialized
+// internally. See the package comment of this file for the design.
 type MutableIndex struct {
 	opts MutableOptions
 	cur  atomic.Pointer[mutSnapshot]
@@ -492,48 +481,11 @@ func (m *MutableIndex) TotalSensingArea() float64 {
 	return s
 }
 
-// Snapshot pins the current state as an immutable View, so a
-// multi-point request (batch query, region survey) evaluates every
-// point against one consistent version even while mutations land.
+// Snapshot pins the current state as an immutable View — the read
+// surface of a MutableIndex — so a multi-point request (batch query,
+// region survey) evaluates every point against one consistent version
+// even while mutations land.
 func (m *MutableIndex) Snapshot() *View { return &View{s: m.cur.Load()} }
-
-// AppendCovering implements Source. See Source for the index semantics
-// of overlay-added cameras.
-func (m *MutableIndex) AppendCovering(dst []int32, p geom.Vec) []int32 {
-	s := m.cur.Load()
-	if s.delta == nil {
-		return s.base.AppendCovering(dst, p)
-	}
-	return s.appendCovering(dst, p)
-}
-
-// AppendViewedDirections implements Source.
-func (m *MutableIndex) AppendViewedDirections(dst []float64, p geom.Vec) []float64 {
-	s := m.cur.Load()
-	if s.delta == nil {
-		return s.base.AppendViewedDirections(dst, p)
-	}
-	return s.appendViewedDirections(dst, p)
-}
-
-// CountCovering implements Source.
-func (m *MutableIndex) CountCovering(p geom.Vec) int {
-	s := m.cur.Load()
-	if s.delta == nil {
-		return s.base.CountCovering(p)
-	}
-	return s.countCovering(p)
-}
-
-// ForEachCovering implements Source.
-func (m *MutableIndex) ForEachCovering(p geom.Vec, fn func(cam *sensor.Camera)) {
-	s := m.cur.Load()
-	if s.delta == nil {
-		s.base.ForEachCovering(p, fn)
-		return
-	}
-	s.forEachCovering(p, fn)
-}
 
 // View is one pinned snapshot of a MutableIndex: an immutable Source
 // whose answers never change, regardless of later mutations or
@@ -551,37 +503,14 @@ func (v *View) Len() int { return v.s.len() }
 // Torus returns the operational region.
 func (v *View) Torus() geom.Torus { return v.s.base.Torus() }
 
-// AppendCovering implements Source.
-func (v *View) AppendCovering(dst []int32, p geom.Vec) []int32 {
-	if v.s.delta == nil {
-		return v.s.base.AppendCovering(dst, p)
-	}
-	return v.s.appendCovering(dst, p)
-}
-
 // AppendViewedDirections implements Source.
 func (v *View) AppendViewedDirections(dst []float64, p geom.Vec) []float64 {
-	if v.s.delta == nil {
-		return v.s.base.AppendViewedDirections(dst, p)
-	}
-	return v.s.appendViewedDirections(dst, p)
+	return v.s.base.appendViewedDirections(dst, p, v.s.delta)
 }
 
 // CountCovering implements Source.
 func (v *View) CountCovering(p geom.Vec) int {
-	if v.s.delta == nil {
-		return v.s.base.CountCovering(p)
-	}
-	return v.s.countCovering(p)
-}
-
-// ForEachCovering implements Source.
-func (v *View) ForEachCovering(p geom.Vec, fn func(cam *sensor.Camera)) {
-	if v.s.delta == nil {
-		v.s.base.ForEachCovering(p, fn)
-		return
-	}
-	v.s.forEachCovering(p, fn)
+	return v.s.base.countCovering(p, v.s.delta)
 }
 
 func (s *mutSnapshot) len() int {
@@ -590,148 +519,6 @@ func (s *mutSnapshot) len() int {
 		n += len(s.delta.added) - s.delta.removedCount
 	}
 	return n
-}
-
-// The overlay read paths below repeat the base Index's CSR tier walk
-// with a removed-bitmap check per candidate, then scan the added
-// cameras with the exact sensor predicates — which the Index's
-// algebraic+guard-band test is bit-identical to, so an added camera
-// answers exactly as it would after a rebuild folds it into the CSR.
-
-func (s *mutSnapshot) appendCovering(dst []int32, p geom.Vec) []int32 {
-	ix, d := s.base, s.delta
-	p = ix.torus.Wrap(p)
-	for ti := range ix.tiers {
-		t := &ix.tiers[ti]
-		pcx, pcy, reach, all := t.span(p.X, p.Y)
-		if all {
-			for _, i := range t.camIdx {
-				if !d.isRemoved(i) && ix.covers(i, p.X, p.Y) {
-					dst = append(dst, i)
-				}
-			}
-			continue
-		}
-		for dy := -reach; dy <= reach; dy++ {
-			row := wrapCell(pcy+dy, t.cells) * t.cells
-			for dx := -reach; dx <= reach; dx++ {
-				b := row + wrapCell(pcx+dx, t.cells)
-				for _, i := range t.camIdx[t.starts[b]:t.starts[b+1]] {
-					if !d.isRemoved(i) && ix.covers(i, p.X, p.Y) {
-						dst = append(dst, i)
-					}
-				}
-			}
-		}
-	}
-	for j := range d.added {
-		if d.added[j].Covers(ix.torus, p) {
-			dst = append(dst, int32(ix.Len()+j))
-		}
-	}
-	return dst
-}
-
-func (s *mutSnapshot) appendViewedDirections(dst []float64, p geom.Vec) []float64 {
-	ix, d := s.base, s.delta
-	p = ix.torus.Wrap(p)
-	for ti := range ix.tiers {
-		t := &ix.tiers[ti]
-		pcx, pcy, reach, all := t.span(p.X, p.Y)
-		if all {
-			for _, i := range t.camIdx {
-				if !d.isRemoved(i) && ix.covers(i, p.X, p.Y) {
-					dst = append(dst, ix.viewedDirection(i, p.X, p.Y))
-				}
-			}
-			continue
-		}
-		for dy := -reach; dy <= reach; dy++ {
-			row := wrapCell(pcy+dy, t.cells) * t.cells
-			for dx := -reach; dx <= reach; dx++ {
-				b := row + wrapCell(pcx+dx, t.cells)
-				for _, i := range t.camIdx[t.starts[b]:t.starts[b+1]] {
-					if !d.isRemoved(i) && ix.covers(i, p.X, p.Y) {
-						dst = append(dst, ix.viewedDirection(i, p.X, p.Y))
-					}
-				}
-			}
-		}
-	}
-	for j := range d.added {
-		if d.added[j].Covers(ix.torus, p) {
-			dst = append(dst, d.added[j].ViewedDirection(ix.torus, p))
-		}
-	}
-	return dst
-}
-
-func (s *mutSnapshot) countCovering(p geom.Vec) int {
-	ix, d := s.base, s.delta
-	p = ix.torus.Wrap(p)
-	count := 0
-	for ti := range ix.tiers {
-		t := &ix.tiers[ti]
-		pcx, pcy, reach, all := t.span(p.X, p.Y)
-		if all {
-			for _, i := range t.camIdx {
-				if !d.isRemoved(i) && ix.covers(i, p.X, p.Y) {
-					count++
-				}
-			}
-			continue
-		}
-		for dy := -reach; dy <= reach; dy++ {
-			row := wrapCell(pcy+dy, t.cells) * t.cells
-			for dx := -reach; dx <= reach; dx++ {
-				b := row + wrapCell(pcx+dx, t.cells)
-				for _, i := range t.camIdx[t.starts[b]:t.starts[b+1]] {
-					if !d.isRemoved(i) && ix.covers(i, p.X, p.Y) {
-						count++
-					}
-				}
-			}
-		}
-	}
-	for j := range d.added {
-		if d.added[j].Covers(ix.torus, p) {
-			count++
-		}
-	}
-	return count
-}
-
-func (s *mutSnapshot) forEachCovering(p geom.Vec, fn func(cam *sensor.Camera)) {
-	ix, d := s.base, s.delta
-	p = ix.torus.Wrap(p)
-	for ti := range ix.tiers {
-		t := &ix.tiers[ti]
-		pcx, pcy, reach, all := t.span(p.X, p.Y)
-		if all {
-			for _, i := range t.camIdx {
-				if !d.isRemoved(i) && ix.covers(i, p.X, p.Y) {
-					fn(&ix.cameras[i])
-				}
-			}
-			continue
-		}
-		for dy := -reach; dy <= reach; dy++ {
-			row := wrapCell(pcy+dy, t.cells) * t.cells
-			for dx := -reach; dx <= reach; dx++ {
-				b := row + wrapCell(pcx+dx, t.cells)
-				for _, i := range t.camIdx[t.starts[b]:t.starts[b+1]] {
-					if !d.isRemoved(i) && ix.covers(i, p.X, p.Y) {
-						fn(&ix.cameras[i])
-					}
-				}
-			}
-		}
-	}
-	for j := range d.added {
-		if d.added[j].Covers(ix.torus, p) {
-			fn(&d.added[j])
-		}
-	}
 }
 
 // insertionSortDesc sorts a small index list descending without pulling

@@ -14,7 +14,6 @@ import (
 
 	"fullview/internal/core"
 	"fullview/internal/geom"
-	"fullview/internal/sensor"
 )
 
 // Validation errors.
@@ -133,7 +132,6 @@ func Run(checker *core.Checker, tr Trajectory, step float64) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	t := checker.Index().Torus()
 	report := Report{Captures: make([]Capture, 0, len(samples))}
 	captured := 0
 
@@ -146,14 +144,15 @@ func Run(checker *core.Checker, tr Trajectory, step float64) (Report, error) {
 			gapStart = -1
 		}
 	}
+	var dirs []float64
 	for _, s := range samples {
-		pos := t.Wrap(s.Pos)
+		dirs = checker.Index().AppendViewedDirections(dirs[:0], s.Pos)
 		best := math.Pi
-		checker.Index().ForEachCovering(pos, func(cam *sensor.Camera) {
-			if d := geom.AngularDistance(cam.ViewedDirection(t, pos), s.Facing); d < best {
+		for _, dir := range dirs {
+			if d := geom.AngularDistance(dir, s.Facing); d < best {
 				best = d
 			}
-		})
+		}
 		c := Capture{
 			Sample:    s,
 			Captured:  best <= checker.Theta(),

@@ -10,6 +10,7 @@ import (
 	"fullview/internal/geom"
 	"fullview/internal/rng"
 	"fullview/internal/sensor"
+	"fullview/internal/spatial"
 )
 
 func TestNewTrajectoryValidation(t *testing.T) {
@@ -232,5 +233,93 @@ func TestFullViewRegionCapturesEveryTrajectory(t *testing.T) {
 			t.Errorf("trial %d: captured %.3f of a trajectory inside a full-view region",
 				trial, report.CapturedFraction)
 		}
+	}
+}
+
+// TestRunMutatedViewMatchesFreshIndex runs the same trajectories over a
+// checker on a View of a churned MutableIndex (live overlay) and over a
+// checker on a fresh index of the same live camera list: every capture,
+// BestAngle bits included, and the gap and fraction summaries must be
+// identical.
+func TestRunMutatedViewMatchesFreshIndex(t *testing.T) {
+	profile, err := sensor.NewProfile(
+		sensor.GroupSpec{Fraction: 0.5, Radius: 0.06, Aperture: math.Pi / 2},
+		sensor.GroupSpec{Fraction: 0.5, Radius: 0.15, Aperture: math.Pi},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := deploy.Uniform(geom.UnitTorus, profile, 300, rng.New(8, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := spatial.NewMutableIndex(net, spatial.MutableOptions{RebuildFraction: -1})
+	if _, err := m.Remove([]int{3, 50, 121, 200}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Reaim([]spatial.ReaimOp{{Index: 0, Orient: 1.3}, {Index: 77, Orient: -2.9}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Add([]sensor.Camera{
+		{Pos: geom.V(0.98, 0.2), Orient: math.Pi, Radius: 0.2, Aperture: math.Pi},
+		{Pos: geom.V(0.4, 0.61), Orient: -1.2, Radius: 0.1, Aperture: math.Pi / 3},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if m.OverlaySize() == 0 {
+		t.Fatal("mutations left no overlay; test would not exercise the overlay path")
+	}
+	live, err := core.NewCheckerFromSource(m.Snapshot(), math.Pi/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := m.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := core.NewChecker(final, math.Pi/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(9, 0)
+	captured, samples := 0, 0
+	for trial := 0; trial < 8; trial++ {
+		// Waypoints range past [0, 1) so paths cross the torus seam.
+		tr, err := NewTrajectory(
+			geom.V(r.Float64()*1.4-0.2, r.Float64()*1.4-0.2),
+			geom.V(r.Float64()*1.4-0.2, r.Float64()*1.4-0.2),
+			geom.V(r.Float64()*1.4-0.2, r.Float64()*1.4-0.2),
+		)
+		if err != nil {
+			continue // coincident random points; astronomically rare
+		}
+		got, err := Run(live, tr, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(fresh, tr, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Captures) != len(want.Captures) {
+			t.Fatalf("trial %d: %d captures, fresh %d", trial, len(got.Captures), len(want.Captures))
+		}
+		for i := range want.Captures {
+			g, w := got.Captures[i], want.Captures[i]
+			if g != w || math.Float64bits(g.BestAngle) != math.Float64bits(w.BestAngle) {
+				t.Fatalf("trial %d sample %d: %+v, fresh %+v", trial, i, g, w)
+			}
+			if g.Captured {
+				captured++
+			}
+			samples++
+		}
+		if got.LongestGap != want.LongestGap || got.CapturedFraction != want.CapturedFraction {
+			t.Fatalf("trial %d: gap %v fraction %v, fresh gap %v fraction %v",
+				trial, got.LongestGap, got.CapturedFraction, want.LongestGap, want.CapturedFraction)
+		}
+	}
+	if captured == 0 || captured == samples {
+		t.Fatalf("%d of %d samples captured; want a mix so both verdicts are compared", captured, samples)
 	}
 }
