@@ -1,8 +1,9 @@
 // Package depcache keeps built deployments warm for the query service:
 // an LRU cache from a content fingerprint of the camera network to the
-// expensive artefact built from it — the CSR spatial index — so that
-// registering the same network twice reuses the index instead of
-// rebuilding it.
+// one artefact built from it — the mutable CSR spatial index, which
+// also holds the live camera list and torus — so that registering the
+// same network twice reuses the index instead of rebuilding it. An
+// entry keeps no other copy of the network.
 //
 // Construction is single-flight: when several requests register the
 // same fingerprint concurrently, exactly one builds the index and the
@@ -29,20 +30,19 @@ import (
 	"fullview/internal/spatial"
 )
 
-// Entry is one cached deployment: the registered base network, the
-// mutable spatial index serving it, and the fingerprint it is stored
-// under. Entries are shared between requests; reads pin a lock-free
-// Index.Snapshot and per-request checkers are derived from that View
-// (core.NewCheckerFromSource / NewMultiCheckerFromSource). Mutations
-// must go through Cache.Mutate so they serialize per deployment.
+// Entry is one cached deployment: the mutable spatial index serving it
+// and the fingerprint it is stored under. The index is the entry's only
+// copy of the deployment — live cameras, torus, and version; no base
+// network is kept beside it. Entries are shared between requests; reads
+// pin a lock-free Index.Snapshot and per-request checkers are derived
+// from that View (core.NewCheckerFromSource /
+// NewMultiCheckerFromSource). Mutations must go through Cache.Mutate so
+// they serialize per deployment.
 type Entry struct {
 	// Fingerprint is the content hash the entry is cached under — the
 	// fingerprint of the *base* registration; mutations advance
 	// Index.Version() without changing the id.
 	Fingerprint string
-	// Net is the network as registered (the base of the mutation
-	// lineage; Index.Cameras() is the live list).
-	Net *sensor.Network
 	// Index is the mutable CSR spatial index — the artefact whose
 	// reconstruction the cache amortises, and the target of Mutate.
 	Index *spatial.MutableIndex

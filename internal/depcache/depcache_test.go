@@ -57,7 +57,7 @@ func TestFingerprintDeterministic(t *testing.T) {
 
 func buildEntry(net *sensor.Network) func() (*Entry, error) {
 	return func() (*Entry, error) {
-		return &Entry{Fingerprint: Fingerprint(net), Net: net, Index: spatial.NewMutableIndex(net, spatial.MutableOptions{})}, nil
+		return &Entry{Fingerprint: Fingerprint(net), Index: spatial.NewMutableIndex(net, spatial.MutableOptions{})}, nil
 	}
 }
 

@@ -134,8 +134,9 @@ type header struct {
 	Kind    string `json:"kind"`
 }
 
-// Camera is one explicitly-placed camera, mirroring the service's wire
-// form (angles in radians).
+// Camera is one explicitly-placed camera (angles in radians). It is
+// also the service's wire form, so a registration's cameras are
+// journaled exactly as the client sent them.
 type Camera struct {
 	X        float64 `json:"x"`
 	Y        float64 `json:"y"`

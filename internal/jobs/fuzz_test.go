@@ -48,7 +48,7 @@ func FuzzReplay(f *testing.F) {
 	f.Add(append(append(append([]byte{}, h...), band0...), band4...))
 	f.Add(append(append(append([]byte{}, h...), band0...), cancelled...))
 	f.Add(append(append([]byte{}, h...), failed...))
-	f.Add(append(append([]byte{}, h...), band0[:len(band0)/2]...))         // torn band
+	f.Add(append(append([]byte{}, h...), band0[:len(band0)/2]...))        // torn band
 	f.Add(append(append(append([]byte{}, h...), cancelled...), band0...)) // record after terminal
 	f.Add([]byte("{\"version\":999}\n"))
 	f.Add(bytes.Repeat([]byte("\n"), 64))

@@ -45,8 +45,8 @@ func DeploymentIDFromRequest(body []byte) (string, error) {
 	if err := jsonlog.Decode(body, &req); err != nil {
 		return "", fmt.Errorf("malformed registration: %v", err)
 	}
-	shim := &Server{cfg: Config{}.withDefaults()}
-	net, err := shim.buildNetwork(&req)
+	rec := recordFromRequest(&req)
+	net, err := buildNetwork(&rec, Config{}.withDefaults().MaxCameras)
 	if err != nil {
 		return "", err
 	}

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"fullview/internal/cluster"
+	"fullview/internal/depjournal"
 	"fullview/internal/faultinject"
 )
 
@@ -209,7 +210,7 @@ func TestClusterKillWarmRestartBitIdentical(t *testing.T) {
 	patch := patchBody(t, patchRequest{
 		Reaim:  []reaimJSON{{Index: 0, Orient: 2.4}},
 		Remove: []int{3},
-		Add:    []cameraJSON{{X: 0.8, Y: 0.2, Orient: 1, Radius: 0.15, Aperture: 0.9}},
+		Add:    []depjournal.Camera{{X: 0.8, Y: 0.2, Orient: 1, Radius: 0.15, Aperture: 0.9}},
 	})
 	var ids []string
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -398,7 +399,7 @@ func TestClusterSnapshotFetchFaultDegradedButServing(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if ready.Status != ReadyDegraded || !strings.Contains(ready.Reason, "peer snapshot warm failed") {
+	if ready.Status != ReadyDegraded || !strings.Contains(ready.Reason, "boot anti-entropy round failed") {
 		t.Fatalf("readyz = %+v, want degraded with a warm-failure reason", ready)
 	}
 
@@ -637,6 +638,9 @@ func TestDeploymentIDFromRequest(t *testing.T) {
 		`{"nope":1}`,
 		`{"cameras":[]} trailing`,
 		`{"profile":"not-a-profile","n":5}`,
+		// Journal-only record fields are not part of the wire form.
+		`{"profile":"` + testProfile + `","n":20,"folded":true}`,
+		`{"id":"deadbeef","profile":"` + testProfile + `","n":20}`,
 	} {
 		if _, err := DeploymentIDFromRequest([]byte(bad)); err == nil {
 			t.Errorf("DeploymentIDFromRequest accepted %s", bad)

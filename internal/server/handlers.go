@@ -15,7 +15,6 @@ import (
 	"fullview/internal/faultinject"
 	"fullview/internal/geom"
 	"fullview/internal/retry"
-	"fullview/internal/sensor"
 	"fullview/internal/spatial"
 )
 
@@ -37,13 +36,14 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeDecodeError(w, err)
 		return
 	}
-	net, err := s.buildNetwork(&req)
+	rec := recordFromRequest(&req)
+	net, err := buildNetwork(&rec, s.cfg.MaxCameras)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	fp := depcache.Fingerprint(net)
-	entry, hit, err := s.cache.GetOrBuild(fp, func() (*depcache.Entry, error) {
+	rec.ID = depcache.Fingerprint(net)
+	entry, hit, err := s.cache.GetOrBuild(rec.ID, func() (*depcache.Entry, error) {
 		if err := faultinject.Fire(faultinject.DepcacheBuild); err != nil {
 			return nil, err
 		}
@@ -52,20 +52,19 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		// this request, or re-registering after a PATCH would resurrect
 		// the pre-mutation state.
 		if s.journal != nil {
-			if rec, ok := s.journal.Lookup(fp); ok {
-				return s.entryFromRecord(rec)
+			if jrec, ok := s.journal.Lookup(rec.ID); ok {
+				return s.entryFromRecord(jrec)
 			}
 		}
 		// Persist before caching: a deployment the journal could not
 		// record is refused outright (503, retry later) rather than
 		// served now and forgotten on restart. Cache hits skip this —
 		// cached implies journaled.
-		if err := s.persist(fp, &req); err != nil {
+		if err := s.persist(rec); err != nil {
 			return nil, err
 		}
 		return &depcache.Entry{
-			Fingerprint: fp,
-			Net:         net,
+			Fingerprint: rec.ID,
 			Index:       spatial.NewMutableIndex(net, s.mutableOpts(0)),
 		}, nil
 	})
@@ -82,29 +81,23 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if hit {
 		code = http.StatusOK
 	}
-	s.logf("register %s: %d cameras, cached=%v", fp, entry.Index.Len(), hit)
+	s.logf("register %s: %d cameras, cached=%v", rec.ID, entry.Index.Len(), hit)
 	writeJSON(w, code, registerResponse{
 		ID:        entry.Fingerprint,
 		Cameras:   entry.Index.Len(),
-		Torus:     entry.Net.Torus().Side(),
+		Torus:     entry.Index.Torus().Side(),
 		Cached:    hit,
 		MaxRadius: entry.Index.MaxRadius(),
 		Version:   entry.Index.Version(),
 	})
 }
 
-// deployment resolves the {id} path value against the cache, falling
-// back to the durable journal on a miss — a journaled deployment
-// survives both LRU eviction and a process restart, rebuilt on first
-// use. Only an id that neither the cache nor the journal knows is a
-// 404; clients then re-register (an idempotent, cheap-on-hit
-// operation).
+// deployment resolves the {id} path value through lookup. Only an id
+// that neither the cache nor the journal knows is a 404; clients then
+// re-register (an idempotent, cheap-on-hit operation).
 func (s *Server) deployment(w http.ResponseWriter, r *http.Request) (*depcache.Entry, bool) {
 	id := r.PathValue("id")
-	entry, ok := s.cache.Get(id)
-	if !ok {
-		entry, ok = s.revive(id)
-	}
+	entry, ok := s.lookup(id)
 	if !ok {
 		writeError(w, http.StatusNotFound,
 			fmt.Sprintf("deployment %q not registered (or evicted); re-register it", id))
@@ -124,7 +117,7 @@ func (s *Server) handleInspect(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, inspectResponse{
 		ID:               entry.Fingerprint,
 		Cameras:          entry.Index.Len(),
-		Torus:            entry.Net.Torus().Side(),
+		Torus:            entry.Index.Torus().Side(),
 		MaxRadius:        entry.Index.MaxRadius(),
 		TotalSensingArea: entry.Index.TotalSensingArea(),
 		Version:          entry.Index.Version(),
@@ -160,7 +153,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	var resp patchResponse
 	found, err := s.cache.Mutate(id,
-		func() (*depcache.Entry, bool) { return s.revive(id) },
+		func() (*depcache.Entry, bool) { return s.lookup(id) },
 		func(e *depcache.Entry) error { return s.applyPatch(e, &req, &resp) })
 	if !found {
 		writeError(w, http.StatusNotFound,
@@ -191,12 +184,12 @@ func (s *Server) applyPatch(e *depcache.Entry, req *patchRequest, resp *patchRes
 	if n := live - len(req.Remove) + len(req.Add); n > s.cfg.MaxCameras {
 		return &badPatch{fmt.Sprintf("patched deployment would have %d cameras, cap is %d", n, s.cfg.MaxCameras)}
 	}
-	reaims := make([]spatial.ReaimOp, len(req.Reaim))
+	reaims := make([]depjournal.ReaimOp, len(req.Reaim))
 	for i, op := range req.Reaim {
 		if op.Index < 0 || op.Index >= live {
 			return &badPatch{fmt.Sprintf("reaim index %d out of range [0, %d)", op.Index, live)}
 		}
-		reaims[i] = spatial.ReaimOp{Index: op.Index, Orient: op.Orient}
+		reaims[i] = depjournal.ReaimOp{I: op.Index, Orient: op.Orient}
 	}
 	seen := make(map[int]bool, len(req.Remove))
 	for _, i := range req.Remove {
@@ -208,82 +201,53 @@ func (s *Server) applyPatch(e *depcache.Entry, req *patchRequest, resp *patchRes
 		}
 		seen[i] = true
 	}
-	adds := make([]sensor.Camera, len(req.Add))
 	for i, c := range req.Add {
-		adds[i] = sensor.Camera{
-			Pos:      geom.V(c.X, c.Y),
-			Orient:   c.Orient,
-			Radius:   c.Radius,
-			Aperture: c.Aperture,
-			Group:    c.Group,
-		}
-		if err := adds[i].Validate(); err != nil {
+		if err := sensorCamera(c).Validate(); err != nil {
 			return &badPatch{fmt.Sprintf("add camera %d: %v", i, err)}
 		}
 	}
 
-	// Journal the batch before touching the index, in the exact apply
-	// order; the replayed journal then reproduces the live state
-	// bit-for-bit.
-	var recs []depjournal.Record
-	if len(reaims) > 0 {
-		ops := make([]depjournal.ReaimOp, len(reaims))
-		for i, op := range reaims {
-			ops[i] = depjournal.ReaimOp{I: op.Index, Orient: op.Orient}
-		}
-		recs = append(recs, depjournal.Record{ID: e.Fingerprint, Op: depjournal.OpReaim, Reaim: ops})
-	}
-	if len(req.Remove) > 0 {
-		recs = append(recs, depjournal.Record{ID: e.Fingerprint, Op: depjournal.OpRemove, Remove: req.Remove})
-	}
-	if len(adds) > 0 {
-		cams := make([]depjournal.Camera, len(req.Add))
-		for i, c := range req.Add {
-			cams[i] = depjournal.Camera{X: c.X, Y: c.Y, Orient: c.Orient,
-				Radius: c.Radius, Aperture: c.Aperture, Group: c.Group}
-		}
-		recs = append(recs, depjournal.Record{ID: e.Fingerprint, Op: depjournal.OpAdd, Cameras: cams})
-	}
-	// Stamp each record with the logical version it produces (the index
-	// bumps once per journaled mutation record). The stamps travel with
+	// The batch becomes journal records in the fixed apply order —
+	// reaim, remove, add — each stamped with the logical version it
+	// produces (the index bumps once per record). The stamps travel with
 	// the records into the mirror stream, letting replicas deduplicate a
 	// mirror batch racing an anti-entropy repair of the same records —
 	// both paths journal identical bytes, so "already at this version"
 	// means "already holds this record".
+	var recs []depjournal.Record
+	if len(reaims) > 0 {
+		recs = append(recs, depjournal.Record{ID: e.Fingerprint, Op: depjournal.OpReaim, Reaim: reaims})
+	}
+	if len(req.Remove) > 0 {
+		recs = append(recs, depjournal.Record{ID: e.Fingerprint, Op: depjournal.OpRemove, Remove: req.Remove})
+	}
+	if len(req.Add) > 0 {
+		recs = append(recs, depjournal.Record{ID: e.Fingerprint, Op: depjournal.OpAdd, Cameras: req.Add})
+	}
 	v0 := e.Index.Version()
 	for i := range recs {
 		recs[i].BaseVersion = v0 + uint64(i) + 1
 	}
+	// Journal before touching the index, then apply exactly the journaled
+	// records through the replay path, so a restart reproduces the live
+	// state bit-for-bit.
 	if err := s.persistMutations(e.Fingerprint, recs); err != nil {
 		return err
 	}
-
 	// Everything was validated against the live list above, so the index
 	// cannot refuse these; an error here is an internal invariant break
 	// and surfaces as 500.
-	if len(reaims) > 0 {
-		if _, err := e.Index.Reaim(reaims); err != nil {
-			return fmt.Errorf("apply reaim: %w", err)
-		}
-	}
-	if len(req.Remove) > 0 {
-		if _, err := e.Index.Remove(req.Remove); err != nil {
-			return fmt.Errorf("apply remove: %w", err)
-		}
-	}
-	if len(adds) > 0 {
-		if _, err := e.Index.Add(adds); err != nil {
-			return fmt.Errorf("apply add: %w", err)
-		}
+	if err := applyMutations(e.Index, recs); err != nil {
+		return fmt.Errorf("apply %w", err)
 	}
 	*resp = patchResponse{
 		ID:      e.Fingerprint,
 		Version: e.Index.Version(),
 		Cameras: e.Index.Len(),
 		Overlay: e.Index.OverlaySize(),
-		Reaimed: len(reaims),
+		Reaimed: len(req.Reaim),
 		Removed: len(req.Remove),
-		Added:   len(adds),
+		Added:   len(req.Add),
 	}
 	return nil
 }

@@ -144,18 +144,15 @@ func (s *Server) openJobs() error {
 }
 
 // execJob is the executor the job manager calls when a job starts (or
-// resumes): it resolves the deployment — through the same cache→revive
-// path as the synchronous handlers, so journaled ids work after a
-// restart — pins one snapshot, verifies the version the job was
-// submitted against, and returns the band runner. One band is one grid
-// row at one θ; within a band the sweep engine's chunk-order merge
-// makes the result independent of the worker count, so a job resumed
-// under a different -parallel setting is still bit-identical.
+// resumes): it resolves the deployment — through the same lookup as
+// the synchronous handlers, so journaled ids work after a restart —
+// pins one snapshot, verifies the version the job was submitted
+// against, and returns the band runner. One band is one grid row at one
+// θ; within a band the sweep engine's chunk-order merge makes the
+// result independent of the worker count, so a job resumed under a
+// different -parallel setting is still bit-identical.
 func (s *Server) execJob(spec jobs.Spec) (jobs.BandRunner, error) {
-	entry, ok := s.cache.Get(spec.Deployment)
-	if !ok {
-		entry, ok = s.revive(spec.Deployment)
-	}
+	entry, ok := s.lookup(spec.Deployment)
 	if !ok {
 		return nil, fmt.Errorf("deployment %s is no longer registered", spec.Deployment)
 	}
@@ -218,10 +215,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("%d thetas exceed the cap %d", len(thetas), s.cfg.MaxThetas))
 		return
 	}
-	entry, ok := s.cache.Get(req.Deployment)
-	if !ok {
-		entry, ok = s.revive(req.Deployment)
-	}
+	entry, ok := s.lookup(req.Deployment)
 	if !ok {
 		writeError(w, http.StatusNotFound,
 			fmt.Sprintf("deployment %q not registered (or evicted); re-register it", req.Deployment))

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -65,11 +66,11 @@ func TestPatchQueryAgreesWithFreshRegistration(t *testing.T) {
 		t.Fatalf("fresh registration reports version %d, want 0", reg.Version)
 	}
 
-	added := cameraJSON{X: 0.62, Y: 0.38, Orient: -1.1, Radius: 0.17, Aperture: 1.3}
+	added := depjournal.Camera{X: 0.62, Y: 0.38, Orient: -1.1, Radius: 0.17, Aperture: 1.3}
 	patch := patchRequest{
 		Reaim:  []reaimJSON{{Index: 3, Orient: 1.2}},
 		Remove: []int{10, 2},
-		Add:    []cameraJSON{added},
+		Add:    []depjournal.Camera{added},
 	}
 	rec = do(t, h, "PATCH", "/v1/deployments/"+reg.ID, patchBody(t, patch))
 	if rec.Code != http.StatusOK {
@@ -155,6 +156,7 @@ func TestPatchValidation(t *testing.T) {
 		{"invalid camera", `{"add":[{"x":0.5,"y":0.5,"radius":-1,"aperture":1}]}`, http.StatusBadRequest},
 		{"over camera cap", `{"add":[{"x":0.1,"y":0.1,"radius":0.1,"aperture":1},{"x":0.2,"y":0.2,"radius":0.1,"aperture":1},{"x":0.3,"y":0.3,"radius":0.1,"aperture":1}]}`, http.StatusBadRequest},
 		{"unknown field", `{"remove":[1],"explode":true}`, http.StatusBadRequest},
+		{"journal reaim key", `{"reaim":[{"i":0,"orient":1}]}`, http.StatusBadRequest},
 	}
 	for _, tc := range bad {
 		rec := do(t, h, "PATCH", "/v1/deployments/"+reg.ID, []byte(tc.body))
@@ -324,15 +326,21 @@ func TestPatchRefusedWhenReplicatedHistoryOvertakesCache(t *testing.T) {
 // server on the same state dir must replay the mutation records to the
 // same version and answer the query byte-for-byte — and a
 // re-registration of the ORIGINAL camera list must report the mutated
-// live state, not resurrect the base.
+// live state, not resurrect the base. The patch adds a camera outside
+// the torus with an unnormalized orientation and reaims to a negative
+// one, so the live index's wrap and normalization must replay to the
+// same camera bits.
 func TestPatchRestartBitIdentical(t *testing.T) {
 	state := t.TempDir()
 	net := testNetwork(t, 40, 9)
 	q := []byte(`{"thetasPi":[0.2,0.25,0.5],"points":[{"x":0.5,"y":0.5},{"x":0.1,"y":0.9}]}`)
 	patch := patchBody(t, patchRequest{
-		Reaim:  []reaimJSON{{Index: 0, Orient: 2.4}},
+		Reaim:  []reaimJSON{{Index: 0, Orient: 2.4}, {Index: 5, Orient: -5}},
 		Remove: []int{17, 6, 33},
-		Add:    []cameraJSON{{X: 0.41, Y: 0.27, Orient: 0.3, Radius: 0.22, Aperture: 0.9}},
+		Add: []depjournal.Camera{
+			{X: 0.41, Y: 0.27, Orient: 0.3, Radius: 0.22, Aperture: 0.9},
+			{X: 1.3, Y: 0.62, Orient: 4.0, Radius: 0.18, Aperture: 1.1},
+		},
 	})
 
 	srv1 := mustNew(t, Config{StateDir: state})
@@ -351,6 +359,11 @@ func TestPatchRestartBitIdentical(t *testing.T) {
 	var pr patchResponse
 	decode(t, rec, &pr)
 	want := do(t, h1, "POST", "/v1/deployments/"+reg.ID+"/query", q).Body.Bytes()
+	e1, ok := srv1.Cache().Get(reg.ID)
+	if !ok {
+		t.Fatal("patched deployment not cached")
+	}
+	wantCams := e1.Index.Cameras()
 	// No Shutdown — only the per-append fsyncs survive a kill -9.
 
 	srv2 := mustNew(t, Config{StateDir: state})
@@ -365,6 +378,23 @@ func TestPatchRestartBitIdentical(t *testing.T) {
 	}
 	if ins := inspect(t, h2, reg.ID); ins.Version != pr.Version || ins.Cameras != pr.Cameras {
 		t.Fatalf("restart replayed to %+v, want version %d cameras %d", ins, pr.Version, pr.Cameras)
+	}
+	e2, ok := srv2.Cache().Get(reg.ID)
+	if !ok {
+		t.Fatal("replayed deployment not cached")
+	}
+	gotCams := e2.Index.Cameras()
+	if len(gotCams) != len(wantCams) {
+		t.Fatalf("replayed %d live cameras, want %d", len(gotCams), len(wantCams))
+	}
+	bits := func(c sensor.Camera) [6]uint64 {
+		return [6]uint64{math.Float64bits(c.Pos.X), math.Float64bits(c.Pos.Y), math.Float64bits(c.Orient),
+			math.Float64bits(c.Radius), math.Float64bits(c.Aperture), uint64(c.Group)}
+	}
+	for i := range wantCams {
+		if bits(gotCams[i]) != bits(wantCams[i]) {
+			t.Errorf("live camera %d replayed as %+v, want bit-identical %+v", i, gotCams[i], wantCams[i])
+		}
 	}
 
 	// Re-registering the base camera list must answer with the LIVE
@@ -397,7 +427,7 @@ func TestPatchMetrics(t *testing.T) {
 	}
 	decode(t, rec, &reg)
 	rec = do(t, h, "PATCH", "/v1/deployments/"+reg.ID,
-		patchBody(t, patchRequest{Add: []cameraJSON{{X: 0.5, Y: 0.5, Radius: 0.1, Aperture: 1}}}))
+		patchBody(t, patchRequest{Add: []depjournal.Camera{{X: 0.5, Y: 0.5, Radius: 0.1, Aperture: 1}}}))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("patch: %d %s", rec.Code, rec.Body.String())
 	}

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"fullview/internal/cluster"
+	"fullview/internal/depjournal"
 	"fullview/internal/faultinject"
 )
 
@@ -90,7 +91,7 @@ func TestClusterSelfHealsAfterSustainedMirrorLoss(t *testing.T) {
 	patch := patchBody(t, patchRequest{
 		Reaim:  []reaimJSON{{Index: 0, Orient: 2.4}},
 		Remove: []int{3},
-		Add:    []cameraJSON{{X: 0.8, Y: 0.2, Orient: 1, Radius: 0.15, Aperture: 0.9}},
+		Add:    []depjournal.Camera{{X: 0.8, Y: 0.2, Orient: 1, Radius: 0.15, Aperture: 0.9}},
 	})
 	var ids []string
 	for seed := uint64(1); seed <= 2; seed++ {

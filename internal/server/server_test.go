@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"fullview/internal/core"
+	"fullview/internal/depjournal"
 	"fullview/internal/deploy"
 	"fullview/internal/geom"
 	"fullview/internal/rng"
@@ -52,10 +53,10 @@ func testNetwork(t *testing.T, n int, seed uint64) *sensor.Network {
 // camerasBody renders a network as an explicit-camera registration.
 func camerasBody(t *testing.T, net *sensor.Network) []byte {
 	t.Helper()
-	cams := make([]cameraJSON, net.Len())
+	cams := make([]depjournal.Camera, net.Len())
 	for i := 0; i < net.Len(); i++ {
 		c := net.Camera(i)
-		cams[i] = cameraJSON{
+		cams[i] = depjournal.Camera{
 			X: c.Pos.X, Y: c.Pos.Y, Orient: c.Orient,
 			Radius: c.Radius, Aperture: c.Aperture, Group: c.Group,
 		}
@@ -279,6 +280,10 @@ func TestErrorResponses(t *testing.T) {
 		{"both forms", "/v1/deployments",
 			`{"cameras":[{"x":0,"y":0,"orient":0,"radius":0.1,"aperture":1}],"profile":"1:0.1:0.5","n":5}`,
 			http.StatusBadRequest},
+		{"journal-only folded", "/v1/deployments",
+			`{"profile":"1:0.1:0.5","n":5,"folded":true}`, http.StatusBadRequest},
+		{"journal-only id", "/v1/deployments",
+			`{"id":"deadbeef","profile":"1:0.1:0.5","n":5}`, http.StatusBadRequest},
 		{"bad camera", "/v1/deployments",
 			`{"cameras":[{"x":0,"y":0,"orient":0,"radius":-1,"aperture":1}]}`, http.StatusBadRequest},
 		{"unknown deployment query", "/v1/deployments/deadbeef/query",

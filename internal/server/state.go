@@ -9,7 +9,6 @@ import (
 	"fullview/internal/depcache"
 	"fullview/internal/depjournal"
 	"fullview/internal/faultinject"
-	"fullview/internal/geom"
 	"fullview/internal/sensor"
 	"fullview/internal/spatial"
 )
@@ -101,10 +100,14 @@ func (s *Server) warmup() {
 	s.jobs.Start()
 }
 
-// revive rebuilds a journaled deployment that is not (or no longer) in
-// the cache, so journal-backed ids survive both restarts and LRU
-// eviction.
-func (s *Server) revive(id string) (*depcache.Entry, bool) {
+// lookup resolves a deployment id: the cache first, then the durable
+// journal, so a journaled id survives both LRU eviction and a process
+// restart, rebuilt on first use. Every request that names an existing
+// id — reads, jobs, and PATCH — resolves it here.
+func (s *Server) lookup(id string) (*depcache.Entry, bool) {
+	if e, ok := s.cache.Get(id); ok {
+		return e, true
+	}
 	if s.journal == nil {
 		return nil, false
 	}
@@ -145,8 +148,7 @@ func (s *Server) reviveRecord(rec depjournal.Record) (*depcache.Entry, bool) {
 // base registration the id fingerprints — and resumes version counting
 // at the folded-in BaseVersion.
 func (s *Server) entryFromRecord(rec depjournal.Record) (*depcache.Entry, error) {
-	req := requestFromRecord(rec)
-	net, err := s.buildNetwork(&req)
+	net, err := buildNetwork(&rec, s.cfg.MaxCameras)
 	if err != nil {
 		return nil, fmt.Errorf("rebuild network: %w", err)
 	}
@@ -157,46 +159,44 @@ func (s *Server) entryFromRecord(rec depjournal.Record) (*depcache.Entry, error)
 	}
 	e := &depcache.Entry{
 		Fingerprint: rec.ID,
-		Net:         net,
 		Index:       spatial.NewMutableIndex(net, s.mutableOpts(rec.BaseVersion)),
 	}
-	for i, mut := range s.journal.Mutations(rec.ID) {
-		if err := applyMutationRecord(e.Index, mut); err != nil {
-			return nil, fmt.Errorf("replay mutation %d (%s): %w", i, mut.Op, err)
-		}
+	if err := applyMutations(e.Index, s.journal.Mutations(rec.ID)); err != nil {
+		return nil, fmt.Errorf("replay %w", err)
 	}
 	return e, nil
 }
 
-// applyMutationRecord replays one journaled mutation onto a live index.
-func applyMutationRecord(ix *spatial.MutableIndex, mut depjournal.Record) error {
-	switch mut.Op {
-	case depjournal.OpReaim:
-		ops := make([]spatial.ReaimOp, len(mut.Reaim))
-		for i, op := range mut.Reaim {
-			ops[i] = spatial.ReaimOp{Index: op.I, Orient: op.Orient}
-		}
-		_, err := ix.Reaim(ops)
-		return err
-	case depjournal.OpRemove:
-		_, err := ix.Remove(mut.Remove)
-		return err
-	case depjournal.OpAdd:
-		cams := make([]sensor.Camera, len(mut.Cameras))
-		for i, c := range mut.Cameras {
-			cams[i] = sensor.Camera{
-				Pos:      geom.V(c.X, c.Y),
-				Orient:   c.Orient,
-				Radius:   c.Radius,
-				Aperture: c.Aperture,
-				Group:    c.Group,
+// applyMutations applies journaled mutation records, in order, to a
+// live index. It is the one apply path: revival replays a deployment's
+// journaled history through it, and a PATCH applies the very records it
+// just journaled, so the live state and its replay cannot diverge.
+func applyMutations(ix *spatial.MutableIndex, recs []depjournal.Record) error {
+	for i, mut := range recs {
+		var err error
+		switch mut.Op {
+		case depjournal.OpReaim:
+			ops := make([]spatial.ReaimOp, len(mut.Reaim))
+			for k, op := range mut.Reaim {
+				ops[k] = spatial.ReaimOp{Index: op.I, Orient: op.Orient}
 			}
+			_, err = ix.Reaim(ops)
+		case depjournal.OpRemove:
+			_, err = ix.Remove(mut.Remove)
+		case depjournal.OpAdd:
+			cams := make([]sensor.Camera, len(mut.Cameras))
+			for k, c := range mut.Cameras {
+				cams[k] = sensorCamera(c)
+			}
+			_, err = ix.Add(cams)
+		default:
+			err = fmt.Errorf("unknown mutation op %q", mut.Op)
 		}
-		_, err := ix.Add(cams)
-		return err
-	default:
-		return fmt.Errorf("unknown mutation op %q", mut.Op)
+		if err != nil {
+			return fmt.Errorf("mutation %d (%s): %w", i, mut.Op, err)
+		}
 	}
+	return nil
 }
 
 // mutableOpts builds the MutableOptions every served index shares:
@@ -213,8 +213,7 @@ func (s *Server) mutableOpts(baseVersion uint64) spatial.MutableOptions {
 // camera list for compaction folding, through the exact registration
 // build path so the folded list is bit-identical to the live one.
 func (s *Server) materializeRecord(rec depjournal.Record) ([]depjournal.Camera, error) {
-	req := requestFromRecord(rec)
-	net, err := s.buildNetwork(&req)
+	net, err := buildNetwork(&rec, s.cfg.MaxCameras)
 	if err != nil {
 		return nil, err
 	}
@@ -227,21 +226,18 @@ func (s *Server) materializeRecord(rec depjournal.Record) ([]depjournal.Camera, 
 	return out, nil
 }
 
-// persist journals a new registration. Failure marks the service
-// degraded and surfaces as errNotDurable (the caller's 503); the next
-// successful journal write clears the degraded state.
-func (s *Server) persist(id string, req *registerRequest) error {
-	if s.journal == nil {
+// persist journals a new registration — the record the network was
+// built from, id set. Failure marks the service degraded and surfaces
+// as errNotDurable (the caller's 503); the next successful journal
+// write clears the degraded state.
+func (s *Server) persist(rec depjournal.Record) error {
+	if s.journal == nil || s.journal.Has(rec.ID) {
 		return nil
 	}
-	if s.journal.Has(id) {
-		return nil
-	}
-	rec := recordFromRequest(id, req)
 	if err := s.journal.Append(rec); err != nil {
 		s.m.journalFailures.Inc()
 		s.setJournalErr(err)
-		s.logf("journal: append %s failed: %v", id, err)
+		s.logf("journal: append %s failed: %v", rec.ID, err)
 		return fmt.Errorf("%w: %v", errNotDurable, err)
 	}
 	s.setJournalErr(nil)
@@ -306,7 +302,7 @@ func (s *Server) readiness() (state, reason string) {
 			return ReadyDegraded, "journal writes failing (registrations 503, queries unaffected): " + err.Error()
 		}
 		if werr != nil {
-			return ReadyDegraded, "peer snapshot warm failed at startup (serving what was pulled; restart to retry): " + werr.Error()
+			return ReadyDegraded, "boot anti-entropy round failed (serving what was pulled; restart to retry): " + werr.Error()
 		}
 	}
 	if err := s.jobs.JournalErr(); err != nil {
@@ -315,50 +311,17 @@ func (s *Server) readiness() (state, reason string) {
 	return ReadyOK, ""
 }
 
-// recordFromRequest converts a registration request (plus its computed
-// fingerprint id) to its journal record.
-func recordFromRequest(id string, req *registerRequest) depjournal.Record {
-	rec := depjournal.Record{
-		ID:      id,
+// recordFromRequest converts a registration request to the journal
+// record it is built from and persisted as; the caller sets ID to the
+// built network's fingerprint.
+func recordFromRequest(req *registerRequest) depjournal.Record {
+	return depjournal.Record{
 		Torus:   req.Torus,
+		Cameras: req.Cameras,
 		Profile: req.Profile,
 		N:       req.N,
 		Density: req.Density,
 		Deploy:  req.Deploy,
 		Seed:    req.Seed,
 	}
-	if len(req.Cameras) > 0 {
-		rec.Cameras = make([]depjournal.Camera, len(req.Cameras))
-		for i, c := range req.Cameras {
-			rec.Cameras[i] = depjournal.Camera{
-				X: c.X, Y: c.Y, Orient: c.Orient,
-				Radius: c.Radius, Aperture: c.Aperture, Group: c.Group,
-			}
-		}
-	}
-	return rec
-}
-
-// requestFromRecord is the inverse conversion, feeding the journal
-// record back through the exact registration build path so replayed
-// deployments are bit-identical to their originals.
-func requestFromRecord(rec depjournal.Record) registerRequest {
-	req := registerRequest{
-		Torus:   rec.Torus,
-		Profile: rec.Profile,
-		N:       rec.N,
-		Density: rec.Density,
-		Deploy:  rec.Deploy,
-		Seed:    rec.Seed,
-	}
-	if len(rec.Cameras) > 0 {
-		req.Cameras = make([]cameraJSON, len(rec.Cameras))
-		for i, c := range rec.Cameras {
-			req.Cameras[i] = cameraJSON{
-				X: c.X, Y: c.Y, Orient: c.Orient,
-				Radius: c.Radius, Aperture: c.Aperture, Group: c.Group,
-			}
-		}
-	}
-	return req
 }

@@ -7,24 +7,13 @@ import (
 	"math"
 	"net/http"
 
+	"fullview/internal/depjournal"
 	"fullview/internal/deploy"
 	"fullview/internal/geom"
 	"fullview/internal/retry"
 	"fullview/internal/rng"
 	"fullview/internal/sensor"
 )
-
-// cameraJSON is one explicitly-placed camera. Angles are radians here —
-// unlike the profile string, whose third field is a fraction of π by
-// the ParseProfile format's definition.
-type cameraJSON struct {
-	X        float64 `json:"x"`
-	Y        float64 `json:"y"`
-	Orient   float64 `json:"orient"`
-	Radius   float64 `json:"radius"`
-	Aperture float64 `json:"aperture"`
-	Group    int     `json:"group,omitempty"`
-}
 
 // registerRequest registers a deployment either from an explicit camera
 // list or from a sensor profile plus a deterministic deployment recipe
@@ -35,8 +24,11 @@ type registerRequest struct {
 	// paper's unit torus).
 	Torus float64 `json:"torus,omitempty"`
 
-	// Cameras places each camera explicitly.
-	Cameras []cameraJSON `json:"cameras,omitempty"`
+	// Cameras places each camera explicitly, in the journal's camera
+	// form. Angles are radians here — unlike the profile string, whose
+	// third field is a fraction of π by the ParseProfile format's
+	// definition.
+	Cameras []depjournal.Camera `json:"cameras,omitempty"`
 
 	// Profile is the heterogeneity profile in ParseProfile form
 	// ("fraction:radius:aperturePi,…"), used with N or Density.
@@ -97,9 +89,9 @@ type reaimJSON struct {
 // (reaiming does not renumber, so reaim and remove share one index
 // space). At least one group must be non-empty.
 type patchRequest struct {
-	Reaim  []reaimJSON  `json:"reaim,omitempty"`
-	Remove []int        `json:"remove,omitempty"`
-	Add    []cameraJSON `json:"add,omitempty"`
+	Reaim  []reaimJSON         `json:"reaim,omitempty"`
+	Remove []int               `json:"remove,omitempty"`
+	Add    []depjournal.Camera `json:"add,omitempty"`
 }
 
 // patchResponse reports the deployment state after the patch.
@@ -243,9 +235,11 @@ func decodeBody(r *http.Request, dst any) error {
 	return nil
 }
 
-// buildNetwork materialises the network a registration describes.
-func (s *Server) buildNetwork(req *registerRequest) (*sensor.Network, error) {
-	side := req.Torus
+// buildNetwork materialises the network a journal record describes —
+// the one build path behind registration, revival, compaction folding,
+// and the router's placement key. maxCameras caps the deployment size.
+func buildNetwork(rec *depjournal.Record, maxCameras int) (*sensor.Network, error) {
+	side := rec.Torus
 	if side == 0 {
 		side = 1
 	}
@@ -254,66 +248,72 @@ func (s *Server) buildNetwork(req *registerRequest) (*sensor.Network, error) {
 		return nil, err
 	}
 
-	explicit := len(req.Cameras) > 0
-	recipe := req.Profile != "" || req.N != 0 || req.Density != 0
+	explicit := len(rec.Cameras) > 0
+	recipe := rec.Profile != "" || rec.N != 0 || rec.Density != 0
 	if explicit && recipe {
 		return nil, errors.New("give either cameras or a profile deployment recipe, not both")
 	}
 
 	if explicit {
-		if len(req.Cameras) > s.cfg.MaxCameras {
-			return nil, fmt.Errorf("deployment has %d cameras, cap is %d", len(req.Cameras), s.cfg.MaxCameras)
+		if len(rec.Cameras) > maxCameras {
+			return nil, fmt.Errorf("deployment has %d cameras, cap is %d", len(rec.Cameras), maxCameras)
 		}
-		cams := make([]sensor.Camera, len(req.Cameras))
-		for i, c := range req.Cameras {
-			cams[i] = sensor.Camera{
-				Pos:      geom.V(c.X, c.Y),
-				Orient:   c.Orient,
-				Radius:   c.Radius,
-				Aperture: c.Aperture,
-				Group:    c.Group,
-			}
+		cams := make([]sensor.Camera, len(rec.Cameras))
+		for i, c := range rec.Cameras {
+			cams[i] = sensorCamera(c)
 		}
 		return sensor.NewNetwork(t, cams)
 	}
 
-	if req.Profile == "" {
+	if rec.Profile == "" {
 		return nil, errors.New("registration needs cameras or a profile")
 	}
-	profile, err := sensor.ParseProfile(req.Profile)
+	profile, err := sensor.ParseProfile(rec.Profile)
 	if err != nil {
 		return nil, err
 	}
-	seed := req.Seed
+	seed := rec.Seed
 	if seed == 0 {
 		seed = 1
 	}
 	gen := rng.New(seed, 0)
-	switch req.Deploy {
+	switch rec.Deploy {
 	case "", "uniform":
-		if req.Density != 0 {
+		if rec.Density != 0 {
 			return nil, errors.New("density is a poisson parameter; uniform deployments take n")
 		}
-		if req.N <= 0 {
+		if rec.N <= 0 {
 			return nil, errors.New("uniform deployment needs n > 0")
 		}
-		if req.N > s.cfg.MaxCameras {
-			return nil, fmt.Errorf("deployment has %d cameras, cap is %d", req.N, s.cfg.MaxCameras)
+		if rec.N > maxCameras {
+			return nil, fmt.Errorf("deployment has %d cameras, cap is %d", rec.N, maxCameras)
 		}
-		return deploy.Uniform(t, profile, req.N, gen)
+		return deploy.Uniform(t, profile, rec.N, gen)
 	case "poisson":
-		if req.N != 0 {
+		if rec.N != 0 {
 			return nil, errors.New("n is a uniform parameter; poisson deployments take density")
 		}
-		if !(req.Density > 0) || math.IsInf(req.Density, 0) {
+		if !(rec.Density > 0) || math.IsInf(rec.Density, 0) {
 			return nil, errors.New("poisson deployment needs a positive finite density")
 		}
-		if expected := req.Density * t.Area(); expected > float64(s.cfg.MaxCameras) {
-			return nil, fmt.Errorf("expected %g cameras exceeds cap %d", expected, s.cfg.MaxCameras)
+		if expected := rec.Density * t.Area(); expected > float64(maxCameras) {
+			return nil, fmt.Errorf("expected %g cameras exceeds cap %d", expected, maxCameras)
 		}
-		return deploy.Poisson(t, profile, req.Density, gen)
+		return deploy.Poisson(t, profile, rec.Density, gen)
 	default:
-		return nil, fmt.Errorf("unknown deployment scheme %q (uniform or poisson)", req.Deploy)
+		return nil, fmt.Errorf("unknown deployment scheme %q (uniform or poisson)", rec.Deploy)
+	}
+}
+
+// sensorCamera is the one conversion from the journal's (and the
+// wire's) camera form to the library's.
+func sensorCamera(c depjournal.Camera) sensor.Camera {
+	return sensor.Camera{
+		Pos:      geom.V(c.X, c.Y),
+		Orient:   c.Orient,
+		Radius:   c.Radius,
+		Aperture: c.Aperture,
+		Group:    c.Group,
 	}
 }
 

@@ -42,9 +42,9 @@ func benchKernelCase(b *testing.B, name string) {
 	b.Fatalf("kernelbench: no case named %q", name)
 }
 
-func BenchmarkFullViewHomog1000(b *testing.B)     { benchKernelCase(b, "FullViewHomog1000") }
-func BenchmarkFullViewHet1000(b *testing.B)       { benchKernelCase(b, "FullViewHet1000") }
-func BenchmarkFullViewReport1000(b *testing.B)    { benchKernelCase(b, "FullViewReport1000") }
+func BenchmarkFullViewHomog1000(b *testing.B)  { benchKernelCase(b, "FullViewHomog1000") }
+func BenchmarkFullViewHet1000(b *testing.B)    { benchKernelCase(b, "FullViewHet1000") }
+func BenchmarkFullViewReport1000(b *testing.B) { benchKernelCase(b, "FullViewReport1000") }
 func BenchmarkFullViewMultiTheta1000(b *testing.B) {
 	benchKernelCase(b, "FullViewMultiTheta1000")
 }
