@@ -1,6 +1,14 @@
 // Package sensor implements the paper's camera model: binary-sector
 // cameras (Section II-A) and heterogeneous group profiles (Section II,
 // "we partition sensors to u groups G_1 … G_u").
+//
+// Query points are answered at their wrapped representative: a
+// Network's brute-force scans (CoveringIndices, ViewedDirections) test
+// Torus.Wrap(p), as the spatial index does, so the oracle and the index
+// agree on points outside [0, side) too. Wrap is the identity on
+// [0, side), so in-range points are tested as given. Camera.Covers
+// itself takes the point as given: near the seam an unwrapped point can
+// round differently inside Torus.Delta than its wrapped form.
 package sensor
 
 import (

@@ -97,8 +97,10 @@ func (n *Network) GroupCounts() []int {
 
 // CoveringIndices returns the indices of all cameras that cover point p,
 // by brute-force scan. The spatial package provides an indexed
-// equivalent for hot paths; this form is the correctness oracle.
+// equivalent for hot paths; this form is the correctness oracle. Like
+// the index, it tests the wrapped point (see the package doc).
 func (n *Network) CoveringIndices(p geom.Vec) []int {
+	p = n.torus.Wrap(p)
 	var out []int
 	for i, c := range n.cameras {
 		if c.Covers(n.torus, p) {
@@ -109,8 +111,9 @@ func (n *Network) CoveringIndices(p geom.Vec) []int {
 }
 
 // ViewedDirections returns the viewed directions (angles of P→S) of all
-// cameras covering p, by brute-force scan.
+// cameras covering the wrapped point p, by brute-force scan.
 func (n *Network) ViewedDirections(p geom.Vec) []float64 {
+	p = n.torus.Wrap(p)
 	var out []float64
 	for _, c := range n.cameras {
 		if c.Covers(n.torus, p) {

@@ -3,7 +3,8 @@
 // Grid workloads — surveys, sweeps, job bands — evaluate dense point
 // sets whose neighbours land in the same bucket of every tier grid. The
 // point-at-a-time entry points re-derive that bucket, re-walk the same
-// 3×3 cell neighbourhood, and re-scan the same CSR candidate rows for
+// (2·reach+1)² cell window — 5×5 cells just over half the tier's radius
+// wide, see cellsPerSide — and re-scan the same CSR candidate rows for
 // every single point. The batch path amortises all of that: points are
 // sorted by grid cell once per tier (a single []int64 key sort over
 // reusable scratch, zero allocations in the steady state), each occupied
@@ -15,9 +16,9 @@
 //
 // Two further savings fall out of the cell grouping:
 //
-//   - Per-tier span arithmetic (reach, whole-tier fallback) hoists from
-//     per-point to per-batch, and the toroidal Wrap of each point runs
-//     once per batch rather than once per call.
+//   - The per-point bucket lookup becomes one key sort per tier, and the
+//     toroidal Wrap of each point runs once per batch rather than once
+//     per call.
 //   - A conservative cell-level prefilter rejects candidates whose disc
 //     cannot reach any point of the group: the group's bounding box is
 //     compared against the candidate's radius with a slack far larger
@@ -147,7 +148,7 @@ func (ix *Index) gatherBatch(sc *BatchScratch, points []geom.Vec, d *overlay) {
 
 	for ti := range ix.tiers {
 		t := &ix.tiers[ti]
-		if t.cells == 1 || 2*(int(t.maxR/t.cellSize)+1)+1 >= t.cells {
+		if t.all {
 			// Whole-tier scan (the span "all" case), hoisted to once per
 			// batch: every candidate row is t.camIdx, every point is in
 			// one group.
@@ -159,8 +160,7 @@ func (ix *Index) gatherBatch(sc *BatchScratch, points []geom.Vec, d *overlay) {
 			ix.scanCandidates(sc, d, t.camIdx, g)
 			continue
 		}
-		reach := int(t.maxR/t.cellSize) + 1
-		cells := t.cells
+		reach, cells := t.reach, t.cells
 		// Sort the batch by bucket: key = bucket<<32 | index, so equal
 		// buckets group together and ties keep batch order, making the
 		// grouping deterministic.

@@ -2,9 +2,11 @@
 // network. Grid sweeps ask "which cameras cover point P?" for hundreds of
 // thousands of points; the index answers in O(local density) instead of
 // O(n). Results are exactly — bit for bit — what a brute-force scan
-// through the sensor.Camera.Covers predicate would produce: the hot path
-// uses a cheaper algebraic form of the same test and falls back to the
-// exact predicate inside a guard band around decision boundaries.
+// through the sensor.Camera.Covers predicate would produce at the
+// wrapped point Torus.Wrap(p), which is how sensor.Network's scans test
+// it: the hot path uses a cheaper algebraic form of the same test and
+// falls back to the exact predicate inside a guard band around decision
+// boundaries.
 //
 // # Layout
 //
@@ -16,7 +18,8 @@
 // Cameras are partitioned into radius tiers (each tier spans at most a
 // 2× radius ratio) and each tier gets its own bucket grid in compressed
 // sparse row form: starts []int32 offsets into one flat camIdx []int32
-// slice. A query visits each tier with that tier's own reach, so a
+// slice. A query visits each tier through that tier's own window, 5×5
+// cells just over half the tier's largest radius wide, so a
 // heterogeneous network — the paper's whole subject — never scans the
 // neighbourhood of its largest radius on behalf of its smallest group.
 // Candidate enumeration is closure-free: the gathers walk the CSR rows
@@ -68,11 +71,16 @@ type Index struct {
 	tiers []tier
 }
 
-// tier is one radius class with its own CSR bucket grid.
+// tier is one radius class with its own CSR bucket grid. reach and all
+// are the tier's scan window, decided once at build time: a query walks
+// the (2·reach+1)² cells around its own, or the whole tier when all is
+// set (the window would wrap onto itself).
 type tier struct {
 	maxR     float64
 	cells    int
 	cellSize float64
+	reach    int
+	all      bool
 	starts   []int32 // length cells*cells+1; CSR row offsets into camIdx
 	camIdx   []int32 // camera indices grouped by bucket
 }
@@ -158,6 +166,12 @@ func (ix *Index) buildTier(members []int32) tier {
 		starts:   make([]int32, cells*cells+1),
 		camIdx:   make([]int32, len(members)),
 	}
+	// A covering camera lies within maxR of the point, so on each axis
+	// their cell indices differ by at most ⌊maxR/cellSize⌋ + 1: two
+	// coordinates less than k cell widths apart can straddle k cell
+	// edges. A window as wide as the grid scans the whole tier.
+	t.reach = int(t.maxR/t.cellSize) + 1
+	t.all = cells == 1 || 2*t.reach+1 >= cells
 	// Counting sort into CSR: bucket sizes, prefix sums, then placement.
 	for _, i := range members {
 		t.starts[t.bucketOf(ix.posX[i], ix.posY[i])+1]++
@@ -188,20 +202,24 @@ func (t *tier) bucketOf(x, y float64) int32 {
 	return int32(cy*t.cells + cx)
 }
 
-// cellsPerSide picks a tier's grid resolution: ideally one cell per
-// sensing radius (so a query touches a 3×3 neighbourhood), but never more
-// cells than roughly 2√n per side (so memory stays proportional to n) and
-// never more than maxCellsPerSide.
+// cellsPerSide picks a tier's grid resolution: ideally ceil(2·side/maxR)
+// − 1 cells per side, the fewest that keep cellSize > maxR/2 strictly,
+// so the tier's reach is 2 and a query scans 5×5 half-radius cells — a
+// window about 2.5·maxR wide (radius-sized cells would give the same
+// reach over 5·maxR). But never more cells than roughly 2√n per side (so
+// memory stays proportional to n) and never more than maxCellsPerSide.
 func cellsPerSide(side, maxR float64, n int) int {
 	if n == 0 || maxR <= 0 {
 		return 1
 	}
-	cells := int(side / maxR)
-	if byCount := int(2*math.Sqrt(float64(n))) + 1; cells > byCount {
-		cells = byCount
-	}
+	cells := int(2*math.Sqrt(float64(n))) + 1
 	if cells > maxCellsPerSide {
 		cells = maxCellsPerSide
+	}
+	// Compared in float64 so a radius tiny against the side cannot
+	// overflow the int conversion.
+	if byRadius := math.Ceil(2*side/maxR) - 1; byRadius < float64(cells) {
+		cells = int(byRadius)
 	}
 	if cells < 1 {
 		cells = 1
@@ -275,15 +293,11 @@ func (ix *Index) viewedDirection(i int32, px, py float64) float64 {
 	return geom.Vec{X: ix.delta(px, ix.posX[i]), Y: ix.delta(py, ix.posY[i])}.Angle()
 }
 
-// tierSpan yields the cell-range parameters of one tier for a wrapped
+// span yields the cell-range parameters of one tier for a wrapped
 // query point: when all is true the whole tier must be scanned;
 // otherwise the (pcx, pcy, reach) neighbourhood applies.
 func (t *tier) span(px, py float64) (pcx, pcy, reach int, all bool) {
-	if t.cells == 1 {
-		return 0, 0, 0, true
-	}
-	reach = int(t.maxR/t.cellSize) + 1
-	if 2*reach+1 >= t.cells {
+	if t.all {
 		return 0, 0, 0, true
 	}
 	pcx = int(px / t.cellSize)
@@ -294,7 +308,7 @@ func (t *tier) span(px, py float64) (pcx, pcy, reach int, all bool) {
 	if pcy >= t.cells {
 		pcy = t.cells - 1
 	}
-	return pcx, pcy, reach, false
+	return pcx, pcy, t.reach, false
 }
 
 // AppendViewedDirections appends the viewed directions (angle of P→S)

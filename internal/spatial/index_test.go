@@ -168,28 +168,80 @@ func TestIndexSeamQueries(t *testing.T) {
 	if got := ix.CountCovering(geom.V(0.99, 0.99)); got != 2 {
 		t.Errorf("corner point sees %d cameras, want 2 (seam wrap)", got)
 	}
+
+	// An unwrapped query on the seam: p = (1, 0.5) wraps to (0, 0.5),
+	// exactly r from the camera. Torus.Delta's math.Mod rounds the raw
+	// difference 1 − x differently from the wrapped 0 − x, so a scan
+	// that tests the raw point disagrees with the index, which wraps
+	// first. The oracle must read the wrapped point too.
+	x := 0.3333333333333332
+	seam, err := sensor.NewNetwork(geom.UnitTorus, []sensor.Camera{
+		{Pos: geom.V(x, 0.5), Orient: math.Pi, Radius: x, Aperture: 2 * math.Pi},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := geom.V(1, 0.5)
+	if !seam.Camera(0).Covers(seam.Torus(), seam.Torus().Wrap(p)) {
+		t.Fatalf("Camera.Covers(Wrap(%v)) = false; the reproducer no longer sits on the edge", p)
+	}
+	checkAgainstOracle(t, seam, NewIndex(seam), p, "unwrapped seam point")
+	if got := len(seam.CoveringIndices(p)); got != 1 {
+		t.Errorf("CoveringIndices(%v) has %d cameras, want 1", p, got)
+	}
 }
 
 func TestCellsPerSide(t *testing.T) {
 	tests := []struct {
-		name string
-		side float64
-		maxR float64
-		n    int
-		want int
+		name   string
+		side   float64
+		maxR   float64
+		n      int
+		want   int
+		capped bool // a cap, not the radius, sets the grid
 	}{
-		{name: "empty network", side: 1, maxR: 0.1, n: 0, want: 1},
-		{name: "zero radius", side: 1, maxR: 0, n: 100, want: 1},
-		{name: "radius bound", side: 1, maxR: 0.25, n: 10000, want: 4},
-		{name: "count bound", side: 1, maxR: 0.001, n: 100, want: 21},
-		{name: "hard cap", side: 1, maxR: 1e-9, n: 100000000, want: maxCellsPerSide},
-		{name: "radius larger than side", side: 1, maxR: 3, n: 100, want: 1},
+		{name: "empty network", side: 1, maxR: 0.1, n: 0, want: 1, capped: true},
+		{name: "zero radius", side: 1, maxR: 0, n: 100, want: 1, capped: true},
+		{name: "radius bound", side: 1, maxR: 0.25, n: 10000, want: 7},
+		{name: "integral 2·side/maxR", side: 1, maxR: 0.1, n: 10000, want: 19},
+		{name: "integral 2·side/maxR, wide radius", side: 1, maxR: 0.2, n: 10000, want: 9},
+		{name: "scaled torus", side: 10, maxR: 0.37, n: 10000, want: 54},
+		{name: "count bound", side: 1, maxR: 0.001, n: 100, want: 21, capped: true},
+		{name: "hard cap", side: 1, maxR: 1e-9, n: 100000000, want: maxCellsPerSide, capped: true},
+		{name: "tiny radius", side: 1, maxR: 1e-300, n: 100, want: 21, capped: true},
+		{name: "radius larger than side", side: 1, maxR: 3, n: 100, want: 1, capped: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := cellsPerSide(tt.side, tt.maxR, tt.n); got != tt.want {
+			got := cellsPerSide(tt.side, tt.maxR, tt.n)
+			if got != tt.want {
 				t.Errorf("cellsPerSide(%v, %v, %d) = %d, want %d",
 					tt.side, tt.maxR, tt.n, got, tt.want)
+			}
+			if tt.capped {
+				return
+			}
+			if cellSize := tt.side / float64(got); cellSize <= tt.maxR/2 {
+				t.Errorf("cell size %v ≤ maxR/2 = %v", cellSize, tt.maxR/2)
+			}
+			// The tier built at this size stores reach 2: a 5×5 window of
+			// half-radius cells.
+			torus, err := geom.NewTorus(tt.side)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := sensor.Homogeneous(tt.maxR, math.Pi/2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net, err := deploy.Uniform(torus, p, tt.n, rng.New(1, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := NewIndex(net).tiers[0]
+			if tr.cells != got || tr.reach != 2 || tr.all {
+				t.Errorf("tier: %d cells, reach %d, whole-tier %v; want %d cells, reach 2, windowed",
+					tr.cells, tr.reach, tr.all, got)
 			}
 		})
 	}
