@@ -41,9 +41,11 @@
 // (workers ≤ 0 selects GOMAXPROCS) and return statistics bit-identical
 // to the sequential Checker.SurveyRegion; SurveyBarrierContext and
 // FindHolesContext do the same for barrier sweeps and hole detection.
-// A Checker is not safe for concurrent use — derive per-goroutine
-// checkers with Checker.Clone, which shares the immutable spatial index
-// and costs one scratch-buffer allocation.
+// A Checker is a one-θ MultiChecker: both run the same per-point
+// evaluator, so a Checker's verdicts are those of a MultiChecker at its
+// θ. Neither is safe for concurrent use — derive per-goroutine checkers
+// with Clone, which shares the immutable spatial index and sector
+// partitions and allocates only scratch buffers.
 package fullview
 
 import (

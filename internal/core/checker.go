@@ -7,8 +7,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"math"
 
 	"fullview/internal/geom"
 	"fullview/internal/sensor"
@@ -19,30 +17,26 @@ import (
 var ErrBadTheta = errors.New("core: effective angle θ must be in (0, π]")
 
 // Checker evaluates coverage predicates for one deployed network and one
-// effective angle θ. It reuses internal buffers across calls, so a
+// effective angle θ. It is a one-θ MultiChecker: every verdict comes from
+// the same evaluator. It reuses internal buffers across calls, so a
 // Checker must not be used from multiple goroutines concurrently; use
 // Clone to derive one per worker instead (cloning shares the immutable
-// spatial index and costs one scratch-buffer allocation).
+// spatial index and sector partitions and allocates only scratch).
 type Checker struct {
-	index      spatial.Source
-	theta      float64
-	necessary  occupancy // anchored 2θ partition, O(m) evaluator
-	sufficient occupancy // anchored θ partition
-	dirBuf     []float64
-	batch      spatial.BatchScratch // SurveyBatch gather scratch
+	m *MultiChecker
 }
 
 // NewChecker builds a Checker for the network with effective angle
 // theta ∈ (0, π].
 func NewChecker(net *sensor.Network, theta float64) (*Checker, error) {
-	return newChecker(spatial.NewIndex(net), theta)
+	return NewCheckerFromSource(spatial.NewIndex(net), theta)
 }
 
 // NewCheckerFromIndex builds a Checker sharing an existing immutable
 // spatial index. Use this to amortise index construction across several
 // checkers (e.g. different θ on the same deployment).
 func NewCheckerFromIndex(ix *spatial.Index, theta float64) (*Checker, error) {
-	return newChecker(ix, theta)
+	return NewCheckerFromSource(ix, theta)
 }
 
 // NewCheckerFromSource builds a Checker over any spatial.Source — an
@@ -50,76 +44,45 @@ func NewCheckerFromIndex(ix *spatial.Index, theta float64) (*Checker, error) {
 // Every verdict of the Checker reflects the one deployment version the
 // source holds.
 func NewCheckerFromSource(src spatial.Source, theta float64) (*Checker, error) {
-	return newChecker(src, theta)
-}
-
-func newChecker(ix spatial.Source, theta float64) (*Checker, error) {
-	if !(theta > 0) || theta > math.Pi {
-		return nil, fmt.Errorf("%w: got %v", ErrBadTheta, theta)
-	}
-	necessary, err := newOccupancy(2 * theta)
+	m, err := NewMultiCheckerFromSource(src, []float64{theta})
 	if err != nil {
-		return nil, fmt.Errorf("core: necessary partition: %w", err)
+		return nil, err
 	}
-	sufficient, err := newOccupancy(theta)
-	if err != nil {
-		return nil, fmt.Errorf("core: sufficient partition: %w", err)
-	}
-	return &Checker{
-		index:      ix,
-		theta:      theta,
-		necessary:  necessary,
-		sufficient: sufficient,
-		dirBuf:     make([]float64, 0, 64),
-	}, nil
+	return &Checker{m: m}, nil
 }
 
 // Clone returns an independent Checker over the same network and
 // effective angle: the immutable spatial index and sector partitions
 // are shared, the mutable scratch buffers are private. Use it to give
 // every goroutine of a parallel sweep its own Checker.
-func (c *Checker) Clone() *Checker {
-	clone := *c
-	clone.necessary = c.necessary.clone()
-	clone.sufficient = c.sufficient.clone()
-	clone.dirBuf = make([]float64, 0, cap(c.dirBuf))
-	clone.batch = spatial.BatchScratch{}
-	return &clone
-}
+func (c *Checker) Clone() *Checker { return &Checker{m: c.m.Clone()} }
 
 // Theta returns the effective angle θ.
-func (c *Checker) Theta() float64 { return c.theta }
+func (c *Checker) Theta() float64 { return c.m.thetas[0] }
 
 // Index returns the underlying spatial source.
-func (c *Checker) Index() spatial.Source { return c.index }
-
-// viewedDirections fills the scratch buffer with the viewed directions of
-// all cameras covering p.
-func (c *Checker) viewedDirections(p geom.Vec) []float64 {
-	c.dirBuf = c.index.AppendViewedDirections(c.dirBuf[:0], p)
-	return c.dirBuf
-}
+func (c *Checker) Index() spatial.Source { return c.m.index }
 
 // FullViewCovered reports whether point p is full-view covered
 // (Definition 1): for every facing direction d⃗ there is a covering
 // camera S with ∠(d⃗, PS) ≤ θ. Equivalently, the maximum circular gap
 // between the viewed directions of the covering cameras is at most 2θ.
 func (c *Checker) FullViewCovered(p geom.Vec) bool {
-	dirs := c.viewedDirections(p)
+	dirs := c.m.viewedDirections(p)
 	if len(dirs) == 0 {
 		return false
 	}
 	gap, _ := geom.MaxCircularGapInPlace(dirs)
-	return gap <= 2*c.theta
+	return gap <= c.m.twoThetas[0]
 }
 
 // UnsafeDirection returns a facing direction witnessing that p is not
 // full-view covered (the bisector of the widest viewed-direction gap),
 // or ok == false when p is full-view covered.
 func (c *Checker) UnsafeDirection(p geom.Vec) (dir float64, ok bool) {
-	dirs := c.viewedDirections(p)
+	dirs := c.m.viewedDirections(p)
 	gap, bisector := geom.MaxCircularGapInPlace(dirs)
-	if len(dirs) > 0 && gap <= 2*c.theta {
+	if len(dirs) > 0 && gap <= c.m.twoThetas[0] {
 		return 0, false
 	}
 	return bisector, true
@@ -130,7 +93,7 @@ func (c *Checker) UnsafeDirection(p geom.Vec) (dir float64, ok bool) {
 // anchored 2θ partition (including the re-centred remainder sector)
 // contains the viewed direction of at least one covering camera.
 func (c *Checker) MeetsNecessary(p geom.Vec) bool {
-	return c.necessary.allOccupied(c.viewedDirections(p))
+	return c.m.occs[0].necessary.allOccupied(c.m.viewedDirections(p))
 }
 
 // MeetsSufficient reports whether p satisfies the paper's geometric
@@ -138,13 +101,13 @@ func (c *Checker) MeetsNecessary(p geom.Vec) bool {
 // contains the viewed direction of at least one covering camera. When it
 // holds, p is guaranteed full-view covered.
 func (c *Checker) MeetsSufficient(p geom.Vec) bool {
-	return c.sufficient.allOccupied(c.viewedDirections(p))
+	return c.m.occs[0].sufficient.allOccupied(c.m.viewedDirections(p))
 }
 
 // CoverageCount returns the number of cameras covering p (its
 // k-coverage multiplicity).
 func (c *Checker) CoverageCount(p geom.Vec) int {
-	return c.index.CountCovering(p)
+	return c.m.index.CountCovering(p)
 }
 
 // KCovered reports whether at least k cameras cover p. KCovered(p, 1) is
@@ -153,7 +116,7 @@ func (c *Checker) KCovered(p geom.Vec, k int) bool {
 	if k <= 0 {
 		return true
 	}
-	return c.index.CountCovering(p) >= k
+	return c.m.index.CountCovering(p) >= k
 }
 
 // sectorsAllOccupied reports whether every sector contains at least one

@@ -40,22 +40,20 @@ type MultiReport struct {
 // of effective angles from a single candidate gather. The expensive,
 // θ-independent work — spatial query, cover tests, viewed-direction
 // gather, sort, max-gap scan — happens once per point; each θ adds only
-// a gap comparison and two O(m) sector-occupancy passes. This is the
-// kernel for θ-sweep experiments, where a Checker per θ would re-gather
-// the same directions |θ-list| times.
+// a gap comparison and two O(m) sector-occupancy passes. It is the one
+// per-point evaluator of the package: a Checker is a one-θ MultiChecker.
 //
-// Like Checker, a MultiChecker reuses internal buffers and must not be
-// shared between goroutines; Clone derives an independent evaluator
-// sharing the immutable spatial index.
+// A MultiChecker reuses internal buffers and must not be shared between
+// goroutines; Clone derives an independent evaluator sharing the
+// immutable spatial index.
 type MultiChecker struct {
-	index       spatial.Source
-	thetas      []float64
-	twoThetas   []float64 // 2·thetas[i], hoisted for the batch path
-	occs        []thetaOccupancy
-	dirBuf      []float64
-	perTheta    []ThetaReport
-	fullViewBuf []bool
-	batch       spatial.BatchScratch // EvaluateBatch gather scratch
+	index     spatial.Source
+	thetas    []float64
+	twoThetas []float64 // 2·thetas[i], hoisted out of the per-point loop
+	occs      []thetaOccupancy
+	dirBuf    []float64
+	perTheta  []ThetaReport
+	batch     spatial.BatchScratch // batch gather scratch
 }
 
 // thetaOccupancy pairs the two partition evaluators of one θ.
@@ -85,11 +83,12 @@ func NewMultiCheckerFromSource(ix spatial.Source, thetas []float64) (*MultiCheck
 		return nil, fmt.Errorf("core: MultiChecker needs at least one effective angle")
 	}
 	m := &MultiChecker{
-		index:    ix,
-		thetas:   append([]float64(nil), thetas...),
-		occs:     make([]thetaOccupancy, 0, len(thetas)),
-		dirBuf:   make([]float64, 0, 64),
-		perTheta: make([]ThetaReport, len(thetas)),
+		index:     ix,
+		thetas:    append([]float64(nil), thetas...),
+		twoThetas: make([]float64, 0, len(thetas)),
+		occs:      make([]thetaOccupancy, 0, len(thetas)),
+		dirBuf:    make([]float64, 0, 64),
+		perTheta:  make([]ThetaReport, len(thetas)),
 	}
 	for _, theta := range thetas {
 		if !(theta > 0) || theta > math.Pi {
@@ -105,7 +104,7 @@ func NewMultiCheckerFromSource(ix spatial.Source, thetas []float64) (*MultiCheck
 		}
 		m.occs = append(m.occs, thetaOccupancy{necessary: necessary, sufficient: sufficient})
 		// Doubling is exact in floating point, so the hoisted threshold
-		// compares bit-identically to Evaluate's inline 2*θ.
+		// is bit-identical to an inline 2*θ.
 		m.twoThetas = append(m.twoThetas, 2*theta)
 	}
 	return m, nil
@@ -137,16 +136,28 @@ func (m *MultiChecker) Thetas() []float64 { return m.thetas }
 // Index returns the underlying spatial source.
 func (m *MultiChecker) Index() spatial.Source { return m.index }
 
-// Evaluate diagnoses point p for every configured θ. Each verdict is
-// bit-identical to what a Checker with that θ would report for p; the
-// candidate gather, max-gap scan, and buffer reuse make the call
-// allocation-free in the steady state. The returned report's PerTheta
-// slice is reused by the next call.
+// viewedDirections fills the scratch buffer with the viewed directions
+// of all cameras covering p.
+func (m *MultiChecker) viewedDirections(p geom.Vec) []float64 {
+	m.dirBuf = m.index.AppendViewedDirections(m.dirBuf[:0], p)
+	return m.dirBuf
+}
+
+// Evaluate diagnoses point p for every configured θ. The candidate
+// gather, max-gap scan, and buffer reuse make the call allocation-free
+// in the steady state. The returned report's PerTheta slice is reused
+// by the next call.
 func (m *MultiChecker) Evaluate(p geom.Vec) MultiReport {
-	dirs := m.index.AppendViewedDirections(m.dirBuf[:0], p)
-	m.dirBuf = dirs
-	// Occupancies read the raw directions; the in-place gap computation
-	// afterwards normalizes and sorts the buffer.
+	return m.report(m.viewedDirections(p))
+}
+
+// report diagnoses one point from its gathered viewed directions for
+// every configured θ; it is the single verdict path behind Evaluate,
+// EvaluateBatch, Checker.Report and Checker.SurveyBatch. Occupancy runs
+// first because it reads the raw directions; the in-place gap
+// computation afterwards normalizes and sorts dirs, and the hoisted 2θ
+// thresholds turn the gap into the full-view verdicts.
+func (m *MultiChecker) report(dirs []float64) MultiReport {
 	for i := range m.occs {
 		m.perTheta[i] = ThetaReport{
 			Theta:      m.thetas[i],
@@ -155,30 +166,13 @@ func (m *MultiChecker) Evaluate(p geom.Vec) MultiReport {
 		}
 	}
 	gap, _ := geom.MaxCircularGapInPlace(dirs)
+	covered := len(dirs) > 0
 	for i := range m.perTheta {
-		m.perTheta[i].FullView = len(dirs) > 0 && gap <= 2*m.thetas[i]
+		m.perTheta[i].FullView = covered && gap <= m.twoThetas[i]
 	}
 	return MultiReport{
 		NumCovering: len(dirs),
 		MaxGap:      gap,
 		PerTheta:    m.perTheta,
 	}
-}
-
-// FullViewCovered reports full-view coverage of p for every configured
-// θ at once, skipping the sector-occupancy work Evaluate performs. The
-// returned slice is reused by the next call on this MultiChecker
-// (element i corresponds to Thetas()[i]).
-func (m *MultiChecker) FullViewCovered(p geom.Vec) []bool {
-	dirs := m.index.AppendViewedDirections(m.dirBuf[:0], p)
-	m.dirBuf = dirs
-	gap, _ := geom.MaxCircularGapInPlace(dirs)
-	if cap(m.fullViewBuf) < len(m.thetas) {
-		m.fullViewBuf = make([]bool, len(m.thetas))
-	}
-	buf := m.fullViewBuf[:len(m.thetas)]
-	for i, theta := range m.thetas {
-		buf[i] = len(dirs) > 0 && gap <= 2*theta
-	}
-	return buf
 }

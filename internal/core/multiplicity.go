@@ -14,7 +14,7 @@ import "fullview/internal/geom"
 // tolerance when "sensors often fail due to unexpected events" — carries
 // over to full-view coverage through this quantity.
 func (c *Checker) FullViewMultiplicity(p geom.Vec) (depth int, weakestDir float64) {
-	return geom.MinArcCoverageDepth(c.viewedDirections(p), c.theta)
+	return geom.MinArcCoverageDepth(c.m.viewedDirections(p), c.Theta())
 }
 
 // SafeDirectionFraction returns the fraction of facing directions at p
@@ -23,7 +23,7 @@ func (c *Checker) FullViewMultiplicity(p geom.Vec) (depth int, weakestDir float6
 // full-view covered, and measures how close a partially covered point
 // is to the guarantee.
 func (c *Checker) SafeDirectionFraction(p geom.Vec) float64 {
-	return geom.ArcUnionLength(c.viewedDirections(p), c.theta) / geom.TwoPi
+	return geom.ArcUnionLength(c.m.viewedDirections(p), c.Theta()) / geom.TwoPi
 }
 
 // FaultTolerantFullView reports whether p stays full-view covered after

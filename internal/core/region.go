@@ -23,18 +23,18 @@ type PointReport struct {
 
 // Report diagnoses point p in one pass over its covering cameras.
 func (c *Checker) Report(p geom.Vec) PointReport {
-	dirs := c.viewedDirections(p)
-	// Occupancy first: it reads the raw directions, while the in-place
-	// gap computation normalizes and sorts the buffer.
-	necessary := c.necessary.allOccupied(dirs)
-	sufficient := c.sufficient.allOccupied(dirs)
-	gap, _ := geom.MaxCircularGapInPlace(dirs)
+	return pointReport(c.m.Evaluate(p))
+}
+
+// pointReport is the one-θ reading of a MultiReport.
+func pointReport(r MultiReport) PointReport {
+	v := r.PerTheta[0]
 	return PointReport{
-		NumCovering: len(dirs),
-		MaxGap:      gap,
-		FullView:    len(dirs) > 0 && gap <= 2*c.theta,
-		Necessary:   necessary,
-		Sufficient:  sufficient,
+		NumCovering: r.NumCovering,
+		MaxGap:      r.MaxGap,
+		FullView:    v.FullView,
+		Necessary:   v.Necessary,
+		Sufficient:  v.Sufficient,
 	}
 }
 

@@ -60,19 +60,19 @@ func pointsThetasTrialFunc(cfg Config, thetas []float64, pointsPerTrial, trials,
 		if err != nil {
 			return pointsThetasTrial{}, err
 		}
-		// Same RNG discipline as pointTrialFunc: all sample points drawn
-		// up front, so the trial's random sequence — and therefore its
-		// deployments and points — is identical to a single-θ RunPoints
-		// trial, making outcome k bit-identical to RunPoints at θ_k.
+		// All sample points are drawn up front (diagnosis consumes no
+		// randomness), so the trial's random sequence — and therefore its
+		// deployment and points — does not depend on the θ-list: outcome
+		// k is bit-identical to RunPoints at θ_k.
 		side := cfg.Torus.Side()
 		points := make([]geom.Vec, pointsPerTrial)
 		for i := range points {
 			points[i] = geom.V(r.Float64()*side, r.Float64()*side)
 		}
 		// The batch kernel (EvaluateBatch) reports points in batch order
-		// with verdicts bit-identical to Evaluate, so the fold below — and
-		// therefore every trial aggregate — matches the point-at-a-time
-		// sweep exactly while amortising the spatial gather per batch.
+		// with verdicts bit-identical to Evaluate, and chunk-ordered
+		// merging keeps the covering series in point order, so every
+		// trial aggregate is independent of the worker count.
 		return sweep.RunBatch(context.Background(), points, sweepWorkers(trials, parallelism),
 			func() (*core.MultiChecker, error) { return checker.Clone(), nil },
 			func(worker *core.MultiChecker, acc pointsThetasTrial, _ int, pts []geom.Vec) pointsThetasTrial {
@@ -128,7 +128,7 @@ func aggregatePointsThetas(cfg Config, thetas []float64, results []pointsThetasT
 		covering = append(covering, tr.Covering...)
 	}
 	summary := stats.Summarize(covering)
-	ctx := fmt.Sprintf("multi-θ point experiment, %d trials × %d points × %d thetas",
+	ctx := fmt.Sprintf("point experiment, %d trials × %d points × %d thetas",
 		len(results), pointsPerTrial, len(thetas))
 	if err := numeric.CheckAll(ctx,
 		"CoveringCount.Mean", summary.Mean,
@@ -159,21 +159,25 @@ func aggregatePointsThetas(cfg Config, thetas []float64, results []pointsThetasT
 	return outs, nil
 }
 
-// validatePointsThetas validates the shared arguments of the fused
-// runners. cfg.Theta is ignored: the explicit list governs.
-func validatePointsThetas(cfg Config, thetas []float64, pointsPerTrial int) (Config, error) {
+// validatePoints is the shared argument validation of the point
+// runners: every θ of the list must make a valid Config. cfg.Theta is
+// ignored; the returned Config carries thetas[0], which the checkpoint
+// fingerprint records.
+func validatePoints(cfg Config, thetas []float64, pointsPerTrial int) (Config, error) {
 	if len(thetas) == 0 {
 		return cfg, ErrBadThetas
 	}
 	for _, theta := range thetas {
-		probe := cfg
-		probe.Theta = theta
-		if err := probe.Validate(); err != nil {
+		cfg.Theta = theta
+		if err := cfg.Validate(); err != nil {
 			return cfg, err
 		}
 	}
+	if pointsPerTrial <= 0 {
+		return cfg, fmt.Errorf("%w: got %d", ErrBadPoints, pointsPerTrial)
+	}
 	cfg.Theta = thetas[0]
-	return validatePoints(cfg, pointsPerTrial)
+	return cfg.withDefaults(), nil
 }
 
 // formatThetas renders the θ-list for checkpoint fingerprints.
@@ -193,13 +197,13 @@ func formatThetas(thetas []float64) string {
 // depend on θ), at a fraction of the deployment and gather cost.
 // cfg.Theta is ignored.
 func RunPointsThetas(cfg Config, thetas []float64, pointsPerTrial, trials, parallelism int, seed uint64) ([]PointOutcome, error) {
-	cfg, err := validatePointsThetas(cfg, thetas, pointsPerTrial)
+	cfg, err := validatePoints(cfg, thetas, pointsPerTrial)
 	if err != nil {
 		return nil, err
 	}
 	results, err := Run(seed, trials, parallelism, pointsThetasTrialFunc(cfg, thetas, pointsPerTrial, trials, parallelism))
 	if err != nil {
-		return nil, fmt.Errorf("multi-θ point experiment: %w", err)
+		return nil, fmt.Errorf("point experiment: %w", err)
 	}
 	return aggregatePointsThetas(cfg, thetas, results, pointsPerTrial)
 }
@@ -217,7 +221,7 @@ func RunPointsThetasCheckpoint(
 	pointsPerTrial, trials, parallelism int,
 	seed uint64,
 ) ([]PointOutcome, error) {
-	cfg, err := validatePointsThetas(cfg, thetas, pointsPerTrial)
+	cfg, err := validatePoints(cfg, thetas, pointsPerTrial)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +241,7 @@ func RunPointsThetasCheckpoint(
 	results, err := RunResumable(ctx, journal, seed, trials, parallelism,
 		pointsThetasTrialFunc(cfg, thetas, pointsPerTrial, trials, parallelism))
 	if err != nil {
-		return nil, fmt.Errorf("multi-θ point experiment: %w", err)
+		return nil, fmt.Errorf("point experiment: %w", err)
 	}
 	return aggregatePointsThetas(cfg, thetas, results, pointsPerTrial)
 }

@@ -2,15 +2,8 @@ package experiment
 
 import (
 	"context"
-	"fmt"
 
-	"fullview/internal/checkpoint"
-	"fullview/internal/core"
-	"fullview/internal/geom"
-	"fullview/internal/numeric"
-	"fullview/internal/rng"
 	"fullview/internal/stats"
-	"fullview/internal/sweep"
 )
 
 // PointOutcome aggregates a point-coverage experiment: random sample
@@ -38,135 +31,18 @@ type PointOutcome struct {
 	CoveringCount stats.Summary
 }
 
-// pointTrial is one trial's aggregate of the point experiment. Fields
-// are exported with JSON tags so completed trials can be journaled by
-// the checkpoint layer; every field is an integer or a float64 series,
-// both of which round-trip through encoding/json exactly.
-type pointTrial struct {
-	Necessary            int       `json:"nec"`
-	Sufficient           int       `json:"suf"`
-	FullView             int       `json:"fv"`
-	NecessaryNotFullView int       `json:"necNotFv"`
-	FullViewNotSuf       int       `json:"fvNotSuf"`
-	KCovered             int       `json:"kCov"`
-	Covering             []float64 `json:"covering"`
-}
-
-// pointTrialFunc returns the per-trial function of the point
-// experiment: deploy a fresh network, draw pointsPerTrial uniform
-// sample points, diagnose each through the sweep engine.
-func pointTrialFunc(cfg Config, pointsPerTrial, trials, parallelism int) TrialFunc[pointTrial] {
-	return func(_ int, r *rng.PCG) (pointTrial, error) {
-		net, err := cfg.deployNetwork(r)
-		if err != nil {
-			return pointTrial{}, err
-		}
-		checker, err := core.NewChecker(net, cfg.Theta)
-		if err != nil {
-			return pointTrial{}, err
-		}
-		// Draw all sample points up front (the RNG sequence is exactly
-		// the interleaved one, since diagnosis consumes no randomness),
-		// then evaluate them through the sweep engine. Chunk-ordered
-		// merging keeps the covering series in point order.
-		side := cfg.Torus.Side()
-		points := make([]geom.Vec, pointsPerTrial)
-		for i := range points {
-			points[i] = geom.V(r.Float64()*side, r.Float64()*side)
-		}
-		return sweep.Run(context.Background(), points, sweepWorkers(trials, parallelism),
-			func() (*core.Checker, error) { return checker.Clone(), nil },
-			func(worker *core.Checker, acc pointTrial, _ int, p geom.Vec) pointTrial {
-				rep := worker.Report(p)
-				if rep.Necessary {
-					acc.Necessary++
-					if !rep.FullView {
-						acc.NecessaryNotFullView++
-					}
-				}
-				if rep.FullView {
-					acc.FullView++
-					if !rep.Sufficient {
-						acc.FullViewNotSuf++
-					}
-				}
-				if rep.Sufficient {
-					acc.Sufficient++
-				}
-				if cfg.KTarget > 0 && rep.NumCovering >= cfg.KTarget {
-					acc.KCovered++
-				}
-				acc.Covering = append(acc.Covering, float64(rep.NumCovering))
-				return acc
-			},
-			func(dst, src pointTrial) pointTrial {
-				dst.Necessary += src.Necessary
-				dst.Sufficient += src.Sufficient
-				dst.FullView += src.FullView
-				dst.NecessaryNotFullView += src.NecessaryNotFullView
-				dst.FullViewNotSuf += src.FullViewNotSuf
-				dst.KCovered += src.KCovered
-				dst.Covering = append(dst.Covering, src.Covering...)
-				return dst
-			})
-	}
-}
-
-// aggregatePoints pools per-trial counts into the outcome and runs the
-// numeric-health check on the covering-count summary.
-func aggregatePoints(cfg Config, results []pointTrial, pointsPerTrial int) (PointOutcome, error) {
-	var out PointOutcome
-	var covering []float64
-	for _, tr := range results {
-		out.Necessary.AddN(tr.Necessary, pointsPerTrial)
-		out.Sufficient.AddN(tr.Sufficient, pointsPerTrial)
-		out.FullView.AddN(tr.FullView, pointsPerTrial)
-		out.NecessaryNotFullView.AddN(tr.NecessaryNotFullView, pointsPerTrial)
-		out.FullViewNotSufficient.AddN(tr.FullViewNotSuf, pointsPerTrial)
-		if cfg.KTarget > 0 {
-			out.KCovered.AddN(tr.KCovered, pointsPerTrial)
-		}
-		covering = append(covering, tr.Covering...)
-	}
-	out.CoveringCount = stats.Summarize(covering)
-	ctx := fmt.Sprintf("point experiment, %d trials × %d points", len(results), pointsPerTrial)
-	if err := numeric.CheckAll(ctx,
-		"CoveringCount.Mean", out.CoveringCount.Mean,
-		"CoveringCount.Variance", out.CoveringCount.Variance,
-	); err != nil {
-		return PointOutcome{}, err
-	}
-	return out, nil
-}
-
-// validatePoints is the shared argument validation of the point runners.
-func validatePoints(cfg Config, pointsPerTrial int) (Config, error) {
-	if err := cfg.Validate(); err != nil {
-		return cfg, err
-	}
-	if pointsPerTrial <= 0 {
-		return cfg, fmt.Errorf("%w: got %d", ErrBadPoints, pointsPerTrial)
-	}
-	return cfg.withDefaults(), nil
-}
-
 // RunPoints executes trials of the point experiment for cfg: each trial
 // deploys a fresh network and diagnoses pointsPerTrial uniformly random
-// sample points.
+// sample points. It is RunPointsThetas for the one-element list
+// {cfg.Theta}.
 func RunPoints(cfg Config, pointsPerTrial, trials, parallelism int, seed uint64) (PointOutcome, error) {
-	cfg, err := validatePoints(cfg, pointsPerTrial)
-	if err != nil {
-		return PointOutcome{}, err
-	}
-	results, err := Run(seed, trials, parallelism, pointTrialFunc(cfg, pointsPerTrial, trials, parallelism))
-	if err != nil {
-		return PointOutcome{}, fmt.Errorf("point experiment: %w", err)
-	}
-	return aggregatePoints(cfg, results, pointsPerTrial)
+	return onlyOutcome(RunPointsThetas(cfg, []float64{cfg.Theta}, pointsPerTrial, trials, parallelism, seed))
 }
 
 // RunPointsCheckpoint is RunPoints with checkpoint/resume via a journal
-// at journalPath; see RunGridCheckpoint for the resume contract.
+// at journalPath; see RunGridCheckpoint for the resume contract. It is
+// RunPointsThetasCheckpoint for the one-element list {cfg.Theta}, so it
+// journals as "experiment/point-thetas".
 func RunPointsCheckpoint(
 	ctx context.Context,
 	journalPath string,
@@ -174,27 +50,14 @@ func RunPointsCheckpoint(
 	pointsPerTrial, trials, parallelism int,
 	seed uint64,
 ) (PointOutcome, error) {
-	cfg, err := validatePoints(cfg, pointsPerTrial)
+	return onlyOutcome(RunPointsThetasCheckpoint(ctx, journalPath, cfg, []float64{cfg.Theta},
+		pointsPerTrial, trials, parallelism, seed))
+}
+
+// onlyOutcome unwraps the outcome of a one-θ run.
+func onlyOutcome(outs []PointOutcome, err error) (PointOutcome, error) {
 	if err != nil {
 		return PointOutcome{}, err
 	}
-	if trials <= 0 {
-		return PointOutcome{}, fmt.Errorf("%w: got %d", ErrBadTrials, trials)
-	}
-	journal, err := checkpoint.Open(journalPath, checkpoint.Header{
-		Kind:   "experiment/point",
-		Seed:   seed,
-		Trials: trials,
-		Params: fmt.Sprintf("%s points=%d", cfg.fingerprint(), pointsPerTrial),
-	})
-	if err != nil {
-		return PointOutcome{}, err
-	}
-	defer journal.Close()
-	results, err := RunResumable(ctx, journal, seed, trials, parallelism,
-		pointTrialFunc(cfg, pointsPerTrial, trials, parallelism))
-	if err != nil {
-		return PointOutcome{}, fmt.Errorf("point experiment: %w", err)
-	}
-	return aggregatePoints(cfg, results, pointsPerTrial)
+	return outs[0], nil
 }

@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -251,7 +253,61 @@ func TestRunPointsCheckpointBitIdentical(t *testing.T) {
 			if !reflect.DeepEqual(again, baseline) {
 				t.Error("outcome from fully-journaled run differs")
 			}
+
+			// The 3-angle row: the fused runner checkpoints bit-identically
+			// too, fresh and fully journaled, and its cfg.Theta outcome is
+			// the one-θ baseline.
+			thetas := []float64{math.Pi / 4, cfg.Theta, math.Pi / 2}
+			multi, err := RunPointsThetas(cfg, thetas, pointsPerTrial, trials, workers, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(multi[1], baseline) {
+				t.Errorf("3-angle outcome at cfg.Theta differs from RunPoints:\n got %+v\nwant %+v", multi[1], baseline)
+			}
+			multiPath := filepath.Join(t.TempDir(), "points-thetas.jsonl")
+			for _, pass := range []string{"fresh", "fully journaled"} {
+				got, err := RunPointsThetasCheckpoint(context.Background(), multiPath, cfg, thetas,
+					pointsPerTrial, trials, workers, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, multi) {
+					t.Errorf("%s 3-angle checkpointed outcome differs from RunPointsThetas", pass)
+				}
+			}
 		})
+	}
+}
+
+// TestRunPointsCheckpointRefusesSingleThetaJournal: RunPointsCheckpoint
+// journals as "experiment/point-thetas", so a journal of the older
+// "experiment/point" kind (the fixture, a complete run of the golden
+// uniform cell) is refused with ErrMismatch and left byte-identical
+// rather than resumed or rewritten.
+func TestRunPointsCheckpointRefusesSingleThetaJournal(t *testing.T) {
+	fixture, err := os.ReadFile("testdata/point_single_theta_journal.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(fixture, []byte(`"kind":"experiment/point"`)) {
+		t.Fatal("fixture is not an experiment/point journal")
+	}
+	path := filepath.Join(t.TempDir(), "points.jsonl")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := goldenPointConfigs(t)["uniform"]
+	_, err = RunPointsCheckpoint(context.Background(), path, cfg, goldenPointsPerTrial, goldenTrials, 1, goldenSeed)
+	if !errors.Is(err, checkpoint.ErrMismatch) {
+		t.Fatalf("error = %v, want checkpoint.ErrMismatch", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, fixture) {
+		t.Error("refused journal was modified")
 	}
 }
 

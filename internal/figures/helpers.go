@@ -39,19 +39,20 @@ func runGrid(opts Options, cell string, cfg experiment.Config, gridSide, trials 
 	return experiment.RunGridCheckpoint(context.Background(), path, cfg, gridSide, trials, opts.Parallelism, seed)
 }
 
-// runPoints is runGrid's counterpart for point experiments.
+// runPoints is runPointsThetas for the one-element list {cfg.Theta}.
 func runPoints(opts Options, cell string, cfg experiment.Config, pointsPerTrial, trials int, seed uint64) (experiment.PointOutcome, error) {
-	if opts.CheckpointDir == "" {
-		return experiment.RunPoints(cfg, pointsPerTrial, trials, opts.Parallelism, seed)
+	outs, err := runPointsThetas(opts, cell, cfg, []float64{cfg.Theta}, pointsPerTrial, trials, seed)
+	if err != nil {
+		return experiment.PointOutcome{}, err
 	}
-	path := filepath.Join(opts.CheckpointDir, cell+".jsonl")
-	return experiment.RunPointsCheckpoint(context.Background(), path, cfg, pointsPerTrial, trials, opts.Parallelism, seed)
+	return outs[0], nil
 }
 
-// runPointsThetas is runPoints for a whole θ-list at once: one
-// deployment, spatial index, and candidate gather per trial serves every
-// θ (core.MultiChecker), and outcome k is bit-identical to runPoints
-// with cfg.Theta = thetas[k] under the same seed.
+// runPointsThetas is runGrid's counterpart for point experiments, for a
+// whole θ-list at once: one deployment, spatial index, and candidate
+// gather per trial serves every θ (core.MultiChecker), and outcome k is
+// bit-identical to runPoints with cfg.Theta = thetas[k] under the same
+// seed.
 func runPointsThetas(opts Options, cell string, cfg experiment.Config, thetas []float64, pointsPerTrial, trials int, seed uint64) ([]experiment.PointOutcome, error) {
 	if opts.CheckpointDir == "" {
 		return experiment.RunPointsThetas(cfg, thetas, pointsPerTrial, trials, opts.Parallelism, seed)

@@ -42,7 +42,10 @@ func (d Delta) Regressed(maxRegress float64) bool {
 // missing from the current run means a benchmark was silently dropped
 // (which must not read as "no regression"), and a current case missing
 // from the baseline means the suite grew (or a case was renamed)
-// without re-baselining — the new case would run ungated forever.
+// without re-baselining — the new case would run ungated forever. A
+// case allocating more per point than its baseline is an error too: the
+// committed baseline pins the kernel at 0 allocs/point, and an
+// allocation is a regression no ns/point tolerance may absorb.
 func Compare(baseline, current Report) ([]Delta, error) {
 	inBaseline := make(map[string]bool, len(baseline.Results))
 	for _, b := range baseline.Results {
@@ -63,6 +66,9 @@ func Compare(baseline, current Report) ([]Delta, error) {
 		}
 		if !(b.NsPerPoint > 0) {
 			return nil, fmt.Errorf("case %s has a non-positive baseline (%g ns/point)", b.Name, b.NsPerPoint)
+		}
+		if c.AllocsPerPoint > b.AllocsPerPoint {
+			return nil, fmt.Errorf("case %s allocates %g per point, baseline %g", b.Name, c.AllocsPerPoint, b.AllocsPerPoint)
 		}
 		deltas = append(deltas, Delta{
 			Name:       b.Name,

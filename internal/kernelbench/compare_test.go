@@ -72,6 +72,24 @@ func TestCompareRefusesMissingCase(t *testing.T) {
 	}
 }
 
+func TestCompareRefusesAllocRegression(t *testing.T) {
+	base := report("A", 100.0, "B", 100.0)
+	curr := report("A", 90.0, "B", 90.0)
+	curr.Results[1].AllocsPerPoint = 0.5
+	_, err := Compare(base, curr)
+	if err == nil {
+		t.Fatal("a case allocating above its 0 allocs/point baseline was accepted")
+	}
+	if !strings.Contains(err.Error(), "B") || !strings.Contains(err.Error(), "allocates") {
+		t.Fatalf("alloc error does not name the case: %v", err)
+	}
+	// Allocating no more than the baseline passes.
+	base.Results[1].AllocsPerPoint = 0.5
+	if _, err := Compare(base, curr); err != nil {
+		t.Fatalf("alloc count equal to the baseline refused: %v", err)
+	}
+}
+
 func TestReadReportRoundTrip(t *testing.T) {
 	var b strings.Builder
 	orig := Report{GoVersion: "go1.22", GOOS: "linux", GOARCH: "amd64",
