@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReplay -fuzztime=15s ./internal/jobs/
 	$(GO) test -run=NONE -fuzz=FuzzParseDigests -fuzztime=15s ./internal/cluster/
 	$(GO) test -run=NONE -fuzz=FuzzReplay -fuzztime=15s ./internal/jsonlog/
+	$(GO) test -run=NONE -fuzz=FuzzQueryEncoding -fuzztime=15s ./internal/server/
 
 # Run the fvcd coverage query daemon (see README "Running the service").
 FVCD_ADDR ?= :8080

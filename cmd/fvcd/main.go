@@ -105,7 +105,7 @@ func run(args []string, w io.Writer) error {
 		queueTimeout  = fs.Duration("queue-timeout", 100*time.Millisecond, "max admission wait before a 429")
 		queryTimeout  = fs.Duration("query-timeout", 0, "deadline for register/inspect/query handlers, 504 on expiry (0 = 30s default, negative = none)")
 		surveyTimeout = fs.Duration("survey-timeout", 0, "deadline for survey handlers, 504 on expiry (0 = 5m default, negative = none)")
-		parallel      = fs.Int("parallel", 0, "worker goroutines per survey sweep (0 = GOMAXPROCS)")
+		parallel      = fs.Int("parallel", 0, "worker goroutines per survey sweep, also the cap for one /query batch (0 = GOMAXPROCS)")
 		rebuildFrac   = fs.Float64("rebuild-fraction", 0, "overlay size as a fraction of the base index that triggers a background rebuild (0 = default, negative = never rebuild)")
 		readTimeout   = fs.Duration("read-timeout", 10*time.Second, "HTTP read timeout (0 = none)")
 		writeTimeout  = fs.Duration("write-timeout", 0, "HTTP write timeout (0 = none; long surveys need headroom)")

@@ -7,14 +7,40 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math"
 
 	"fullview/internal/geom"
 	"fullview/internal/sensor"
 	"fullview/internal/spatial"
 )
 
-// ErrBadTheta reports an effective angle outside (0, π].
+// ErrBadTheta reports an effective angle outside (0, π], or one so
+// small that its θ-sector partition would exceed MaxSectors.
 var ErrBadTheta = errors.New("core: effective angle θ must be in (0, π]")
+
+// MaxSectors caps the sector count of one anchored partition. A
+// checker materialises the θ-partition's ⌈2π/θ⌉ sectors up front, so an
+// uncapped θ of 1e-10 asks for one 160 GB allocation. 4096 sectors
+// (θ ≥ 2π/4096 ≈ 0.00049π, about 0.09°) is far below any angle a
+// deployment can full-view cover yet keeps a 64-θ checker's partitions
+// near 6 MB.
+const MaxSectors = 4096
+
+// CheckTheta reports whether theta is an effective angle a checker
+// accepts: in (0, π] and with a θ-sector partition of at most
+// MaxSectors sectors. The count is checked by arithmetic before any
+// partition is allocated. The error wraps ErrBadTheta.
+func CheckTheta(theta float64) error {
+	if !(theta > 0) || theta > math.Pi {
+		return fmt.Errorf("%w: got %v", ErrBadTheta, theta)
+	}
+	// 2π/θ is +Inf for a denormal θ, which the comparison refuses too.
+	if sectors := 2 * math.Pi / theta; sectors > MaxSectors {
+		return fmt.Errorf("%w: θ=%v needs %.3g sectors, more than the %d cap", ErrBadTheta, theta, sectors, MaxSectors)
+	}
+	return nil
+}
 
 // Checker evaluates coverage predicates for one deployed network and one
 // effective angle θ. It is a one-θ MultiChecker: every verdict comes from

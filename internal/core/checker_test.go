@@ -9,6 +9,7 @@ import (
 	"fullview/internal/geom"
 	"fullview/internal/rng"
 	"fullview/internal/sensor"
+	"fullview/internal/spatial"
 )
 
 // camerasAt builds cameras whose viewed directions from point p are
@@ -53,6 +54,34 @@ func TestNewCheckerValidatesTheta(t *testing.T) {
 	}
 	if c, err := NewChecker(net, math.Pi); err != nil || c.Theta() != math.Pi {
 		t.Errorf("theta π should be accepted: %v", err)
+	}
+}
+
+// TestTinyThetaRefusedBeforeAllocating pins the sector-count cap: a θ
+// whose θ-partition would exceed MaxSectors is an ErrBadTheta, refused
+// by arithmetic — 1e-10·π would otherwise ask for a 160 GB partition
+// and kill the process — while the smallest accepted θ still builds.
+func TestTinyThetaRefusedBeforeAllocating(t *testing.T) {
+	net, err := sensor.NewNetwork(geom.UnitTorus, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := spatial.NewIndex(net)
+	for _, theta := range []float64{1e-10 * math.Pi, 5e-324, math.Nextafter(2*math.Pi/MaxSectors, 0) / 2} {
+		if _, err := NewMultiCheckerFromSource(ix, []float64{0.25 * math.Pi, theta}); !errors.Is(err, ErrBadTheta) {
+			t.Errorf("theta %v: error = %v, want ErrBadTheta", theta, err)
+		}
+		if err := CheckTheta(theta); !errors.Is(err, ErrBadTheta) {
+			t.Errorf("CheckTheta(%v) = %v, want ErrBadTheta", theta, err)
+		}
+	}
+	smallest := 2 * math.Pi / MaxSectors
+	m, err := NewMultiCheckerFromSource(ix, []float64{smallest})
+	if err != nil {
+		t.Fatalf("theta 2π/MaxSectors refused: %v", err)
+	}
+	if got := len(m.occs[0].sufficient.sectors); got > MaxSectors {
+		t.Errorf("theta 2π/MaxSectors built %d sectors, cap %d", got, MaxSectors)
 	}
 }
 

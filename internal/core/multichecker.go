@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"fullview/internal/geom"
 	"fullview/internal/sensor"
@@ -63,7 +62,8 @@ type thetaOccupancy struct {
 }
 
 // NewMultiChecker builds a MultiChecker for the network with effective
-// angles thetas, each in (0, π]. The list must be non-empty.
+// angles thetas, each accepted by CheckTheta. The list must be
+// non-empty.
 func NewMultiChecker(net *sensor.Network, thetas []float64) (*MultiChecker, error) {
 	return NewMultiCheckerFromIndex(spatial.NewIndex(net), thetas)
 }
@@ -91,8 +91,8 @@ func NewMultiCheckerFromSource(ix spatial.Source, thetas []float64) (*MultiCheck
 		perTheta:  make([]ThetaReport, len(thetas)),
 	}
 	for _, theta := range thetas {
-		if !(theta > 0) || theta > math.Pi {
-			return nil, fmt.Errorf("%w: got %v", ErrBadTheta, theta)
+		if err := CheckTheta(theta); err != nil {
+			return nil, err
 		}
 		necessary, err := newOccupancy(2 * theta)
 		if err != nil {

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -133,9 +134,11 @@ func (s Spec) validate() error {
 	if s.Deployment == "" {
 		return errors.New("jobs: spec has no deployment id")
 	}
+	// The checker's own θ test, so a θ whose partition would not fit
+	// (core.MaxSectors) is refused at submit time, not when a band runs.
 	for _, tp := range s.ThetasPi {
-		if !(tp > 0 && tp <= 1) {
-			return fmt.Errorf("jobs: thetaPi %v outside (0, 1]", tp)
+		if err := core.CheckTheta(tp * math.Pi); err != nil {
+			return fmt.Errorf("jobs: thetaPi %v: %w", tp, err)
 		}
 	}
 	if s.Grid <= 0 {

@@ -276,10 +276,11 @@ func TestReadyzStarting(t *testing.T) {
 
 // TestQueryDeadline504 gives the query route a short deadline, injects
 // latency past it, and asserts the request answers 504 (and is counted
-// as one).
+// as one) — for a one-point batch and for a batch large enough to span
+// several sweep workers.
 func TestQueryDeadline504(t *testing.T) {
 	defer faultinject.Reset()
-	srv := mustNew(t, Config{QueryTimeout: 20 * time.Millisecond})
+	srv := mustNew(t, Config{QueryTimeout: 20 * time.Millisecond, SurveyWorkers: 3})
 	h := srv.Handler()
 
 	var reg registerResponse
@@ -287,17 +288,27 @@ func TestQueryDeadline504(t *testing.T) {
 
 	remove := faultinject.Set(faultinject.QueryLatency, faultinject.Sleep(60*time.Millisecond))
 	defer remove()
-	q := []byte(`{"thetasPi":[0.25],"points":[{"x":0.5,"y":0.5}]}`)
-	rec := do(t, h, "POST", "/v1/deployments/"+reg.ID+"/query", q)
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("slow query answered %d, want 504: %s", rec.Code, rec.Body.String())
+	one := []byte(`{"thetasPi":[0.25],"points":[{"x":0.5,"y":0.5}]}`)
+	points := make([]pointJSON, 700)
+	for i := range points {
+		points[i] = pointJSON{X: float64(i) / 700, Y: 0.5}
+	}
+	many, err := json.Marshal(queryRequest{ThetasPi: []float64{0.25, 0.5}, Points: points})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range [][]byte{one, many} {
+		rec := do(t, h, "POST", "/v1/deployments/"+reg.ID+"/query", q)
+		if rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("slow query %d answered %d, want 504: %s", i, rec.Code, rec.Body.String())
+		}
 	}
 	line := metricLine(t, h, `fvcd_requests_total{code="504",route="query"}`)
 	if line == "" {
 		line = metricLine(t, h, `fvcd_requests_total{route="query",code="504"}`)
 	}
-	if !strings.HasSuffix(line, " 1") {
-		t.Fatalf("no 504 query request counted: %q", line)
+	if !strings.HasSuffix(line, " 2") {
+		t.Fatalf("want 2 504 query requests counted: %q", line)
 	}
 }
 

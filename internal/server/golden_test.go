@@ -2,10 +2,16 @@ package server
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"fullview/internal/rng"
 )
 
 // goldenJournal is the deployment journal the steps in
@@ -59,5 +65,118 @@ func TestJournalGoldenBytes(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("journal bytes diverged from %s:\n got: %s\nwant: %s", goldenJournal, got, want)
+	}
+}
+
+// Golden /query bodies for TestQueryWorkerCountInvariance, gzipped, as
+// written by the serial query handler that preceded the sweep-engine
+// path: one against a pristine deployment, one against the same
+// deployment with a patch held in its overlay.
+const (
+	goldenQueryPristine = "testdata/query_golden_pristine.json.gz"
+	goldenQueryOverlay  = "testdata/query_golden_overlay.json.gz"
+)
+
+// invarianceQueryBody is a 1031-point, 3-θ /query body: 1031 is not a
+// multiple of the sweep batch size, so every worker count splits it
+// into uneven chunks with a ragged last batch. The first points put
+// the encoder's exponent-form and signed-zero cases on the wire.
+func invarianceQueryBody(t *testing.T) []byte {
+	t.Helper()
+	r := rng.New(31, 0)
+	points := []pointJSON{{0, 0}, {math.Copysign(0, -1), 0.5}, {1e-7, 5e-324}, {0.25, 1e-6}}
+	for len(points) < 1031 {
+		points = append(points, pointJSON{r.Float64(), r.Float64()})
+	}
+	body, err := json.Marshal(queryRequest{ThetasPi: []float64{0.2, 0.25, 0.5}, Points: points})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// invarianceQuery registers the invariance deployment on a server with
+// the given worker count, optionally patches it so the answer reads
+// through a non-empty overlay, and returns the /query body.
+func invarianceQuery(t *testing.T, workers int, overlay bool) []byte {
+	t.Helper()
+	srv := mustNew(t, Config{SurveyWorkers: workers, RebuildFraction: -1})
+	h := srv.Handler()
+	rec := do(t, h, "POST", "/v1/deployments", []byte(`{"profile":"`+testProfile+`","n":400,"seed":11}`))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("register: %d %s", rec.Code, rec.Body.String())
+	}
+	var reg registerResponse
+	decode(t, rec, &reg)
+	if overlay {
+		rec = do(t, h, "PATCH", "/v1/deployments/"+reg.ID, []byte(`{`+
+			`"reaim":[{"index":7,"orient":2.5},{"index":120,"orient":-0.4}],`+
+			`"remove":[3,250],`+
+			`"add":[{"x":0.41,"y":0.52,"orient":0.3,"radius":0.2,"aperture":1.2},`+
+			`{"x":0.9,"y":0.05,"orient":-2,"radius":0.1,"aperture":1.5,"group":1}]}`))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("patch: %d %s", rec.Code, rec.Body.String())
+		}
+		var pr patchResponse
+		decode(t, rec, &pr)
+		if pr.Overlay == 0 {
+			t.Fatal("patch left no overlay; the test would not exercise the overlay path")
+		}
+	}
+	rec = do(t, h, "POST", "/v1/deployments/"+reg.ID+"/query", invarianceQueryBody(t))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("query: %d %s", rec.Code, rec.Body.String())
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("query Content-Type = %q, want application/json", ct)
+	}
+	return rec.Body.Bytes()
+}
+
+// readGzip returns the decompressed contents of a gzipped testdata file.
+func readGzip(t *testing.T, path string) []byte {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestQueryWorkerCountInvariance pins the /query body byte for byte at
+// every worker count, on a pristine deployment and through an overlay,
+// against the golden bodies of the serial handler.
+func TestQueryWorkerCountInvariance(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		overlay bool
+		golden  string
+	}{
+		{"pristine", false, goldenQueryPristine},
+		{"overlay", true, goldenQueryOverlay},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := readGzip(t, tc.golden)
+			for _, workers := range []int{1, 2, 3, 7} {
+				got := invarianceQuery(t, workers, tc.overlay)
+				if !bytes.Equal(got, want) {
+					i := 0
+					for i < len(got) && i < len(want) && got[i] == want[i] {
+						i++
+					}
+					t.Errorf("workers=%d: body diverges from %s at byte %d (len %d, want %d):\n got: %.200s\nwant: %.200s",
+						workers, tc.golden, i, len(got), len(want), got[i:], want[min(i, len(want)):])
+				}
+			}
+		})
 	}
 }

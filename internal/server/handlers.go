@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"fullview/internal/core"
@@ -16,13 +17,8 @@ import (
 	"fullview/internal/geom"
 	"fullview/internal/retry"
 	"fullview/internal/spatial"
+	"fullview/internal/sweep"
 )
-
-// cancelCheckInterval is how many query points are evaluated between
-// context checks, mirroring the sweep engine's constant: cancellation
-// lands within microseconds of work without touching the per-point hot
-// path.
-const cancelCheckInterval = 256
 
 // handleRegister builds (or revives) a deployment and returns its id.
 // The id is the network's content fingerprint, so the same network —
@@ -256,7 +252,9 @@ func (s *Server) applyPatch(e *depcache.Entry, req *patchRequest, resp *patchRes
 // θ-list. One core.MultiChecker is built per request from the cached
 // index — the candidate gather and max-gap scan run once per point no
 // matter how many angles are asked — and its verdicts are returned
-// bit-identical to an in-process MultiChecker.Evaluate.
+// bit-identical to an in-process MultiChecker.Evaluate. The batch runs
+// through the sweep engine (evaluateQuery); the body is byte-identical
+// to encoding/json's rendering of queryResponse.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	entry, ok := s.deployment(w, r)
 	if !ok {
@@ -297,32 +295,77 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx := r.Context()
-	results := make([]pointResultJSON, len(req.Points))
-	for i, p := range req.Points {
-		if i%cancelCheckInterval == 0 && ctx.Err() != nil {
-			writeCtxError(w, ctx.Err())
+	t0 := time.Now()
+	parts, err := evaluateQuery(r.Context(), mc, req.Points, req.ThetasPi, s.cfg.SurveyWorkers)
+	if err != nil {
+		var perr *sweep.PanicError
+		if errors.As(err, &perr) {
+			s.logf("panic in query kernel (recovered): %v", err)
+			s.m.panics.Inc()
+			writeError(w, http.StatusInternalServerError,
+				fmt.Sprintf("internal error: query kernel panicked: %v", perr.Value))
 			return
 		}
-		rep := mc.Evaluate(geom.V(p.X, p.Y))
-		verdicts := make([]thetaVerdictJSON, len(rep.PerTheta))
-		for j, v := range rep.PerTheta {
-			verdicts[j] = thetaVerdictJSON{
-				ThetaPi:    req.ThetasPi[j],
-				FullView:   v.FullView,
-				Necessary:  v.Necessary,
-				Sufficient: v.Sufficient,
-			}
-		}
-		results[i] = pointResultJSON{
-			Point:       p,
-			NumCovering: rep.NumCovering,
-			MaxGap:      rep.MaxGap,
-			PerTheta:    verdicts,
-		}
+		writeCtxError(w, err)
+		return
 	}
-	s.m.points.Add(int64(len(req.Points)))
-	writeJSON(w, http.StatusOK, queryResponse{ID: entry.Fingerprint, Version: view.Version(), Results: results})
+	n := len(req.Points)
+	s.m.points.Add(int64(n))
+	s.m.pointCost["query"].Observe(time.Since(t0).Nanoseconds() / int64(n))
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(appendQueryHead(nil, entry.Fingerprint, view.Version()))
+	for _, p := range parts {
+		_, _ = w.Write(p)
+	}
+	_, _ = w.Write([]byte(queryTail))
+}
+
+// evaluateQuery diagnoses every point through the sweep engine and
+// returns the JSON of the results array's elements, comma-separated, in
+// point order: one part per worker chunk. Workers are capped at one per
+// sweep.BatchSize points, so a batch of at most one sweep batch runs
+// inline on the calling goroutine with mc itself; otherwise one worker
+// takes mc and the others a Clone of it. The parts are identical at
+// every worker count. A cancelled ctx returns ctx.Err(), and a kernel
+// panic a *sweep.PanicError.
+func evaluateQuery(ctx context.Context, mc *core.MultiChecker, points []pointJSON, thetasPi []float64, maxWorkers int) ([][]byte, error) {
+	n := len(points)
+	workers := max(1, min(maxWorkers, (n+sweep.BatchSize-1)/sweep.BatchSize))
+	pts := make([]geom.Vec, n)
+	for i, p := range points {
+		pts[i] = geom.V(p.X, p.Y)
+	}
+	heads := appendThetaHeads(thetasPi)
+	// Reserve each chunk's bytes once: chunks are ⌈n/workers⌉ points, and
+	// a point rarely needs more than perPointBytes.
+	chunkBytes := (n + workers - 1) / workers * perPointBytes(len(thetasPi))
+	// Clones are taken before the sweep starts: Clone reads the
+	// scratch buffers the worker holding mc is writing.
+	checkers := make([]*core.MultiChecker, workers)
+	checkers[0] = mc
+	for i := 1; i < workers; i++ {
+		checkers[i] = mc.Clone()
+	}
+	var next atomic.Int32
+	return sweep.RunBatch(ctx, pts, workers,
+		func() (*core.MultiChecker, error) { return checkers[next.Add(1)-1], nil },
+		func(m *core.MultiChecker, acc [][]byte, lo int, batch []geom.Vec) [][]byte {
+			if acc == nil {
+				acc = [][]byte{make([]byte, 0, chunkBytes)}
+			}
+			b := acc[0]
+			for i, p := range batch {
+				if lo+i > 0 {
+					b = append(b, ',')
+				}
+				b = appendPointResult(b, points[lo+i], m.Evaluate(p), heads)
+			}
+			acc[0] = b
+			return acc
+		},
+		func(dst, src [][]byte) [][]byte { return append(dst, src...) },
+	)
 }
 
 // handleSurvey sweeps a sample grid through the parallel sweep engine

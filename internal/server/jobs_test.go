@@ -636,7 +636,8 @@ func metricValue(t *testing.T, h http.Handler, prefix string) float64 {
 // TestSurveyPointTelemetry checks the production visibility of the
 // survey kernel: inline /survey requests and job bands both feed
 // fvcd_survey_points_total, and each observes the per-band ns/point
-// histogram under its own source label.
+// histogram under its own source label; /query requests observe it
+// under source="query" without counting as survey points.
 func TestSurveyPointTelemetry(t *testing.T) {
 	srv := mustNewStopped(t, Config{})
 	h := srv.Handler()
@@ -683,5 +684,21 @@ func TestSurveyPointTelemetry(t *testing.T) {
 	}
 	if got := metricValue(t, h, `fvcd_band_ns_per_point_count{source="survey"}`); got != 1 {
 		t.Fatalf("survey histogram count moved to %v after a job, want 1", got)
+	}
+
+	// Query: one observation per /query request under source="query",
+	// and no survey points.
+	if got := metricValue(t, h, `fvcd_band_ns_per_point_count{source="query"}`); got != 0 {
+		t.Fatalf("query histogram count = %v before any query, want 0", got)
+	}
+	q := []byte(`{"thetasPi":[0.25,0.5],"points":[{"x":0.5,"y":0.5},{"x":0.1,"y":0.9},{"x":0.3,"y":0.7}]}`)
+	if rec := do(t, h, "POST", "/v1/deployments/"+id+"/query", q); rec.Code != http.StatusOK {
+		t.Fatalf("query: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := metricValue(t, h, `fvcd_band_ns_per_point_count{source="query"}`); got != 1 {
+		t.Fatalf("query histogram count = %v, want 1", got)
+	}
+	if got := metricValue(t, h, "fvcd_survey_points_total"); got != 1024+576 {
+		t.Fatalf("after query: fvcd_survey_points_total = %v, want %d", got, 1024+576)
 	}
 }

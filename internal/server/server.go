@@ -121,6 +121,9 @@ type Config struct {
 	QueueTimeout time.Duration
 	// SurveyWorkers is the worker count for region sweeps
 	// (default GOMAXPROCS; requests may lower it per call, never raise).
+	// It also caps a /query batch's parallelism, which is further
+	// capped at one worker per sweep.BatchSize points: a batch of at
+	// most one sweep batch runs inline on the request goroutine.
 	SurveyWorkers int
 	// MaxBodyBytes caps request body size (default 8 MiB).
 	MaxBodyBytes int64
@@ -336,9 +339,9 @@ func (s *Server) newMetrics() *metrics {
 		m.latency[route] = reg.Histogram("fvcd_request_duration_ns",
 			"Request latency in nanoseconds by route.", nil, telemetry.L("route", route))
 	}
-	for _, source := range []string{"survey", "job"} {
+	for _, source := range []string{"survey", "job", "query"} {
 		m.pointCost[source] = reg.Histogram("fvcd_band_ns_per_point",
-			"Per-point kernel cost of one survey (or job band) in nanoseconds per point.",
+			"Per-point kernel cost of one survey, job band or query batch (evaluate and encode) in nanoseconds per point.",
 			telemetry.PointCostBuckets, telemetry.L("source", source))
 	}
 	reg.CounterFunc("fvcd_depcache_hits_total",

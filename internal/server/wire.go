@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 
+	"fullview/internal/core"
 	"fullview/internal/depjournal"
 	"fullview/internal/deploy"
 	"fullview/internal/geom"
@@ -143,6 +145,98 @@ type queryResponse struct {
 	ID      string            `json:"id"`
 	Version uint64            `json:"version"`
 	Results []pointResultJSON `json:"results"`
+}
+
+// The /query body is appended by hand rather than through
+// encoding/json: no reflection, and no per-point verdict slice. The
+// functions below write exactly the bytes json.Marshal writes for the
+// queryResponse, pointResultJSON and thetaVerdictJSON structs above,
+// which stay the schema clients decode into; FuzzQueryEncoding pins the
+// byte-identity.
+
+// queryTail closes the results array and the response object; the
+// trailing newline is the one json.Encoder.Encode writes.
+const queryTail = "]}\n"
+
+// appendQueryHead appends the response object's opening up to and
+// including the results array's '['.
+func appendQueryHead(dst []byte, id string, version uint64) []byte {
+	quoted, _ := json.Marshal(id)
+	dst = append(dst, `{"id":`...)
+	dst = append(dst, quoted...)
+	dst = append(dst, `,"version":`...)
+	dst = strconv.AppendUint(dst, version, 10)
+	return append(dst, `,"results":[`...)
+}
+
+// appendThetaHeads formats each requested θ once per request: the
+// verdict object's opening up to its "fullView" value. The heads share
+// one buffer sized for the longest float (24 bytes).
+func appendThetaHeads(thetasPi []float64) [][]byte {
+	heads := make([][]byte, len(thetasPi))
+	buf := make([]byte, 0, 48*len(thetasPi))
+	for j, tp := range thetasPi {
+		start := len(buf)
+		buf = append(buf, `{"thetaPi":`...)
+		buf = appendJSONFloat(buf, tp)
+		buf = append(buf, `,"fullView":`...)
+		heads[j] = buf[start:]
+	}
+	return heads
+}
+
+// perPointBytes sizes one point's result JSON with k verdicts: with
+// 17-digit floats the point object is about 110 bytes and a verdict
+// about 72. A longer result only costs the buffer a growth.
+func perPointBytes(k int) int { return 128 + 80*k }
+
+// appendPointResult appends one point's result object: the point as
+// requested, the θ-independent quantities, and one verdict per θ of
+// heads (from appendThetaHeads, in the same order as rep.PerTheta).
+func appendPointResult(dst []byte, p pointJSON, rep core.MultiReport, heads [][]byte) []byte {
+	dst = append(dst, `{"point":{"x":`...)
+	dst = appendJSONFloat(dst, p.X)
+	dst = append(dst, `,"y":`...)
+	dst = appendJSONFloat(dst, p.Y)
+	dst = append(dst, `},"numCovering":`...)
+	dst = strconv.AppendInt(dst, int64(rep.NumCovering), 10)
+	dst = append(dst, `,"maxGap":`...)
+	dst = appendJSONFloat(dst, rep.MaxGap)
+	dst = append(dst, `,"perTheta":[`...)
+	for j, v := range rep.PerTheta {
+		if j > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, heads[j]...)
+		dst = strconv.AppendBool(dst, v.FullView)
+		dst = append(dst, `,"necessary":`...)
+		dst = strconv.AppendBool(dst, v.Necessary)
+		dst = append(dst, `,"sufficient":`...)
+		dst = strconv.AppendBool(dst, v.Sufficient)
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}"...)
+}
+
+// appendJSONFloat appends a finite float64 the way encoding/json does:
+// the shortest round-tripping decimal, in 'f' form except below 1e-6
+// or at or above 1e21 (in magnitude), where it is 'e' form with a
+// two-digit negative exponent trimmed to one digit (e-09 → e-9).
+// NaN and ±Inf never reach it: the request decoder refuses them and the
+// kernel's outputs are finite.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
 }
 
 // surveyRequest asks for a region sweep. Grid > 0 surveys the k×k grid

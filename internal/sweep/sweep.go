@@ -6,8 +6,9 @@
 //
 // Every sweeping layer of the repository (internal/core region surveys,
 // internal/barrier, internal/holes grid labelling, internal/experiment
-// point sweeps) runs through this package, so scheduling, worker-state
-// management, cancellation, and panic isolation exist exactly once.
+// point sweeps, the service's /query batches) runs through this
+// package, so scheduling, worker-state management, cancellation, and
+// panic isolation exist exactly once.
 //
 // # Fault tolerance
 //
