@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseProfile -fuzztime=15s ./internal/sensor/
 	$(GO) test -run=NONE -fuzz=FuzzCameraCovers -fuzztime=15s ./internal/sensor/
 	$(GO) test -run=NONE -fuzz=FuzzGather -fuzztime=15s ./internal/spatial/
+	$(GO) test -run=NONE -fuzz=FuzzSurveyRows -fuzztime=15s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=15s ./internal/checkpoint/
 	$(GO) test -run=NONE -fuzz=FuzzReplay -fuzztime=15s ./internal/depjournal/
 	$(GO) test -run=NONE -fuzz=FuzzApply -fuzztime=15s ./internal/depjournal/

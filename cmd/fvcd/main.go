@@ -113,7 +113,7 @@ func run(args []string, w io.Writer) error {
 		jobQueue      = fs.Int("job-queue", 0, "pending async jobs per kind before submissions answer 429 (0 = 64)")
 		jobWorkers    = fs.Int("job-concurrency", 0, "job workers per kind (0 = 2)")
 		jobTTL        = fs.Duration("job-ttl", 0, "retention of finished job results before 410 Gone (0 = 15m, negative = forever)")
-		jobThrottle   = fs.Duration("job-throttle", 0, "pause between job bands, for background pacing (0 = none)")
+		jobThrottle   = fs.Duration("job-throttle", 0, "pause between a job's row groups, for background pacing (0 = none)")
 		clusterFile   = fs.String("cluster", "", "peers file naming the cluster membership (see README \"Running a cluster\")")
 		selfName      = fs.String("self", "", "this replica's member name in the -cluster peers file")
 		antiEntropy   = fs.Duration("antientropy", 0, "interval between anti-entropy digest reconciliations with peers (0 = disabled; requires -cluster)")

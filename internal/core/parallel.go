@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"fullview/internal/geom"
 	"fullview/internal/sweep"
@@ -13,8 +14,9 @@ import (
 // are bit-identical to the sequential sweep at any worker count. Each
 // worker gets its own Clone of the Checker over the shared immutable
 // spatial index and rides the cell-sorted batch kernel (SurveyBatch),
-// so every production survey — server /survey, job bands, experiment
+// so every single-θ production survey — server /survey, experiment
 // grids — amortises the spatial gather across sweep.BatchSize points.
+// Jobs survey their row groups at every θ at once (SurveyRowsContext).
 //
 // A cancelled context aborts the sweep promptly and returns ctx.Err()
 // with zero statistics.
@@ -26,6 +28,59 @@ func (c *Checker) SurveyRegionContext(ctx context.Context, points []geom.Vec, wo
 		},
 		RegionStats.Merge,
 	)
+}
+
+// SurveyRowsContext surveys a block of consecutive grid rows at every
+// configured θ in one sweep: points holds len(points)/rowLen rows of
+// rowLen points each, and the result has one RegionStats per (θ slot,
+// row), slot-major — stats[slot*rows+row]. Each point is gathered once
+// for all θ through EvaluateBatch on a per-worker Clone, and the chunk
+// partials merge element-wise in chunk order, so every entry is
+// bit-identical to a one-θ Checker.SurveyRegion of that row alone, at
+// any worker count.
+//
+// A cancelled context aborts the sweep promptly (within one
+// sweep.BatchSize batch per worker) and returns ctx.Err() with nil
+// statistics.
+func (m *MultiChecker) SurveyRowsContext(ctx context.Context, points []geom.Vec, rowLen, workers int) ([]RegionStats, error) {
+	if rowLen <= 0 || len(points)%rowLen != 0 {
+		return nil, fmt.Errorf("core: %d points do not split into rows of %d", len(points), rowLen)
+	}
+	rows := len(points) / rowLen
+	cells := len(m.thetas) * rows
+	stats, err := sweep.RunBatch(ctx, points, workers,
+		func() (*MultiChecker, error) { return m.Clone(), nil },
+		func(worker *MultiChecker, acc []RegionStats, lo int, pts []geom.Vec) []RegionStats {
+			if acc == nil {
+				acc = make([]RegionStats, cells)
+			}
+			worker.EvaluateBatch(pts, func(i int, rep MultiReport) {
+				row := (lo + i) / rowLen
+				for slot, v := range rep.PerTheta {
+					acc[slot*rows+row].observe(PointReport{
+						NumCovering: rep.NumCovering,
+						FullView:    v.FullView,
+						Necessary:   v.Necessary,
+						Sufficient:  v.Sufficient,
+					})
+				}
+			})
+			return acc
+		},
+		func(dst, src []RegionStats) []RegionStats {
+			for i := range dst {
+				dst[i] = dst[i].Merge(src[i])
+			}
+			return dst
+		},
+	)
+	if err != nil {
+		return nil, err
+	}
+	if stats == nil {
+		stats = make([]RegionStats, cells)
+	}
+	return stats, nil
 }
 
 // SurveyRegionParallel is SurveyRegionContext without cancellation: it

@@ -48,7 +48,8 @@ func TestReplayFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if done.State != StateDone || done.Resumed || !done.Finished.Equal(time.Unix(1700000200, 0)) {
+	if done.State != StateDone || done.Resumed || !done.Finished.Equal(time.Unix(1700000200, 0)) ||
+		done.BandsDone != done.Bands || done.Bands != 8 {
 		t.Fatalf("finished job restored as %+v", done)
 	}
 	if len(done.Result.Stats) != 2 || done.Result.Stats[0] != want[0] || done.Result.Stats[1] != want[1] {
@@ -70,7 +71,7 @@ func TestReplayFixtures(t *testing.T) {
 
 	once.Do(func() { close(release) })
 	final := waitTerminal(t, m, "job-fixture-midrun")
-	if final.State != StateDone || len(final.Result.Stats) != 2 {
+	if final.State != StateDone || len(final.Result.Stats) != 2 || final.BandsDone != 8 {
 		t.Fatalf("resumed job ended %+v", final)
 	}
 	for i := range want {

@@ -2,18 +2,20 @@
 // surveys and θ-sweeps run as durable, resumable, cancellable
 // background work instead of inline request/response compute.
 //
-// A job is split into bands — one grid row at one θ — and each
-// completed band's RegionStats is fsynced to a per-job JSONL journal
-// before the next band starts (see journal.go for the format). Because
+// A job's result is split into bands — one grid row at one θ — and the
+// job runs in row groups: one sweep evaluates a block of consecutive
+// rows at every θ at once (see groupRows), and the group's band records
+// are fsynced to a per-job JSONL journal in one write before the next
+// group starts (see journal.go for the format). Because
 // RegionStats.Merge is exact for any partition of the region, replaying
 // the completed bands after a kill -9 and computing only the missing
 // ones reproduces the uninterrupted result bit-for-bit.
 //
 // Robustness contract:
 //
-//   - a panic inside a band fails only that job (structured *PanicError
+//   - a panic inside a group fails only that job (structured *PanicError
 //     with the stack); the manager and its other jobs keep running
-//   - transient band errors (experiment.ErrTransient, or the policy's
+//   - transient group errors (experiment.ErrTransient, or the policy's
 //     own classifier) get bounded retries with capped jittered backoff;
 //     panics and cancellation are never retried
 //   - the per-kind queue is bounded: Submit fails fast with
@@ -47,6 +49,7 @@ import (
 	"fullview/internal/experiment"
 	"fullview/internal/faultinject"
 	"fullview/internal/retry"
+	"fullview/internal/sweep"
 )
 
 // Kind names what a job computes.
@@ -98,7 +101,8 @@ type Spec struct {
 	// Grid is the side of the k×k sample grid. One band = one grid row
 	// at one θ.
 	Grid int `json:"grid"`
-	// Workers is the intra-band parallelism (0 = executor default).
+	// Workers is the parallelism of each row group's sweep (0 =
+	// executor default).
 	Workers int `json:"workers,omitempty"`
 	// Version pins the deployment index version the job must run
 	// against; a resumed job whose deployment has since mutated fails
@@ -157,17 +161,22 @@ type Result struct {
 	Stats []core.RegionStats `json:"stats"`
 }
 
-// BandRunner computes one band of a job. It must be deterministic in
-// band (resume depends on re-running only missing bands) and honour ctx.
-type BandRunner func(ctx context.Context, band int) (core.RegionStats, error)
+// BandRunner computes the bands of grid rows [rowLo, rowHi) at every θ
+// slot in one pass, returning one RegionStats per band, slot-major:
+// stats[slot*(rowHi-rowLo) + row-rowLo]. Each entry must be
+// deterministic in its band (resume depends on re-running only missing
+// bands, and a partly journaled group is recomputed), and the runner
+// must honour ctx.
+type BandRunner func(ctx context.Context, rowLo, rowHi int) ([]core.RegionStats, error)
 
 // Exec prepares a spec for execution — resolving the deployment,
 // building checkers — and returns the job's band runner. It is called
 // once per run attempt (fresh after a resume), never at Submit time.
 type Exec func(spec Spec) (BandRunner, error)
 
-// PanicError is a panic captured inside a band, converted to an error
-// so it fails only its own job.
+// PanicError is a panic captured inside a row group, converted to an
+// error so it fails only its own job. Band is the group's first band
+// not yet journaled.
 type PanicError struct {
 	Band  int
 	Value any
@@ -197,8 +206,10 @@ type Event struct {
 	BandsDone int               `json:"bandsDone"`
 	Bands     int               `json:"bands"`
 	Stats     *core.RegionStats `json:"stats,omitempty"`
-	// ElapsedNS is the band's wall time (band events only; zero on
-	// events replayed for bands that completed before a resume).
+	// ElapsedNS is the wall time of the row group that computed the
+	// band (band events only). Every band of one group carries the same
+	// value: the group's bands are evaluated in one fused sweep, so a
+	// band has no wall time of its own.
 	ElapsedNS int64  `json:"elapsedNs,omitempty"`
 	Error     string `json:"error,omitempty"`
 }
@@ -242,11 +253,12 @@ type Hooks struct {
 	// JobDone fires once per job reaching a terminal state, with the
 	// wall time from run start (or creation, if it never ran).
 	JobDone func(kind Kind, state State, elapsed time.Duration)
-	// BandDone fires once per band completed by this process, with the
-	// number of sample points the band evaluated and the band's wall
-	// time (including retries). Bands restored from the journal on
-	// resume do not re-fire — they did no work here.
-	BandDone func(kind Kind, points int, elapsed time.Duration)
+	// GroupDone fires once per row group computed by this process, with
+	// the number of sample points its sweep evaluated, counted once per
+	// θ slot, and the group's wall time (including retries). Groups
+	// wholly restored from the journal on resume do not fire — they did
+	// no work here.
+	GroupDone func(kind Kind, points int, elapsed time.Duration)
 }
 
 // Config tunes a Manager. The zero value works (memory-only jobs).
@@ -260,12 +272,12 @@ type Config struct {
 	// TTL is how long terminal jobs are retained for polling before
 	// garbage collection (default 15m; negative retains forever).
 	TTL time.Duration
-	// Retry bounds per-band retries of transient errors. A zero
+	// Retry bounds per-group retries of transient errors. A zero
 	// MaxAttempts selects the default {3 attempts, 25ms base, 250ms
 	// cap}; delays are jittered ±20%.
 	Retry experiment.RetryPolicy
-	// Throttle inserts a pause after every completed band — a test and
-	// ops knob that makes mid-job crashes reproducible.
+	// Throttle inserts a pause after every completed row group — a test
+	// and ops knob that makes mid-job crashes reproducible.
 	Throttle time.Duration
 	// Logger receives job-lifecycle and journal-degradation logs
 	// (default log.Default()).
@@ -304,11 +316,16 @@ type job struct {
 	spec    Spec
 	created time.Time
 
-	mu        sync.Mutex
-	state     State
-	started   time.Time
-	finished  time.Time
-	perBand   map[int]core.RegionStats
+	mu       sync.Mutex
+	state    State
+	started  time.Time
+	finished time.Time
+	// perBand holds the completed bands' stats until the job is
+	// terminal; finishJob releases it (the result subsumes it). Only
+	// the job's runner goroutine writes it.
+	perBand map[int]core.RegionStats
+	// done counts the completed bands; it outlives perBand.
+	done      int
 	result    *Result
 	errMsg    string
 	cancelled bool
@@ -468,6 +485,7 @@ func (m *Manager) replay() (resumed []*job) {
 			spec:    hdr.Spec,
 			created: time.Unix(0, hdr.CreatedNS),
 			perBand: bands,
+			done:    len(bands),
 			durable: true,
 			path:    path,
 			subs:    make(map[chan Event]struct{}),
@@ -482,6 +500,12 @@ func (m *Manager) replay() (resumed []*job) {
 			j.errMsg = term.Error
 			j.result = term.Result
 			j.finished = time.Unix(0, term.FinishedNS)
+			// Compaction dropped the band records; a done job completed
+			// every band.
+			j.perBand = nil
+			if term.State == StateDone {
+				j.done = j.spec.Bands()
+			}
 			if m.cfg.TTL > 0 && now.Sub(j.finished) > m.cfg.TTL {
 				m.gone[j.id] = now
 				m.mu.Unlock()
@@ -653,10 +677,9 @@ func (m *Manager) Subscribe(id string) (Snapshot, <-chan Event, func(), error) {
 		close(ch)
 		return m.snapshot(j), ch, func() {}, nil
 	}
-	depth := j.spec.Bands() + 16
-	if depth > 1024 {
-		depth = 1024
-	}
+	// Room for every band of a small job, and always for one row
+	// group's band events, which a group emits in one burst.
+	depth := min(j.spec.Bands(), max(1024, j.spec.Slots()*groupRows(j.spec.Grid))) + 16
 	ch := make(chan Event, depth)
 	j.subs[ch] = struct{}{}
 	j.mu.Unlock()
@@ -715,7 +738,7 @@ func (m *Manager) snapshot(j *job) Snapshot {
 		Spec:      j.spec,
 		State:     j.state,
 		Bands:     j.spec.Bands(),
-		BandsDone: len(j.perBand),
+		BandsDone: j.done,
 		Resumed:   j.resumed,
 		Durable:   j.durable,
 		Err:       j.errMsg,
@@ -745,12 +768,29 @@ func (m *Manager) worker(q chan *job) {
 	}
 }
 
-// runJob executes every band the journal doesn't already hold, then
-// merges the per-band stats into the result. A ctx error routes to
-// abandon (cancel vs. shutdown); anything else fails the job.
+// groupPoints is the sample-point budget of one row group: large
+// enough that a group's sweep gives every worker many sweep.BatchSize
+// batches, so sweep start and barrier costs and the group's journal
+// fsync amortise over real work.
+const groupPoints = 64 * sweep.BatchSize
+
+// groupRows is the number of grid rows a job evaluates per group:
+// ⌈groupPoints/grid⌉ rows, but never more than half the grid, so every
+// grid of two or more rows runs as at least two groups and a crash or
+// throttle can land between them.
+func groupRows(grid int) int {
+	return max(1, min((groupPoints+grid-1)/grid, (grid+1)/2))
+}
+
+// runJob executes every row group whose bands the journal doesn't
+// already hold, then merges the per-band stats into the result. A ctx
+// error routes to abandon (cancel vs. shutdown); anything else fails
+// the job.
 func (m *Manager) runJob(j *job) {
 	j.mu.Lock()
-	if j.state != StateQueued {
+	// A job cancelled while queued is finished by Cancel itself; it may
+	// still reach a worker, which must leave it alone.
+	if j.state != StateQueued || j.cancelled {
 		j.mu.Unlock()
 		return
 	}
@@ -771,31 +811,50 @@ func (m *Manager) runJob(j *job) {
 		return
 	}
 
-	bands := j.spec.Bands()
-	for band := 0; band < bands; band++ {
-		j.mu.Lock()
-		_, done := j.perBand[band]
-		j.mu.Unlock()
-		if done {
+	grid, rows := j.spec.Grid, groupRows(j.spec.Grid)
+	for lo := 0; lo < grid; lo += rows {
+		hi := min(lo+rows, grid)
+		missing := m.missingBands(j, lo, hi)
+		if len(missing) == 0 {
 			continue
 		}
 		t0 := time.Now()
-		stats, err := m.runBand(ctx, runner, band)
+		stats, err := m.runGroup(ctx, runner, missing[0], lo, hi)
+		if want := j.spec.Slots() * (hi - lo); err == nil && len(stats) != want {
+			err = fmt.Errorf("runner answered %d bands for rows [%d, %d), want %d", len(stats), lo, hi, want)
+		}
 		if err != nil {
 			if ctx.Err() != nil {
 				m.abandon(j)
 				return
 			}
-			m.finishJob(j, StateFailed, fmt.Sprintf("band %d: %v", band, err), nil)
+			m.finishJob(j, StateFailed, fmt.Sprintf("band %d: %v", missing[0], err), nil)
 			return
 		}
-		m.completeBand(j, band, stats, time.Since(t0))
+		m.completeGroup(j, lo, hi, missing, stats, time.Since(t0))
 		if m.cfg.Throttle > 0 && retry.Sleep(ctx, m.cfg.Throttle) != nil {
 			m.abandon(j)
 			return
 		}
 	}
 	m.finishJob(j, StateDone, "", m.merge(j))
+}
+
+// missingBands lists, in ascending band order, the bands of grid rows
+// [lo, hi) at every θ slot that the job has not completed yet.
+func (m *Manager) missingBands(j *job, lo, hi int) []int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var missing []int
+	for slot := 0; slot < j.spec.Slots(); slot++ {
+		for row := lo; row < hi; row++ {
+			band := slot*j.spec.Grid + row
+			if _, done := j.perBand[band]; !done {
+				missing = append(missing, band)
+			}
+		}
+	}
+	return missing
 }
 
 // abandon handles a ctx-terminated run: a cancelled job gets its
@@ -810,78 +869,91 @@ func (m *Manager) abandon(j *job) {
 	}
 }
 
-// runBand runs one band under the retry policy: transient errors retry
-// with capped, ±20%-jittered exponential backoff; panics and ctx errors
-// never retry.
-func (m *Manager) runBand(ctx context.Context, runner BandRunner, band int) (core.RegionStats, error) {
+// runGroup runs one row group under the retry policy: transient errors
+// retry with capped, ±20%-jittered exponential backoff; panics and ctx
+// errors never retry. first is the group's first missing band, which a
+// *PanicError names.
+func (m *Manager) runGroup(ctx context.Context, runner BandRunner, first, lo, hi int) ([]core.RegionStats, error) {
 	pol := m.cfg.Retry
 	for attempt := 1; ; attempt++ {
-		stats, err := m.bandAttempt(ctx, runner, band)
+		stats, err := m.groupAttempt(ctx, runner, first, lo, hi)
 		if err == nil {
 			return stats, nil
 		}
 		var pe *PanicError
 		if ctx.Err() != nil || attempt >= pol.MaxAttempts || errors.As(err, &pe) || !pol.ShouldRetry(err) {
-			return core.RegionStats{}, err
+			return nil, err
 		}
 		if err := retry.Sleep(ctx, retry.Jitter(retry.Backoff(pol.BaseDelay, pol.MaxDelay, attempt-1), 0.2)); err != nil {
-			return core.RegionStats{}, err
+			return nil, err
 		}
 	}
 }
 
-// bandAttempt is one attempt with panic containment: a panic in the
+// groupAttempt is one attempt with panic containment: a panic in the
 // runner (or an armed JobPanic hook) becomes a *PanicError instead of
 // unwinding the worker.
-func (m *Manager) bandAttempt(ctx context.Context, runner BandRunner, band int) (stats core.RegionStats, err error) {
+func (m *Manager) groupAttempt(ctx context.Context, runner BandRunner, first, lo, hi int) (stats []core.RegionStats, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			err = &PanicError{Band: band, Value: v, Stack: debug.Stack()}
+			stats, err = nil, &PanicError{Band: first, Value: v, Stack: debug.Stack()}
 		}
 	}()
 	if ferr := faultinject.Fire(faultinject.JobBand); ferr != nil {
-		return stats, ferr
+		return nil, ferr
 	}
 	if ferr := faultinject.Fire(faultinject.JobPanic); ferr != nil {
-		return stats, ferr
+		return nil, ferr
 	}
-	return runner(ctx, band)
+	return runner(ctx, lo, hi)
 }
 
-// completeBand records a finished band: journal first (failure degrades
-// to memory-only, never fails the band), then counters, hooks, and
-// events. elapsed is the band's wall time, surfaced through
-// Hooks.BandDone and the band event; the journal record deliberately
-// omits it, so bands restored on resume report no phantom work.
-func (m *Manager) completeBand(j *job, band int, stats core.RegionStats, elapsed time.Duration) {
+// completeGroup records a finished row group: the missing bands' stats
+// go into perBand, then into the journal as one durable write (failure
+// degrades to memory-only, never fails the job), then counters, the
+// GroupDone hook, and one event per band. elapsed is the group's wall
+// time; the journal records deliberately omit it, so bands restored on
+// resume report no phantom work.
+func (m *Manager) completeGroup(j *job, lo, hi int, missing []int, stats []core.RegionStats, elapsed time.Duration) {
+	rows := hi - lo
+	recs := make([]record, len(missing))
 	j.mu.Lock()
-	j.perBand[band] = stats
-	done := len(j.perBand)
+	for i, band := range missing {
+		s := stats[j.spec.Slot(band)*rows+j.spec.Row(band)-lo]
+		j.perBand[band] = s
+		recs[i] = record{Band: &missing[i], Stats: &s}
+	}
+	before := j.done
+	j.done += len(missing)
 	file := j.file
 	j.mu.Unlock()
 	if file != nil {
-		b := band
-		s := stats
-		if err := file.append(record{Band: &b, Stats: &s}); err != nil {
+		if err := file.append(recs...); err != nil {
 			m.noteJournalErr(err)
 		} else {
 			m.clearJournalErr()
 		}
 	}
-	m.bandsDone.Add(1)
-	if m.cfg.Hooks.BandDone != nil {
-		m.cfg.Hooks.BandDone(j.spec.Kind, stats.Points, elapsed)
+	m.bandsDone.Add(int64(len(missing)))
+	if m.cfg.Hooks.GroupDone != nil {
+		points := 0
+		for _, s := range stats {
+			points += s.Points
+		}
+		m.cfg.Hooks.GroupDone(j.spec.Kind, points, elapsed)
 	}
-	m.emit(j, Event{
-		Type:      EventBand,
-		State:     StateRunning,
-		Band:      band,
-		Slot:      j.spec.Slot(band),
-		BandsDone: done,
-		Bands:     j.spec.Bands(),
-		Stats:     &stats,
-		ElapsedNS: elapsed.Nanoseconds(),
-	})
+	for i, band := range missing {
+		m.emit(j, Event{
+			Type:      EventBand,
+			State:     StateRunning,
+			Band:      band,
+			Slot:      j.spec.Slot(band),
+			BandsDone: before + i + 1,
+			Bands:     j.spec.Bands(),
+			Stats:     recs[i].Stats,
+			ElapsedNS: elapsed.Nanoseconds(),
+		})
+	}
 }
 
 // merge folds the per-band stats into one RegionStats per θ slot, in
@@ -924,7 +996,10 @@ func (m *Manager) finishJob(j *job, state State, errMsg string, result *Result) 
 	subs := j.subs
 	j.subs = nil
 	started := j.started
-	done := len(j.perBand)
+	done := j.done
+	// The result (or the failure) subsumes the per-band stats; a
+	// retained terminal job keeps only its done count.
+	j.perBand = nil
 	j.mu.Unlock()
 
 	m.bumpState(j.spec.Kind, state)
@@ -962,7 +1037,7 @@ func (m *Manager) finishJob(j *job, state State, errMsg string, result *Result) 
 
 func (m *Manager) emitState(j *job, state State) {
 	j.mu.Lock()
-	done := len(j.perBand)
+	done := j.done
 	j.mu.Unlock()
 	m.emit(j, Event{Type: EventState, State: state, BandsDone: done, Bands: j.spec.Bands()})
 }

@@ -38,8 +38,8 @@ func testNet(t *testing.T, n int, seed uint64) *sensor.Network {
 	return net
 }
 
-// realExec builds the same banded executor the server wires in: one
-// checker per θ slot, one grid row per band.
+// realExec builds the same row-group executor the server wires in: one
+// MultiChecker over every θ slot, one fused sweep per row group.
 func realExec(t *testing.T, net *sensor.Network) Exec {
 	t.Helper()
 	return func(spec Spec) (BandRunner, error) {
@@ -47,18 +47,17 @@ func realExec(t *testing.T, net *sensor.Network) Exec {
 		if err != nil {
 			return nil, err
 		}
-		checkers := make([]*core.Checker, spec.Slots())
+		thetas := make([]float64, spec.Slots())
 		for i, tp := range spec.ThetasPi {
-			c, err := core.NewChecker(net, tp*math.Pi)
-			if err != nil {
-				return nil, err
-			}
-			checkers[i] = c
+			thetas[i] = tp * math.Pi
 		}
-		return func(ctx context.Context, band int) (core.RegionStats, error) {
-			row := spec.Row(band)
-			pts := points[row*spec.Grid : (row+1)*spec.Grid]
-			return checkers[spec.Slot(band)].SurveyRegionContext(ctx, pts, max(spec.Workers, 1))
+		mc, err := core.NewMultiChecker(net, thetas)
+		if err != nil {
+			return nil, err
+		}
+		return func(ctx context.Context, rowLo, rowHi int) ([]core.RegionStats, error) {
+			pts := points[rowLo*spec.Grid : rowHi*spec.Grid]
+			return mc.SurveyRowsContext(ctx, pts, spec.Grid, max(spec.Workers, 1))
 		}, nil
 	}
 }
@@ -151,8 +150,8 @@ func TestSurveyJobMatchesLibrary(t *testing.T) {
 	if got := m.StateCount(KindSurvey, StateDone); got != 1 {
 		t.Fatalf("StateCount(survey, done) = %d, want 1", got)
 	}
-	if m.BandsDone() != 12 {
-		t.Fatalf("BandsDone = %d, want 12", m.BandsDone())
+	if m.BandsDone() != 12 || final.BandsDone != 12 {
+		t.Fatalf("BandsDone = %d, snapshot %d, want 12", m.BandsDone(), final.BandsDone)
 	}
 }
 
@@ -256,12 +255,13 @@ func TestResumeBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	spec := surveySpec(10)
 
-	// Let three band attempts through, then block the fourth until the
-	// first manager is being torn down.
+	// The grid of 10 runs as two row groups of 5 rows. Let the first
+	// group's attempt through, then block the second until the first
+	// manager is being torn down.
 	gate := make(chan struct{})
 	var fires atomic.Int64
 	remove := faultinject.Set(faultinject.JobBand, func() error {
-		if fires.Add(1) >= 4 {
+		if fires.Add(1) >= 2 {
 			<-gate
 		}
 		return nil
@@ -276,9 +276,9 @@ func TestResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "three journaled bands", func() bool {
+	waitFor(t, "first group journaled", func() bool {
 		s, err := m1.Get(snap.ID)
-		return err == nil && s.BandsDone >= 3
+		return err == nil && s.BandsDone >= 5
 	})
 
 	// Tear down like a crash: Close cancels the workers' context and
@@ -303,6 +303,9 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 	if m2.Resumes() != 1 {
 		t.Fatalf("Resumes = %d, want 1", m2.Resumes())
+	}
+	if m2.BandsDone() != 5 {
+		t.Fatalf("resumed job computed %d bands, want only the second group's 5", m2.BandsDone())
 	}
 	want := wholeGrid(t, net, spec)
 	if final.Result.Stats[0] != want[0] {
@@ -606,19 +609,26 @@ func TestSubscribeStreamsBandsAndCloses(t *testing.T) {
 		t.Fatalf("initial snapshot state = %s, want queued", first.State)
 	}
 	m.Start()
-	var bandEvents int
+	// One event per band, in band order, even though the grid of 6 runs
+	// as two row groups of 3: each band carries its group's wall time.
+	var bands []Event
 	var last Event
 	for ev := range ch {
 		if ev.Type == EventBand {
-			bandEvents++
-			if ev.Stats == nil || ev.Slot != 0 {
+			if ev.Stats == nil || ev.Slot != 0 || ev.Band != len(bands) || ev.BandsDone != len(bands)+1 || ev.ElapsedNS <= 0 {
 				t.Fatalf("band event malformed: %+v", ev)
 			}
+			bands = append(bands, ev)
 		}
 		last = ev
 	}
-	if bandEvents != 6 {
-		t.Fatalf("saw %d band events, want 6", bandEvents)
+	if len(bands) != 6 {
+		t.Fatalf("saw %d band events, want 6", len(bands))
+	}
+	for _, b := range []int{1, 2, 4, 5} {
+		if bands[b].ElapsedNS != bands[b-1].ElapsedNS {
+			t.Fatalf("bands %d and %d of one group report wall times %d and %d", b-1, b, bands[b-1].ElapsedNS, bands[b].ElapsedNS)
+		}
 	}
 	if last.Type != EventState || last.State != StateDone {
 		t.Fatalf("final event = %+v, want done state event", last)
@@ -634,6 +644,70 @@ func TestSubscribeStreamsBandsAndCloses(t *testing.T) {
 	}
 	if _, open := <-ch2; open {
 		t.Fatal("terminal subscribe channel should be closed")
+	}
+}
+
+// TestSubscribeHoldsAGroupBurst: a row group emits all its band events
+// at once, so a subscriber's buffer must hold one group's burst even
+// when that exceeds the 1024 events a small job gets. 21 θ over a grid
+// of 100 run as groups of 50 rows: bursts of 1050 band events. The
+// listener drains only between the groups.
+func TestSubscribeHoldsAGroupBurst(t *testing.T) {
+	net := testNet(t, 100, 43)
+	thetas := make([]float64, 21)
+	for i := range thetas {
+		thetas[i] = 0.2 + 0.02*float64(i)
+	}
+	spec := Spec{Kind: KindSweep, Deployment: "dep", ThetasPi: thetas, Grid: 100}
+	firstEmitted, resume := make(chan struct{}), make(chan struct{})
+	exec := realExec(t, net)
+	m := newManager(t, Config{}, func(s Spec) (BandRunner, error) {
+		run, err := exec(s)
+		return func(ctx context.Context, rowLo, rowHi int) ([]core.RegionStats, error) {
+			if rowLo > 0 {
+				close(firstEmitted)
+				select {
+				case <-resume:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			return run(ctx, rowLo, rowHi)
+		}, err
+	})
+	snap, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ch, stop, err := m.Subscribe(snap.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	m.Start()
+	<-firstEmitted
+	bands := 0
+	for drained := false; !drained; {
+		select {
+		case ev := <-ch:
+			if ev.Type == EventBand {
+				bands++
+			}
+		default:
+			drained = true
+		}
+	}
+	if want := 21 * 50; bands != want {
+		t.Fatalf("first group delivered %d band events, want %d", bands, want)
+	}
+	close(resume)
+	for ev := range ch {
+		if ev.Type == EventBand {
+			bands++
+		}
+	}
+	if bands != spec.Bands() {
+		t.Fatalf("saw %d band events, want %d", bands, spec.Bands())
 	}
 }
 

@@ -16,10 +16,12 @@ import (
 // the header (format version, job id, creation time, and the full spec
 // — everything needed to re-derive the job's work after a crash); every
 // further line is one record: a completed band's RegionStats, or the
-// terminal state. Records are appended through a jsonlog.Log (write +
-// fsync per record, truncate-back on a failed write), so a kill -9
-// loses at most the band whose completion was never acknowledged;
-// replay follows the jsonlog decode and torn-tail rules. Once a job
+// terminal state. Records are appended through a jsonlog.Log — a row
+// group's band records go in one write + fsync, truncated back on a
+// failed write — so a kill -9 loses at most the one row group whose
+// completion was never acknowledged (a torn write keeps its intact
+// leading records); replay follows the jsonlog decode and torn-tail
+// rules. Once a job
 // reaches a terminal state its file is compacted to header + terminal
 // record with jsonlog.WriteAtomic.
 const (
@@ -156,13 +158,13 @@ func reopenJobFile(path string, hdr header, good int64) (*jobFile, error) {
 	return &jobFile{path: path, log: l, hdr: hdr}, nil
 }
 
-// append durably writes one record. The faultinject.JobJournalWrite
-// point fires before the write.
-func (jf *jobFile) append(rec record) error {
+// append durably writes records in one write and one fsync. The
+// faultinject.JobJournalWrite point fires before the write.
+func (jf *jobFile) append(recs ...record) error {
 	if err := faultinject.Fire(faultinject.JobJournalWrite); err != nil {
 		return fmt.Errorf("jobs: write record: %w", err)
 	}
-	if err := jf.log.Append(rec); err != nil {
+	if err := jf.log.Append(recs...); err != nil {
 		return fmt.Errorf("jobs: write record: %w", err)
 	}
 	return nil

@@ -146,7 +146,10 @@ func TestReopenAfterTornLineResumesCleanly(t *testing.T) {
 // TestResumeAfterUnterminatedBand: a crash can persist a band record
 // but not its trailing newline. The restarted job must append its next
 // bands on fresh lines, so a second restart resumes the job again
-// instead of quarantining its journal as corrupt.
+// instead of quarantining its journal as corrupt. The grid of 6 runs as
+// two row groups of 3 rows; the journal holds band 0 only, so the first
+// restart recomputes the partly journaled first group and appends just
+// its missing bands 1 and 2, in one write.
 func TestResumeAfterUnterminatedBand(t *testing.T) {
 	net := testNet(t, 150, 7)
 	dir := t.TempDir()
@@ -159,39 +162,44 @@ func TestResumeAfterUnterminatedBand(t *testing.T) {
 	hdr := header{Version: Version, Kind: FileKind, ID: "job-newline", CreatedNS: time.Now().UnixNano(), Spec: spec}
 	var buf bytes.Buffer
 	buf.Write(mustLine(t, hdr))
-	for b := 0; b < 2; b++ {
-		stats, err := run(context.Background(), b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(mustLine(t, record{Band: intp(b), Stats: &stats}))
+	stats, err := run(context.Background(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	buf.Write(mustLine(t, record{Band: intp(0), Stats: &stats[0]}))
 	path := filepath.Join(dir, hdr.ID+fileSuffix)
 	if err := os.WriteFile(path, bytes.TrimSuffix(buf.Bytes(), []byte("\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// First restart: journal bands 2 and 3, then stop at band 4 the way
-	// a kill would (no terminal record).
-	stopAt4 := func(s Spec) (BandRunner, error) {
+	// First restart: journal bands 1 and 2, then stop at the second
+	// group the way a kill would (no terminal record).
+	stopAtSecondGroup := func(s Spec) (BandRunner, error) {
 		r, err := exec(s)
-		return func(ctx context.Context, band int) (core.RegionStats, error) {
-			if band >= 4 {
+		return func(ctx context.Context, rowLo, rowHi int) ([]core.RegionStats, error) {
+			if rowLo > 0 {
 				<-ctx.Done()
-				return core.RegionStats{}, ctx.Err()
+				return nil, ctx.Err()
 			}
-			return r(ctx, band)
+			return r(ctx, rowLo, rowHi)
 		}, err
 	}
-	m1, err := New(quietConfig(Config{Dir: dir}), stopAt4)
+	m1, err := New(quietConfig(Config{Dir: dir}), stopAtSecondGroup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m1.Start()
-	waitFor(t, "bands 2 and 3 journaled", func() bool { return m1.BandsDone() == 2 })
+	waitFor(t, "bands 1 and 2 journaled", func() bool { return m1.BandsDone() == 2 })
 	m1.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "\n"); n != 4 {
+		t.Fatalf("journal has %d lines after the first restart, want header + bands 0, 1, 2", n)
+	}
 
-	// Second restart: the job resumes from four bands and finishes
+	// Second restart: the job resumes from three bands and finishes
 	// bit-identical to an uninterrupted survey.
 	m2 := newManager(t, Config{Dir: dir}, exec)
 	m2.Start()
@@ -199,8 +207,8 @@ func TestResumeAfterUnterminatedBand(t *testing.T) {
 	if err != nil {
 		t.Fatalf("job lost on the second restart: %v", err)
 	}
-	if !snap.Resumed || snap.BandsDone < 4 {
-		t.Fatalf("second restart restored %+v, want 4 journaled bands", snap)
+	if !snap.Resumed || snap.BandsDone < 3 {
+		t.Fatalf("second restart restored %+v, want 3 journaled bands", snap)
 	}
 	final := waitTerminal(t, m2, hdr.ID)
 	if want := wholeGrid(t, net, spec); final.State != StateDone || final.Result.Stats[0] != want[0] {

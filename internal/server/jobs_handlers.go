@@ -25,7 +25,7 @@ const jobsDirName = "jobs"
 // takes one angle (thetaPi); a sweep a θ-list (thetasPi). Grid and
 // Workers follow the inline survey conventions: Grid 0 selects the
 // paper's dense grid for the deployment size, Workers may only lower
-// the server's per-band parallelism.
+// the server's per-group parallelism.
 type jobSubmitRequest struct {
 	Kind       string    `json:"kind"`
 	Deployment string    `json:"deployment"`
@@ -113,7 +113,7 @@ func (s *Server) openJobs() error {
 			JobDone: func(k jobs.Kind, _ jobs.State, elapsed time.Duration) {
 				durations[k].Observe(elapsed.Nanoseconds())
 			},
-			BandDone: func(_ jobs.Kind, points int, elapsed time.Duration) {
+			GroupDone: func(_ jobs.Kind, points int, elapsed time.Duration) {
 				s.m.surveyPoints.Add(int64(points))
 				if points > 0 {
 					s.m.pointCost["job"].Observe(elapsed.Nanoseconds() / int64(points))
@@ -147,10 +147,12 @@ func (s *Server) openJobs() error {
 // resumes): it resolves the deployment — through the same lookup as
 // the synchronous handlers, so journaled ids work after a restart —
 // pins one snapshot, verifies the version the job was submitted
-// against, and returns the band runner. One band is one grid row at one
-// θ; within a band the sweep engine's chunk-order merge makes the
-// result independent of the worker count, so a job resumed under a
-// different -parallel setting is still bit-identical.
+// against, and returns the runner of its row groups. One band is one
+// grid row at one θ; a row group's bands come from one
+// MultiChecker.SurveyRowsContext sweep over the group's rows at every
+// θ, whose chunk-order merge makes each band independent of the worker
+// count and of the group it ran in, so a job resumed under a different
+// -parallel setting is still bit-identical.
 func (s *Server) execJob(spec jobs.Spec) (jobs.BandRunner, error) {
 	entry, ok := s.lookup(spec.Deployment)
 	if !ok {
@@ -165,24 +167,23 @@ func (s *Server) execJob(spec jobs.Spec) (jobs.BandRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	checkers := make([]*core.Checker, spec.Slots())
+	thetas := make([]float64, spec.Slots())
 	for i, tp := range spec.ThetasPi {
-		c, err := core.NewCheckerFromSource(view, tp*math.Pi)
-		if err != nil {
-			return nil, err
-		}
-		checkers[i] = c
+		thetas[i] = tp * math.Pi
+	}
+	mc, err := core.NewMultiCheckerFromSource(view, thetas)
+	if err != nil {
+		return nil, err
 	}
 	workers := spec.Workers
 	if workers <= 0 || workers > s.cfg.SurveyWorkers {
 		workers = s.cfg.SurveyWorkers
 	}
-	return func(ctx context.Context, band int) (core.RegionStats, error) {
-		row := spec.Row(band)
-		pts := points[row*spec.Grid : (row+1)*spec.Grid]
-		stats, err := checkers[spec.Slot(band)].SurveyRegionContext(ctx, pts, workers)
+	return func(ctx context.Context, rowLo, rowHi int) ([]core.RegionStats, error) {
+		stats, err := mc.SurveyRowsContext(ctx, points[rowLo*spec.Grid:rowHi*spec.Grid], spec.Grid, workers)
 		if err == nil {
-			s.m.points.Add(int64(stats.Points))
+			// The fused sweep gathers each point once for every θ.
+			s.m.points.Add(int64((rowHi - rowLo) * spec.Grid))
 		}
 		return stats, err
 	}, nil

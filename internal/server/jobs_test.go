@@ -512,6 +512,26 @@ func TestJobResumeAfterRestart(t *testing.T) {
 	if final.Result.Stats[0] != want[0] {
 		t.Fatalf("resumed result %+v != library %+v", final.Result.Stats[0], want[0])
 	}
+	if final.BandsDone != final.Bands {
+		t.Fatalf("done job reports %d of %d bands", final.BandsDone, final.Bands)
+	}
+
+	// A third start restores the finished job from its compacted
+	// journal (header + terminal record only): still every band done.
+	if err := srv2.Shutdown(t.Context()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	srv3 := mustNewStopped(t, Config{StateDir: dir})
+	h3 := srv3.Handler()
+	waitReadyz(t, h3, ReadyOK)
+	restored := pollJob(t, h3, job.ID)
+	if restored.State != "done" || restored.BandsDone != restored.Bands || restored.Bands != 10 {
+		t.Fatalf("restored finished job: state %q bandsDone %d of %d, want done 10 of 10",
+			restored.State, restored.BandsDone, restored.Bands)
+	}
+	if restored.Result == nil || restored.Result.Stats[0] != want[0] {
+		t.Fatalf("restored result %+v != library %+v", restored.Result, want[0])
+	}
 }
 
 // TestJobEventsStream exercises the SSE endpoint over real HTTP: a
@@ -634,10 +654,10 @@ func metricValue(t *testing.T, h http.Handler, prefix string) float64 {
 }
 
 // TestSurveyPointTelemetry checks the production visibility of the
-// survey kernel: inline /survey requests and job bands both feed
-// fvcd_survey_points_total, and each observes the per-band ns/point
-// histogram under its own source label; /query requests observe it
-// under source="query" without counting as survey points.
+// survey kernel: inline /survey requests and job row groups both feed
+// fvcd_survey_points_total, and each observes the ns/point histogram
+// under its own source label; /query requests observe it under
+// source="query" without counting as survey points.
 func TestSurveyPointTelemetry(t *testing.T) {
 	srv := mustNewStopped(t, Config{})
 	h := srv.Handler()
@@ -669,9 +689,9 @@ func TestSurveyPointTelemetry(t *testing.T) {
 		t.Fatalf("job histogram count = %v before any job, want 0", got)
 	}
 
-	// Survey job: one θ × Grid 24 = 24 bands of 24 points each. The
-	// counter grows by the full 576 and the job-source histogram sees
-	// one observation per band.
+	// Survey job: one θ × Grid 24 = 24 bands of 24 points each, run as
+	// two row groups of 12 rows. The counter grows by the full 576 and
+	// the job-source histogram sees one observation per group.
 	job := submitJob(t, h, jobSubmitRequest{Kind: "survey", Deployment: id, ThetaPi: 0.25, Grid: 24})
 	if final := pollJob(t, h, job.ID); final.State != "done" {
 		t.Fatalf("job state %q (error %q), want done", final.State, final.Error)
@@ -679,8 +699,8 @@ func TestSurveyPointTelemetry(t *testing.T) {
 	if got := metricValue(t, h, "fvcd_survey_points_total"); got != 1024+576 {
 		t.Fatalf("after job: fvcd_survey_points_total = %v, want %d", got, 1024+576)
 	}
-	if got := metricValue(t, h, `fvcd_band_ns_per_point_count{source="job"}`); got != 24 {
-		t.Fatalf("job histogram count = %v, want 24 (one per band)", got)
+	if got := metricValue(t, h, `fvcd_band_ns_per_point_count{source="job"}`); got != 2 {
+		t.Fatalf("job histogram count = %v, want 2 (one per row group)", got)
 	}
 	if got := metricValue(t, h, `fvcd_band_ns_per_point_count{source="survey"}`); got != 1 {
 		t.Fatalf("survey histogram count moved to %v after a job, want 1", got)

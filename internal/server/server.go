@@ -166,9 +166,10 @@ type Config struct {
 	// JobTTL is how long terminal job results are retained for polling
 	// before garbage collection (default 15m; negative retains forever).
 	JobTTL time.Duration
-	// JobThrottle pauses job workers after every completed band — an
-	// ops/test pacing knob that makes mid-job crashes reproducible
-	// (default 0, no pause).
+	// JobThrottle pauses job workers after every completed row group
+	// (a job runs its grid in groups of rows, at least two for any grid
+	// of two or more rows) — an ops/test pacing knob that makes mid-job
+	// crashes reproducible (default 0, no pause).
 	JobThrottle time.Duration
 	// PeerURLs lists the base URLs of the OTHER replicas of an fvcd
 	// cluster (empty means standalone). A clustered server mirrors
@@ -322,7 +323,7 @@ func (s *Server) newMetrics() *metrics {
 		points: reg.Counter("fvcd_points_evaluated_total",
 			"Sample points pushed through the coverage kernel."),
 		surveyPoints: reg.Counter("fvcd_survey_points_total",
-			"Sample points evaluated by region surveys (inline /survey requests and job bands)."),
+			"Sample points evaluated by region surveys (inline /survey requests and job row groups)."),
 		pointCost: make(map[string]*telemetry.Histogram),
 		registered: reg.Counter("fvcd_deployments_registered_total",
 			"Deployment registrations accepted (including cache hits)."),
@@ -341,7 +342,7 @@ func (s *Server) newMetrics() *metrics {
 	}
 	for _, source := range []string{"survey", "job", "query"} {
 		m.pointCost[source] = reg.Histogram("fvcd_band_ns_per_point",
-			"Per-point kernel cost of one survey, job band or query batch (evaluate and encode) in nanoseconds per point.",
+			"Per-point kernel cost in nanoseconds of one inline survey, job row group (its points counted once per theta) or query batch (evaluate and encode).",
 			telemetry.PointCostBuckets, telemetry.L("source", source))
 	}
 	reg.CounterFunc("fvcd_depcache_hits_total",
