@@ -91,11 +91,11 @@ func (b *Breaker) Success() {
 	b.probing = false
 }
 
-// Release abandons an admitted attempt that never reached the shard
-// (request construction failed, the member had no URL): it clears the
-// half-open probing flag so a later Allow can admit a real probe, and
-// nothing else — no transition to closed, no failure-count reset —
-// because the attempt proved nothing about the shard either way.
+// Release abandons an admitted attempt that proved nothing about the
+// shard either way (request construction failed, or the client left
+// mid-attempt): it clears the half-open probing flag so a later Allow
+// can admit a real probe, and nothing else — no transition to closed,
+// no failure-count reset.
 func (b *Breaker) Release() {
 	b.mu.Lock()
 	defer b.mu.Unlock()

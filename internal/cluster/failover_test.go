@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -124,10 +125,11 @@ func TestRouterWriteFastFailsOnOpenBreaker(t *testing.T) {
 // breaker through the forward path itself, and a half-open probe after
 // the cooldown closes it again once the shard is back.
 func TestRouterBreakerTripsAndRecovers(t *testing.T) {
-	shards, rt := newTestCluster(t, 1, func(cfg *RouterConfig) {
-		cfg.Retries = 1
-		cfg.BreakerThreshold = 2
-		cfg.BreakerCooldown = 10 * time.Millisecond
+	shards, rt := newTestCluster(t, 1, func(rt *Router) {
+		rt.attempts = 1
+		b := rt.breakers["shard-0"]
+		b.threshold = 2
+		b.cooldown = 10 * time.Millisecond
 	})
 	// The shard keeps its listener address but refuses connections.
 	shards[0].srv.Close()
@@ -162,9 +164,9 @@ func TestRouterBreakerTripsAndRecovers(t *testing.T) {
 // garbage and negatives fall back to capped exponential growth with
 // jitter bounded in [d/2, 3d/2).
 func TestRouterBackoff(t *testing.T) {
-	_, rt := newTestCluster(t, 1, func(cfg *RouterConfig) {
-		cfg.BackoffBase = 100 * time.Millisecond
-		cfg.BackoffCap = 400 * time.Millisecond
+	_, rt := newTestCluster(t, 1, func(rt *Router) {
+		rt.backoffBase = 100 * time.Millisecond
+		rt.backoffCap = 400 * time.Millisecond
 	})
 	for _, tc := range []struct {
 		retryAfter string
@@ -181,9 +183,9 @@ func TestRouterBackoff(t *testing.T) {
 	}
 	for _, garbage := range []string{"", "soon", "-1", "1h", "NaN"} {
 		for attempt := 0; attempt < 5; attempt++ {
-			d := rt.cfg.BackoffBase << attempt
-			if d > rt.cfg.BackoffCap {
-				d = rt.cfg.BackoffCap
+			d := rt.backoffBase << attempt
+			if d > rt.backoffCap {
+				d = rt.backoffCap
 			}
 			for i := 0; i < 50; i++ {
 				got := rt.backoff(attempt, garbage)
@@ -199,7 +201,7 @@ func TestRouterBackoff(t *testing.T) {
 // /readyz hits reuse one probe fan-out instead of re-probing every
 // shard per hit.
 func TestRouterReadyzProbeCache(t *testing.T) {
-	shards, rt := newTestCluster(t, 3, func(cfg *RouterConfig) { cfg.ReadyCacheTTL = time.Hour })
+	shards, rt := newTestCluster(t, 3, func(rt *Router) { rt.readyTTL = time.Hour })
 	for _, s := range shards {
 		s.set(func(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, map[string]string{"status": ReadyOK})
@@ -222,7 +224,7 @@ func TestRouterReadyzProbeCache(t *testing.T) {
 // with an already-cancelled (or nearly-expired) context cannot poison
 // the shared cache with failed probes for a whole TTL.
 func TestRouterReadyzCacheSurvivesCancelledPoller(t *testing.T) {
-	shards, rt := newTestCluster(t, 2, func(cfg *RouterConfig) { cfg.ReadyCacheTTL = time.Hour })
+	shards, rt := newTestCluster(t, 2, func(rt *Router) { rt.readyTTL = time.Hour })
 	for _, s := range shards {
 		s.set(func(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, map[string]string{"status": ReadyOK})
@@ -258,5 +260,63 @@ func TestRouterReadAllShardsDown(t *testing.T) {
 	}
 	if w.Header().Get("Retry-After") == "" {
 		t.Fatal("router 503 carries no Retry-After")
+	}
+}
+
+// TestRouterClientHangupsDoNotTripBreaker: an attempt cut short by the
+// client's own context proves nothing about the shard — it is neither
+// a failure nor a success — so clients that give up on a healthy but
+// slow shard must not trip its breaker, and a client that leaves
+// during a backoff gets no further attempt charged to the shard.
+func TestRouterClientHangupsDoNotTripBreaker(t *testing.T) {
+	shards, rt := newTestCluster(t, 1, nil)
+	shard := shards[0].name
+	patch := func(timeout time.Duration) *httptest.ResponseRecorder {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		defer cancel()
+		req := httptest.NewRequest(http.MethodPatch, "/v1/deployments/x", strings.NewReader("{}")).WithContext(ctx)
+		req.Header.Set("Content-Type", "application/json")
+		w := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(w, req)
+		return w
+	}
+
+	// Hang-ups mid-attempt: the shard answers only after the client left.
+	release := make(chan struct{})
+	shards[0].set(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+		writeJSON(w, http.StatusOK, map[string]string{"shard": shard})
+	})
+	for i := 0; i < 5; i++ {
+		patch(20 * time.Millisecond)
+	}
+	close(release)
+	if got := rt.breakers[shard].State(); got != BreakerClosed {
+		t.Fatalf("breaker state %d after 5 client hang-ups on a healthy shard, want closed", got)
+	}
+	if got := rt.errs[shard].Value(); got != 0 {
+		t.Fatalf("%d shard errors charged for client hang-ups, want 0", got)
+	}
+	if w := patch(5 * time.Second); w.Code != http.StatusOK {
+		t.Fatalf("PATCH after the hang-ups: %d %s", w.Code, w.Body)
+	}
+
+	// Hang-up mid-backoff: the shard's 503 asks for a wait longer than
+	// the client stays; the router must not make a second, doomed attempt.
+	hits := shards[0].hits.Load()
+	shards[0].set(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "5")
+		writeError(w, http.StatusServiceUnavailable, "shedding")
+	})
+	patch(500 * time.Millisecond)
+	if got := shards[0].hits.Load() - hits; got != 1 {
+		t.Fatalf("shard hit %d times by a client that left during the backoff, want 1", got)
+	}
+	if got := rt.errs[shard].Value(); got != 1 {
+		t.Fatalf("%d shard errors after one shed answer and a hang-up, want 1", got)
 	}
 }

@@ -17,8 +17,21 @@ import (
 	"fullview/internal/telemetry"
 )
 
-// RouterConfig parameterises NewRouter. Zero fields fall back to the
-// documented defaults.
+// Router defaults, documented in DESIGN §12. They are constants, not
+// RouterConfig fields; in-package tests shorten them through the Router
+// fields that hold them.
+const (
+	maxBodyBytes     = 8 << 20               // forwarded body cap, the replica default
+	forwardAttempts  = 3                     // attempts per owner forward, the first included
+	backoffBase      = 50 * time.Millisecond // jittered exponential backoff between forward
+	backoffCap       = time.Second           // attempts when the shard sent no Retry-After
+	readyTimeout     = 2 * time.Second       // bound on each per-shard /readyz probe
+	readyCacheTTL    = time.Second           // reuse of an aggregated /readyz answer
+	breakerThreshold = 5                     // consecutive failures that trip a shard's breaker
+	breakerCooldown  = 5 * time.Second       // open time before a half-open probe
+)
+
+// RouterConfig parameterises NewRouter.
 type RouterConfig struct {
 	// Peers is the cluster membership (required).
 	Peers *Peers
@@ -28,32 +41,6 @@ type RouterConfig struct {
 	// registrations (server.DeploymentIDFromRequest is the production
 	// implementation).
 	RegisterKey func(body []byte) (string, error)
-	// MaxBodyBytes caps forwarded request bodies (default 8 MiB,
-	// matching the replica default).
-	MaxBodyBytes int64
-	// Retries is the total number of attempts per forward, including
-	// the first (default 3).
-	Retries int
-	// BackoffBase and BackoffCap bound the jittered exponential backoff
-	// between attempts when the shard gave no Retry-After (defaults
-	// 50ms and 1s).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// ReadyTimeout bounds each per-shard /readyz probe during
-	// aggregation (default 2s).
-	ReadyTimeout time.Duration
-	// ReadyCacheTTL is how long an aggregated /readyz answer is reused
-	// before shards are probed again, so a tight readiness poller (a
-	// load balancer, an orchestrator, several of each) cannot amplify
-	// its poll rate onto every shard. Default 1s; negative disables
-	// caching.
-	ReadyCacheTTL time.Duration
-	// BreakerThreshold is the consecutive-failure count that trips a
-	// shard's circuit breaker (default 5); BreakerCooldown is how long
-	// a tripped breaker rejects before admitting a half-open probe
-	// (default 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Client is the HTTP client used to reach shards (default: a
 	// dedicated client with no overall timeout — surveys are long-lived
 	// and the replicas enforce their own deadlines).
@@ -92,6 +79,14 @@ type Router struct {
 	order  []Member // scatter order: members sorted by name
 	client *http.Client
 
+	// The router defaults, held per router so in-package tests can
+	// shorten them (the pattern Breaker.now uses).
+	maxBody     int64
+	attempts    int
+	backoffBase time.Duration
+	backoffCap  time.Duration
+	readyTTL    time.Duration
+
 	reg       *telemetry.Registry
 	forwards  map[string]*telemetry.Counter   // by shard
 	errs      map[string]*telemetry.Counter   // by shard
@@ -99,9 +94,9 @@ type Router struct {
 	retries   *telemetry.Counter
 	failovers *telemetry.Counter
 
-	// breakers holds one circuit breaker per shard; breaker outcomes
-	// are fed by every forward attempt (whatever the endpoint), and
-	// consulted to fast-fail writes and steer reads around dead owners.
+	// breakers holds one circuit breaker per shard, fed and consulted
+	// by every attempt (whatever the endpoint) to fast-fail writes and
+	// steer reads around dead owners.
 	breakers map[string]*Breaker
 
 	// readyMu guards the cached /readyz aggregation.
@@ -120,24 +115,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.RegisterKey == nil {
 		return nil, errors.New("cluster: router needs a RegisterKey function")
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 8 << 20
-	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 3
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 50 * time.Millisecond
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = time.Second
-	}
-	if cfg.ReadyTimeout <= 0 {
-		cfg.ReadyTimeout = 2 * time.Second
-	}
-	if cfg.ReadyCacheTTL == 0 {
-		cfg.ReadyCacheTTL = time.Second
-	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
 	}
@@ -149,18 +126,23 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	sort.Slice(order, func(i, j int) bool { return order[i].Name < order[j].Name })
 
 	rt := &Router{
-		cfg:      cfg,
-		ring:     ring,
-		order:    order,
-		client:   cfg.Client,
-		reg:      telemetry.New(),
-		forwards: make(map[string]*telemetry.Counter),
-		errs:     make(map[string]*telemetry.Counter),
-		latency:  make(map[string]*telemetry.Histogram),
-		breakers: make(map[string]*Breaker),
+		cfg:         cfg,
+		ring:        ring,
+		order:       order,
+		client:      cfg.Client,
+		maxBody:     maxBodyBytes,
+		attempts:    forwardAttempts,
+		backoffBase: backoffBase,
+		backoffCap:  backoffCap,
+		readyTTL:    readyCacheTTL,
+		reg:         telemetry.New(),
+		forwards:    make(map[string]*telemetry.Counter),
+		errs:        make(map[string]*telemetry.Counter),
+		latency:     make(map[string]*telemetry.Histogram),
+		breakers:    make(map[string]*Breaker),
 	}
 	for _, m := range order {
-		b := NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
+		b := NewBreaker(breakerThreshold, breakerCooldown)
 		rt.breakers[m.Name] = b
 		rt.reg.GaugeFunc("fvcd_breaker_state",
 			"Per-shard circuit breaker state: 0 closed, 1 half-open, 2 open.",
@@ -196,12 +178,12 @@ func (rt *Router) Handler() http.Handler { return rt.mux }
 
 func (rt *Router) routes() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/deployments", rt.handleRegister)
+	mux.HandleFunc("POST /v1/deployments", rt.routeByBody(rt.cfg.RegisterKey))
 	mux.HandleFunc("GET /v1/deployments/{id}", rt.handleReadByID)
 	mux.HandleFunc("PATCH /v1/deployments/{id}", rt.handleByID)
 	mux.HandleFunc("POST /v1/deployments/{id}/query", rt.handleReadByID)
 	mux.HandleFunc("POST /v1/deployments/{id}/survey", rt.handleReadByID)
-	mux.HandleFunc("POST /v1/jobs", rt.handleJobSubmit)
+	mux.HandleFunc("POST /v1/jobs", rt.routeByBody(jobDeployment))
 	mux.HandleFunc("GET /v1/jobs/{id}", rt.handleJobScatter)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", rt.handleJobScatter)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", rt.handleJobEvents)
@@ -216,21 +198,24 @@ func (rt *Router) routes() *http.ServeMux {
 	return mux
 }
 
-// handleRegister routes a registration by computing the deployment id
-// it would be assigned — the same fingerprint the owning shard will
-// compute — so a registration always lands on the shard that owns its
-// id.
-func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
-	body, err := rt.readBody(w, r)
-	if err != nil {
-		return
+// routeByBody returns the handler that routes a write to the owner of
+// the key keyOf derives from its body: a registration by the deployment
+// id the owning shard will assign (RegisterKey computes the same
+// fingerprint), a job submission by the deployment it names. Either
+// way the request lands on the shard that journals what it creates.
+func (rt *Router) routeByBody(keyOf func(body []byte) (string, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := rt.readBody(w, r)
+		if err != nil {
+			return
+		}
+		key, err := keyOf(body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		rt.forward(w, r, rt.ring.Owner(key), body)
 	}
-	key, err := rt.cfg.RegisterKey(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	rt.forward(w, r, rt.ring.Owner(key), body)
 }
 
 // handleByID routes a deployment-scoped *write* by its path id. Writes
@@ -256,22 +241,6 @@ func (rt *Router) handleReadByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.forwardRead(w, r, r.PathValue("id"), body)
-}
-
-// handleJobSubmit routes a job submission by the deployment it names,
-// so a job runs on the shard that owns (and has journaled) its
-// deployment.
-func (rt *Router) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := rt.readBody(w, r)
-	if err != nil {
-		return
-	}
-	key, err := jobDeployment(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	rt.forward(w, r, rt.ring.Owner(key), body)
 }
 
 // handleJobScatter locates a job by trying every shard: job ids are
@@ -301,8 +270,7 @@ func (rt *Router) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no shard knows job %s", r.PathValue("id")))
 		return
 	}
-	base, _ := rt.cfg.Peers.URL(shard)
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, base+r.URL.RequestURI(), nil)
+	req, err := rt.shardRequest(r.Context(), shard, http.MethodGet, r.URL.RequestURI(), nil, "")
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -314,25 +282,23 @@ func (rt *Router) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		rt.unavailable(w, fmt.Sprintf("shard %s: %v", shard, err))
 		return
 	}
-	defer resp.Body.Close()
-	copyHeader(w.Header(), resp.Header)
-	w.WriteHeader(resp.StatusCode)
-	fl, _ := w.(http.Flusher)
-	buf := make([]byte, 4<<10)
-	for {
-		n, rerr := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-		}
-		if rerr != nil {
-			return
-		}
+	if fl, ok := w.(http.Flusher); ok {
+		w = flushWriter{w, fl}
 	}
+	relay(w, resp)
+}
+
+// flushWriter flushes after every write, so a proxied event stream
+// reaches the client as the shard produces it.
+type flushWriter struct {
+	http.ResponseWriter
+	http.Flusher
+}
+
+func (f flushWriter) Write(p []byte) (int, error) {
+	n, err := f.ResponseWriter.Write(p)
+	f.Flush()
+	return n, err
 }
 
 // locateJob probes shards (GET /v1/jobs/{id}) in scatter order and
@@ -342,8 +308,7 @@ func (rt *Router) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // finds it once the shard is back).
 func (rt *Router) locateJob(ctx context.Context, id string) (shard string, found bool) {
 	for _, m := range rt.order {
-		probe, err := http.NewRequestWithContext(ctx, http.MethodGet,
-			strings.TrimRight(m.URL, "/")+"/v1/jobs/"+id, nil)
+		probe, err := rt.shardRequest(ctx, m.Name, http.MethodGet, "/v1/jobs/"+id, nil, "")
 		if err != nil {
 			continue
 		}
@@ -352,8 +317,7 @@ func (rt *Router) locateJob(ctx context.Context, id string) (shard string, found
 			rt.errs[m.Name].Inc()
 			continue
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		discard(resp)
 		if resp.StatusCode != http.StatusNotFound {
 			return m.Name, true
 		}
@@ -368,7 +332,7 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, erro
 	if r.Body == nil {
 		return nil, nil
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, rt.maxBody)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
@@ -394,6 +358,68 @@ func retryableStatus(code int) bool {
 		code == http.StatusServiceUnavailable
 }
 
+// shardRequest builds a router→shard request: the shard's base URL
+// plus uri, with body (nil for none) and, when ct is set, that
+// Content-Type. Every call from the router to a shard is built here.
+func (rt *Router) shardRequest(ctx context.Context, shard, method, uri string, body []byte, ct string) (*http.Request, error) {
+	base, ok := rt.cfg.Peers.URL(shard)
+	if !ok {
+		// Unreachable by construction: the ring only names members.
+		return nil, fmt.Errorf("no url for shard %s", shard)
+	}
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, base+uri, rd)
+	if err != nil {
+		return nil, err
+	}
+	if ct != "" {
+		req.Header.Set("Content-Type", ct)
+	}
+	return req, nil
+}
+
+// errCircuitOpen is attempt's answer when the shard's breaker refused
+// the attempt: nothing was sent.
+var errCircuitOpen = errors.New("circuit open")
+
+// attempt sends r (with its buffered body) to shard once, gated by the
+// shard's breaker, and returns the shard's answer after feeding its
+// status to the breaker. Without an answer it returns errCircuitOpen
+// when the breaker refused, or the error that stopped the attempt. A
+// transport error is charged to the shard (a breaker failure and a
+// shard error); one that comes with r's context already done is the
+// client leaving, which proves nothing about the shard, so the
+// attempt's breaker admission is released and nothing is charged.
+func (rt *Router) attempt(r *http.Request, shard string, body []byte) (*http.Response, error) {
+	b := rt.breakers[shard]
+	if !b.Allow() {
+		return nil, errCircuitOpen
+	}
+	req, err := rt.shardRequest(r.Context(), shard, r.Method, r.URL.RequestURI(), body, r.Header.Get("Content-Type"))
+	if err != nil {
+		b.Release() // not the shard's fault; don't leak a probe slot
+		return nil, err
+	}
+	t0 := time.Now()
+	rt.forwards[shard].Inc()
+	resp, err := rt.client.Do(req)
+	rt.latency[shard].ObserveSince(t0)
+	if err != nil {
+		if r.Context().Err() != nil {
+			b.Release() // the client left: nothing learned about the shard
+		} else {
+			b.Failure()
+			rt.errs[shard].Inc()
+		}
+		return nil, err
+	}
+	rt.breakerObserve(b, resp.StatusCode)
+	return resp, nil
+}
+
 // forward sends the request to the named shard with bounded retries.
 // Transport errors and retryable shard answers (429/502/503) back off
 // — honouring the shard's Retry-After when one was sent, jittered
@@ -401,19 +427,12 @@ func retryableStatus(code int) bool {
 // relayed verbatim. When every attempt fails at the transport the
 // router answers 503 with its own jittered Retry-After, so clients of
 // the cluster see the same shedding contract as clients of one
-// replica.
+// replica. A client that leaves ends the forward at once.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, shard string, body []byte) {
-	base, ok := rt.cfg.Peers.URL(shard)
-	if !ok {
-		// Unreachable by construction: Owner only returns ring members.
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("no url for shard %s", shard))
-		return
-	}
-	url := base + r.URL.RequestURI()
-	b := rt.breakers[shard]
 	var lastErr error
-	for attempt := 0; attempt < rt.cfg.Retries; attempt++ {
-		if !b.Allow() {
+	for attempt := 0; attempt < rt.attempts; attempt++ {
+		resp, err := rt.attempt(r, shard, body)
+		if errors.Is(err, errCircuitOpen) {
 			// Tripped before the first attempt, or mid-loop by this
 			// request's own failures: fail fast with the shedding
 			// contract instead of burning the remaining retries.
@@ -427,52 +446,29 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, shard string, 
 		if attempt > 0 {
 			rt.retries.Inc()
 		}
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(r.Context(), r.Method, url, rd)
-		if err != nil {
-			b.Release() // not the shard's fault; don't leak a probe slot
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		if ct := r.Header.Get("Content-Type"); ct != "" {
-			req.Header.Set("Content-Type", ct)
-		}
-		t0 := time.Now()
-		rt.forwards[shard].Inc()
-		resp, err := rt.client.Do(req)
-		rt.latency[shard].ObserveSince(t0)
-		if err != nil {
-			b.Failure()
-			rt.errs[shard].Inc()
-			lastErr = err
-			rt.logf("forward %s %s to %s: %v", r.Method, r.URL.Path, shard, err)
+		retryAfter := ""
+		switch {
+		case err != nil:
 			if r.Context().Err() != nil {
 				return // client is gone; nobody is listening for a reply
 			}
-			retry.Sleep(r.Context(), rt.backoff(attempt, ""))
-			continue
-		}
-		rt.breakerObserve(b, resp.StatusCode)
-		if retryableStatus(resp.StatusCode) && attempt < rt.cfg.Retries-1 {
+			lastErr = err
+			rt.logf("forward %s %s to %s: %v", r.Method, r.URL.Path, shard, err)
+		case retryableStatus(resp.StatusCode) && attempt < rt.attempts-1:
 			rt.errs[shard].Inc()
-			retryAfter := resp.Header.Get("Retry-After")
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			retryAfter = resp.Header.Get("Retry-After")
+			discard(resp)
 			lastErr = fmt.Errorf("shard %s answered %d", shard, resp.StatusCode)
-			retry.Sleep(r.Context(), rt.backoff(attempt, retryAfter))
-			continue
+		default:
+			relay(w, resp)
+			return
 		}
-		defer resp.Body.Close()
-		copyHeader(w.Header(), resp.Header)
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
-		return
+		if attempt < rt.attempts-1 && retry.Sleep(r.Context(), rt.backoff(attempt, retryAfter)) != nil {
+			return // client left during the backoff
+		}
 	}
 	rt.unavailable(w, fmt.Sprintf("shard %s unavailable after %d attempts: %v",
-		shard, rt.cfg.Retries, lastErr))
+		shard, rt.attempts, lastErr))
 }
 
 // breakerObserve feeds an HTTP answer's status into a shard's breaker.
@@ -505,77 +501,64 @@ func (rt *Router) forwardRead(w http.ResponseWriter, r *http.Request, key string
 	seq := rt.ring.Sequence(key)
 	var lastErr error
 	var notFound *http.Response
-	var notFoundBody []byte
 	for i, shard := range seq {
-		b := rt.breakers[shard]
-		if !b.Allow() {
+		resp, err := rt.attempt(r, shard, body)
+		switch {
+		case errors.Is(err, errCircuitOpen):
 			lastErr = fmt.Errorf("shard %s circuit open", shard)
 			continue
-		}
-		base, ok := rt.cfg.Peers.URL(shard)
-		if !ok {
-			b.Release()
-			continue
-		}
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(r.Context(), r.Method, base+r.URL.RequestURI(), rd)
-		if err != nil {
-			b.Release() // not the shard's fault; don't leak a probe slot
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		if ct := r.Header.Get("Content-Type"); ct != "" {
-			req.Header.Set("Content-Type", ct)
-		}
-		t0 := time.Now()
-		rt.forwards[shard].Inc()
-		resp, err := rt.client.Do(req)
-		rt.latency[shard].ObserveSince(t0)
-		if err != nil {
-			b.Failure()
-			rt.errs[shard].Inc()
-			lastErr = err
-			rt.logf("read %s %s via %s: %v", r.Method, r.URL.Path, shard, err)
+		case err != nil:
 			if r.Context().Err() != nil {
 				return // client is gone
 			}
+			lastErr = err
+			rt.logf("read %s %s via %s: %v", r.Method, r.URL.Path, shard, err)
 			continue
-		}
-		rt.breakerObserve(b, resp.StatusCode)
-		switch {
 		case resp.StatusCode == http.StatusNotFound:
-			notFoundBody, _ = io.ReadAll(resp.Body)
+			data, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
+			resp.Body = io.NopCloser(bytes.NewReader(data))
 			notFound = resp
 			lastErr = fmt.Errorf("shard %s answered 404", shard)
 			continue
 		case retryableStatus(resp.StatusCode):
 			rt.errs[shard].Inc()
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			discard(resp)
 			lastErr = fmt.Errorf("shard %s answered %d", shard, resp.StatusCode)
 			continue
 		}
-		defer resp.Body.Close()
 		if i > 0 {
 			rt.failovers.Inc()
 			rt.logf("read %s %s failed over to %s", r.Method, r.URL.Path, shard)
 		}
-		copyHeader(w.Header(), resp.Header)
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
+		relay(w, resp)
 		return
 	}
 	if notFound != nil {
-		copyHeader(w.Header(), notFound.Header)
-		w.WriteHeader(http.StatusNotFound)
-		w.Write(notFoundBody)
+		relay(w, notFound)
 		return
 	}
 	rt.unavailable(w, fmt.Sprintf("no shard could serve the read (%d tried): %v", len(seq), lastErr))
+}
+
+// relay copies a shard's answer — headers minus the hop-by-hop ones,
+// status and body — to the client, and closes it.
+func relay(w http.ResponseWriter, resp *http.Response) {
+	defer resp.Body.Close()
+	for k, vs := range resp.Header {
+		if !hopHeaders[k] {
+			w.Header()[k] = append(w.Header()[k], vs...)
+		}
+	}
+	w.WriteHeader(resp.StatusCode)
+	io.Copy(w, resp.Body)
+}
+
+// discard drains and closes an answer that is not relayed, so its
+// connection can be reused.
+func discard(resp *http.Response) {
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 }
 
 // unavailable answers the router's own 503 with the cluster-uniform
@@ -593,7 +576,7 @@ func (rt *Router) backoff(attempt int, retryAfter string) time.Duration {
 	if d, ok := retry.ParseAfter(retryAfter); ok {
 		return d
 	}
-	return retry.Jitter(retry.Backoff(rt.cfg.BackoffBase, rt.cfg.BackoffCap, attempt), 0.5)
+	return retry.Jitter(retry.Backoff(rt.backoffBase, rt.backoffCap, attempt), 0.5)
 }
 
 // Readiness rollup states. ReadyOK/ReadyStarting/ReadyDegraded mirror
@@ -651,7 +634,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // cachedShards returns the shard readiness set, reusing the previous
-// probe while it is younger than ReadyCacheTTL. Readiness is polled by
+// probe while it is younger than readyCacheTTL. Readiness is polled by
 // load balancers and orchestrators, often several at once and often
 // sub-second; without the cache every poller's every hit fans out to
 // every shard, so the cluster's probe load would be pollers × shards ×
@@ -659,20 +642,17 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // count. Probes are serialized under the lock — one slow shard delays
 // concurrent /readyz callers rather than multiplying onto the fleet.
 func (rt *Router) cachedShards(ctx context.Context) []shardReady {
-	if rt.cfg.ReadyCacheTTL < 0 {
-		return rt.probeShards(ctx)
-	}
 	rt.readyMu.Lock()
 	defer rt.readyMu.Unlock()
-	if rt.readyCached != nil && time.Since(rt.readyProbeAt) < rt.cfg.ReadyCacheTTL {
+	if rt.readyCached != nil && time.Since(rt.readyProbeAt) < rt.readyTTL {
 		return rt.readyCached
 	}
-	// Probe detached from the triggering caller's context: the result is
-	// served to every poller for a whole TTL, so one caller arriving with
-	// a cancelled or nearly-expired context must not poison the shared
-	// cache with failed probes. probeShards bounds each probe with
-	// ReadyTimeout on its own.
-	rt.readyCached = rt.probeShards(context.Background())
+	// Probe detached from the triggering caller's cancellation: the
+	// result is served to every poller for a whole TTL, so one caller
+	// arriving with a cancelled or nearly-expired context must not
+	// poison the shared cache with failed probes. probeShards bounds
+	// each probe with readyTimeout on its own.
+	rt.readyCached = rt.probeShards(context.WithoutCancel(ctx))
 	rt.readyProbeAt = time.Now()
 	return rt.readyCached
 }
@@ -686,9 +666,9 @@ func (rt *Router) probeShards(ctx context.Context) []shardReady {
 		wg.Add(1)
 		go func(i int, m Member) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, rt.cfg.ReadyTimeout)
+			pctx, cancel := context.WithTimeout(ctx, readyTimeout)
 			defer cancel()
-			req, err := http.NewRequestWithContext(pctx, http.MethodGet, out[i].URL+"/readyz", nil)
+			req, err := rt.shardRequest(pctx, m.Name, http.MethodGet, "/readyz", nil, "")
 			if err != nil {
 				out[i].Status, out[i].Reason = "unreachable", err.Error()
 				return
@@ -704,7 +684,7 @@ func (rt *Router) probeShards(ctx context.Context) []shardReady {
 				Status string `json:"status"`
 				Reason string `json:"reason"`
 			}
-			if err := readJSON(resp.Body, &body); err != nil || body.Status == "" {
+			if err := jsonDecode(resp.Body, &body); err != nil || body.Status == "" {
 				out[i].Status, out[i].Reason = "unreachable", "unparseable /readyz answer"
 				return
 			}
@@ -730,17 +710,6 @@ var hopHeaders = map[string]bool{
 	"Upgrade":           true,
 }
 
-func copyHeader(dst, src http.Header) {
-	for k, vs := range src {
-		if hopHeaders[k] {
-			continue
-		}
-		for _, v := range vs {
-			dst.Add(k, v)
-		}
-	}
-}
-
 // jobDeployment extracts the deployment id a job submission names.
 // Only that one field is examined — full validation is the owning
 // shard's job.
@@ -748,15 +717,11 @@ func jobDeployment(body []byte) (string, error) {
 	var req struct {
 		Deployment string `json:"deployment"`
 	}
-	if err := readJSON(bytes.NewReader(body), &req); err != nil {
+	if err := jsonDecode(bytes.NewReader(body), &req); err != nil {
 		return "", fmt.Errorf("malformed job submission: %v", err)
 	}
 	if req.Deployment == "" {
 		return "", errors.New("job submission names no deployment")
 	}
 	return req.Deployment, nil
-}
-
-func readJSON(r io.Reader, v any) error {
-	return jsonDecode(r, v)
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -39,7 +40,7 @@ func (s *testShard) set(h http.HandlerFunc) { s.handler.Store(h) }
 // newTestCluster builds n shards and a router over them. RegisterKey
 // routes by the body's "key" field, standing in for the deployment
 // fingerprint.
-func newTestCluster(t *testing.T, n int, tweak func(*RouterConfig)) ([]*testShard, *Router) {
+func newTestCluster(t *testing.T, n int, tweak func(*Router)) ([]*testShard, *Router) {
 	t.Helper()
 	shards := make([]*testShard, n)
 	peers := &Peers{}
@@ -48,7 +49,7 @@ func newTestCluster(t *testing.T, n int, tweak func(*RouterConfig)) ([]*testShar
 		t.Cleanup(shards[i].srv.Close)
 		peers.Members = append(peers.Members, Member{Name: shards[i].name, URL: shards[i].srv.URL})
 	}
-	cfg := RouterConfig{
+	rt, err := NewRouter(RouterConfig{
 		Peers: peers,
 		RegisterKey: func(body []byte) (string, error) {
 			var req struct {
@@ -59,18 +60,17 @@ func newTestCluster(t *testing.T, n int, tweak func(*RouterConfig)) ([]*testShar
 			}
 			return req.Key, nil
 		},
-		BackoffBase: time.Millisecond,
-		BackoffCap:  4 * time.Millisecond,
-		// Tests flip shard states between consecutive /readyz hits;
-		// disable the probe cache unless a test opts back in.
-		ReadyCacheTTL: -1,
-	}
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	rt, err := NewRouter(cfg)
+	})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
+	}
+	rt.backoffBase = time.Millisecond
+	rt.backoffCap = 4 * time.Millisecond
+	// Tests flip shard states between consecutive /readyz hits; a zero
+	// TTL re-probes on every hit unless a test opts back in.
+	rt.readyTTL = 0
+	if tweak != nil {
+		tweak(rt)
 	}
 	return shards, rt
 }
@@ -160,9 +160,9 @@ func TestRouterRegisterRoutesByKey(t *testing.T) {
 // larger) configured backoff. (Writes exercise forward's retry loop;
 // reads fail over instead of retrying — see the failover tests.)
 func TestRouterRetriesHonourRetryAfter(t *testing.T) {
-	shards, rt := newTestCluster(t, 1, func(cfg *RouterConfig) {
-		cfg.BackoffBase = 5 * time.Second // would blow the test deadline if used
-		cfg.BackoffCap = 5 * time.Second
+	shards, rt := newTestCluster(t, 1, func(rt *Router) {
+		rt.backoffBase = 5 * time.Second // would blow the test deadline if used
+		rt.backoffCap = 5 * time.Second
 	})
 	var calls atomic.Int64
 	shards[0].set(func(w http.ResponseWriter, r *http.Request) {
@@ -190,7 +190,7 @@ func TestRouterRetriesHonourRetryAfter(t *testing.T) {
 // the shard's last answer goes back verbatim — the router never
 // swallows a shard's 503 into its own.
 func TestRouterRelaysFinalRetryableAnswer(t *testing.T) {
-	shards, rt := newTestCluster(t, 1, func(cfg *RouterConfig) { cfg.Retries = 2 })
+	shards, rt := newTestCluster(t, 1, func(rt *Router) { rt.attempts = 2 })
 	shards[0].set(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "0.01")
 		writeError(w, http.StatusServiceUnavailable, "still shedding")
@@ -214,7 +214,7 @@ func TestRouterRelaysFinalRetryableAnswer(t *testing.T) {
 // yields the router's own 503, carrying the cluster-uniform jittered
 // Retry-After — the same shedding contract a single replica offers.
 func TestRouterUnavailableShard(t *testing.T) {
-	shards, rt := newTestCluster(t, 1, func(cfg *RouterConfig) { cfg.Retries = 2 })
+	shards, rt := newTestCluster(t, 1, func(rt *Router) { rt.attempts = 2 })
 	shards[0].srv.Close()
 	w := do(t, rt, http.MethodPatch, "/v1/deployments/x", "{}")
 	if w.Code != http.StatusServiceUnavailable {
@@ -299,6 +299,20 @@ func TestRouterJobScatter(t *testing.T) {
 		t.Fatalf("scatter hits %d/%d/%d, want 1/1/2", h0, h1, h2)
 	}
 
+	// A tripped breaker does not hide the job: the scatter and the event
+	// stream sit outside the breaker, so the poll still locates shard-2
+	// (and fast-fails there with the circuit-open 503, not a 404) and
+	// the stream is still proxied.
+	tripBreaker(rt, "shard-2")
+	w = do(t, rt, http.MethodGet, "/v1/jobs/"+jobID, "")
+	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "shard-2 circuit open") {
+		t.Fatalf("poll of a job on a tripped shard: %d %s, want its circuit-open 503", w.Code, w.Body)
+	}
+	w = do(t, rt, http.MethodGet, "/v1/jobs/"+jobID+"/events", "")
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"state":"done"`) {
+		t.Fatalf("events of a job on a tripped shard: %d %s", w.Code, w.Body)
+	}
+
 	shardByName(shards, "shard-2").set(func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown job")
 	})
@@ -345,6 +359,15 @@ func TestRouterReadyzRollup(t *testing.T) {
 		setReady(s, ReadyOK)
 	}
 	check(http.StatusOK, ReadyOK)
+
+	// The probes sit outside the breaker: a tripped shard is still
+	// probed and named in the rollup.
+	tripBreaker(rt, shards[1].name)
+	hits := shards[1].hits.Load()
+	check(http.StatusOK, ReadyOK)
+	if shards[1].hits.Load() == hits {
+		t.Fatal("readyz skipped the shard whose breaker is open")
+	}
 
 	setReady(shards[1], ReadyDegraded)
 	check(http.StatusOK, ReadyDegraded)
@@ -399,7 +422,7 @@ func TestRouterOwnEndpoints(t *testing.T) {
 // TestRouterBodyTooLarge: the body cap answers 413 at the router; the
 // oversized body never reaches a shard.
 func TestRouterBodyTooLarge(t *testing.T) {
-	shards, rt := newTestCluster(t, 1, func(cfg *RouterConfig) { cfg.MaxBodyBytes = 64 })
+	shards, rt := newTestCluster(t, 1, func(rt *Router) { rt.maxBody = 64 })
 	w := do(t, rt, http.MethodPost, "/v1/deployments/x/query", `{"pad":"`+strings.Repeat("x", 256)+`"}`)
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("code %d, want 413", w.Code)
@@ -420,5 +443,39 @@ func TestNewRouterValidation(t *testing.T) {
 	}
 	if _, err := NewRouter(RouterConfig{Peers: p, RegisterKey: key}); err != nil {
 		t.Fatalf("minimal router: %v", err)
+	}
+}
+
+// TestRouterEventsStreamUnbuffered: the job event stream is proxied as
+// the shard produces it — an event reaches the client while the shard's
+// stream is still open.
+func TestRouterEventsStreamUnbuffered(t *testing.T) {
+	shards, rt := newTestCluster(t, 1, nil)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	release := make(chan struct{})
+	defer close(release) // before front.Close, which waits for the stream
+	shards[0].set(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasSuffix(r.URL.Path, "/events") {
+			writeJSON(w, http.StatusOK, map[string]string{"state": "running"})
+			return
+		}
+		w.Header().Set("Content-Type", "text/event-stream")
+		io.WriteString(w, "data: band 0\n\n")
+		w.(http.Flusher).Flush()
+		<-release
+	})
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Get(front.URL + "/v1/jobs/j1/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("Content-Type %q, want text/event-stream", ct)
+	}
+	line, err := bufio.NewReader(resp.Body).ReadString('\n')
+	if err != nil || line != "data: band 0\n" {
+		t.Fatalf("first event %q (%v), want it before the stream ends", line, err)
 	}
 }

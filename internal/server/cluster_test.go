@@ -333,9 +333,6 @@ func TestClusterRouterReadyzRollsUpReplicas(t *testing.T) {
 		Peers:       peers,
 		RegisterKey: DeploymentIDFromRequest,
 		Client:      testClient,
-		// The test kills a replica and re-polls immediately; the probe
-		// cache would serve the pre-kill rollup.
-		ReadyCacheTTL: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -354,10 +351,19 @@ func TestClusterRouterReadyzRollsUpReplicas(t *testing.T) {
 		t.Fatalf("healthy rollup: %d %s", code, data)
 	}
 
+	// The router reuses a rollup for its probe-cache TTL (1s), so poll
+	// until a post-kill probe lands.
 	reps[1].ln.Close()
-	code, data, _ = httpDo(t, "GET", router.URL+"/readyz", nil)
-	if err := json.Unmarshal(data, &roll); err != nil {
-		t.Fatal(err)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		code, data, _ = httpDo(t, "GET", router.URL+"/readyz", nil)
+		if err := json.Unmarshal(data, &roll); err != nil {
+			t.Fatal(err)
+		}
+		if (roll.Status == cluster.ReadyDegraded && strings.Contains(string(data), `"r1"`)) || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 	if code != http.StatusOK || roll.Status != cluster.ReadyDegraded {
 		t.Fatalf("one-dead rollup: %d %s, want 200 degraded", code, data)

@@ -28,8 +28,8 @@ type (
 	// CheckpointHeader identifies what a checkpoint journal belongs to;
 	// OpenCheckpoint refuses a journal whose header does not match.
 	CheckpointHeader = checkpoint.Header
-	// Journal is an append-only JSONL record of completed trial
-	// results with atomic (temp-file + rename) writes.
+	// Journal is a JSONL record of completed trial results; every Record
+	// rewrites the whole image atomically (temp-file + rename).
 	Journal = checkpoint.Journal
 	// RetryPolicy bounds per-trial retries with capped exponential
 	// backoff; see Transient and ErrTransient for classification.
@@ -59,8 +59,9 @@ func Transient(err error) error { return experiment.Transient(err) }
 
 // OpenCheckpoint opens (or creates) the trial journal at path. A
 // journal that exists must carry exactly header h (its Version field is
-// filled in automatically); a torn final line — the signature of a
-// crash mid-append — is dropped and rewritten by the next Record.
+// filled in automatically). Every Record rewrites the file atomically,
+// so a crash never tears a line; a torn final line means filesystem
+// damage, and is dropped and rewritten by the next Record.
 func OpenCheckpoint(path string, h CheckpointHeader) (*Journal, error) {
 	return checkpoint.Open(path, h)
 }

@@ -13,10 +13,11 @@
 // median [q1, q3] (the quartiles of Python's statistics.quantiles, the
 // rule the benchmark's spreads use), the number of pairs the change won,
 // and the median delta; an end-to-end metric's delta is judged against
-// its BENCHMARK.json bound. Last come the summed correct, failed and
-// attempted counts of each side. The exit status is 1 when a run fails
-// or answers incorrectly, or an end-to-end median is worse than its
-// bound.
+// its BENCHMARK.json bound (see verdict: within, BEYOND or unresolved).
+// Last come the summed correct, failed and attempted counts of each
+// side. The exit status is 1 when a run fails or answers incorrectly,
+// or an end-to-end median is worse than its bound; an unresolved
+// metric does not change it.
 //
 // Usage, from anywhere in the repository:
 //
@@ -180,15 +181,11 @@ func report(w io.Writer, spec benchmarkFile, parent, cur *side) bool {
 			line := fmt.Sprintf("%-40s %-32s %-32s %3d/%-3d %+8.1f%%", m.Name+" ("+m.Unit+")",
 				summary(pv), summary(cv), won, len(pv), 100*delta)
 			if m.Bound > 0 {
-				worse := delta
-				if m.Better == "higher" {
-					worse = -delta
+				v := verdict(m, pv, cv)
+				if v == "BEYOND" {
+					ok = false
 				}
-				verdict := "within"
-				if worse > m.Bound {
-					verdict, ok = "BEYOND", false
-				}
-				line += fmt.Sprintf("  %s bound %.0f%%", verdict, 100*m.Bound)
+				line += fmt.Sprintf("  %s bound %.0f%%", v, 100*m.Bound)
 			}
 			if gap := math.Abs(cm - pm); gap > q3-q1 {
 				line += "  gap > parent IQR"
@@ -211,6 +208,40 @@ func report(w io.Writer, spec benchmarkFile, parent, cur *side) bool {
 		}
 	}
 	return ok
+}
+
+// verdict judges an end-to-end metric's change median against its
+// bound: "BEYOND" when worse than the parent median by more than the
+// bound; else "unresolved" when the parent's own IQR, relative to its
+// median, is wider than the bound (noise on unchanged code that large
+// hides a change that size), unless every change run beats every
+// parent run; else "within".
+func verdict(m metricSpec, pv, cv []float64) string {
+	pm := median(pv)
+	worse := (median(cv) - pm) / pm
+	if m.Better == "higher" {
+		worse = -worse
+	}
+	if worse > m.Bound {
+		return "BEYOND"
+	}
+	q1, q3 := quartiles(pv)
+	if (q3-q1)/math.Abs(pm) > m.Bound && !dominates(m, cv, pv) {
+		return "unresolved"
+	}
+	return "within"
+}
+
+// dominates reports whether every value of a beats every value of b.
+func dominates(m metricSpec, a, b []float64) bool {
+	for _, x := range a {
+		for _, y := range b {
+			if !better(m, x, y) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func better(m metricSpec, a, b float64) bool {
