@@ -30,19 +30,14 @@
 //	              BENCH_kernel.json
 //	-benchtime D  minimum measuring time per kernel benchmark (default
 //	              1s; "1x" runs a single small batch — the CI smoke mode)
-//	-benchbaseline F
-//	              compare against a committed baseline JSON (e.g.
-//	              BENCH_kernel.json) and exit non-zero if any case's
-//	              ns/point regresses by more than -benchmaxregress —
-//	              the CI perf gate
-//	-benchmaxregress R
-//	              regression tolerance as a fraction (default 0.10,
-//	              i.e. fail beyond +10% ns/point)
 //	-batch M      which kernel execution paths to measure: "all"
 //	              (default), "point" (point-at-a-time cases only), or
 //	              "batch" (cell-sorted batch cases only) — the A/B
-//	              profiling switch; incompatible with -benchbaseline,
-//	              whose gate needs the full suite
+//	              profiling switch
+//
+// The kernel regression gate is `go run ./scripts/abbench -workload
+// kernel`, which runs -kernelbench on a parent revision and on the
+// checkout in alternating pairs.
 //
 // Profiling (usable with any experiment or -kernelbench):
 //
@@ -82,12 +77,10 @@ func run(args []string, stdout io.Writer) error {
 		ckptDir  = fs.String("checkpoint", "", "journal trial progress to this directory and resume from it")
 		list     = fs.Bool("list", false, "list experiments and exit")
 
-		kbench       = fs.Bool("kernelbench", false, "run the coverage-kernel micro-benchmarks")
-		benchOut     = fs.String("benchout", "", "write kernel benchmark results as JSON to this file")
-		benchTime    = fs.String("benchtime", "1s", "minimum measuring time per kernel benchmark (duration, or \"1x\" for a single batch)")
-		benchBase    = fs.String("benchbaseline", "", "baseline JSON to compare against; regressions past -benchmaxregress fail the run")
-		benchRegress = fs.Float64("benchmaxregress", 0.10, "ns/point regression tolerance vs -benchbaseline, as a fraction")
-		benchBatch   = fs.String("batch", "all", "kernel paths to measure: all, point, or batch (A/B profiling)")
+		kbench     = fs.Bool("kernelbench", false, "run the coverage-kernel micro-benchmarks")
+		benchOut   = fs.String("benchout", "", "write kernel benchmark results as JSON to this file")
+		benchTime  = fs.String("benchtime", "1s", "minimum measuring time per kernel benchmark (duration, or \"1x\" for a single batch)")
+		benchBatch = fs.String("batch", "all", "kernel paths to measure: all, point, or batch (A/B profiling)")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -133,7 +126,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *kbench {
-		return runKernelBench(stdout, *benchTime, *benchOut, *benchBase, *benchRegress, *benchBatch)
+		return runKernelBench(stdout, *benchTime, *benchOut, *benchBatch)
 	}
 
 	if *list {
@@ -171,9 +164,8 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // runKernelBench executes the kernel micro-benchmark suite, prints
-// benchstat-compatible lines, optionally writes the JSON report, and —
-// with a baseline — enforces the regression gate.
-func runKernelBench(stdout io.Writer, benchTime, benchOut, benchBase string, maxRegress float64, batchMode string) error {
+// benchstat-compatible lines and optionally writes the JSON report.
+func runKernelBench(stdout io.Writer, benchTime, benchOut, batchMode string) error {
 	var target time.Duration
 	switch benchTime {
 	case "1x":
@@ -195,9 +187,6 @@ func runKernelBench(stdout io.Writer, benchTime, benchOut, benchBase string, max
 	default:
 		return fmt.Errorf("batch: unknown mode %q (all, point, or batch)", batchMode)
 	}
-	if keep != nil && benchBase != "" {
-		return fmt.Errorf("-batch %s cannot be combined with -benchbaseline: the gate needs the full suite (missing cases fail Compare)", batchMode)
-	}
 	report, err := kernelbench.RunFiltered(target, keep)
 	if err != nil {
 		return err
@@ -217,36 +206,6 @@ func runKernelBench(stdout io.Writer, benchTime, benchOut, benchBase string, max
 		if err := f.Close(); err != nil {
 			return fmt.Errorf("benchout: %w", err)
 		}
-	}
-	if benchBase == "" {
-		return nil
-	}
-	bf, err := os.Open(benchBase)
-	if err != nil {
-		return fmt.Errorf("benchbaseline: %w", err)
-	}
-	baseline, err := kernelbench.ReadReport(bf)
-	bf.Close()
-	if err != nil {
-		return fmt.Errorf("benchbaseline: %w", err)
-	}
-	deltas, err := kernelbench.Compare(baseline, report)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "\nvs %s (gate: +%.0f%% ns/point):\n", benchBase, 100*maxRegress)
-	if err := kernelbench.WriteDeltas(stdout, deltas, maxRegress); err != nil {
-		return err
-	}
-	regressed := 0
-	for _, d := range deltas {
-		if d.Regressed(maxRegress) {
-			regressed++
-		}
-	}
-	if regressed > 0 {
-		return fmt.Errorf("%d of %d kernel cases regressed more than %.0f%% vs %s",
-			regressed, len(deltas), 100*maxRegress, benchBase)
 	}
 	return nil
 }

@@ -2,9 +2,15 @@ package figures
 
 import (
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/quick_all.txt from RunAll(quickOpts())")
 
 func quickOpts() Options {
 	return Options{Seed: 7, Quick: true}
@@ -224,6 +230,35 @@ func TestRunAllQuick(t *testing.T) {
 		if !strings.Contains(out, "=== "+e.ID+" "+e.Name) {
 			t.Errorf("RunAll output missing banner for %s", e.Name)
 		}
+	}
+
+	// The golden pins every number of the quick reproduction: a kernel
+	// change that moves any experiment's output fails here. Regenerate
+	// with `go test ./internal/figures -run TestRunAllQuick -update`.
+	golden := filepath.Join("testdata", "quick_all.txt")
+	if *update {
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if runtime.GOARCH != "amd64" {
+		// Go may fuse x*y+z into one FMA on arm64, ppc64le and s390x,
+		// which rounds differently; the golden was recorded on amd64.
+		t.Skipf("golden recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		gl, wl := strings.Split(out, "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("RunAll output differs from %s at line %d:\n got: %s\nwant: %s", golden, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("RunAll output has %d lines, %s has %d", len(gl), golden, len(wl))
 	}
 }
 

@@ -3,16 +3,16 @@
 // Grid workloads — surveys, sweeps, job bands — evaluate dense point
 // sets whose neighbours land in the same bucket of every tier grid. The
 // point-at-a-time entry points re-derive that bucket, re-walk the same
-// (2·reach+1)² cell window — 5×5 cells just over half the tier's radius
-// wide, see cellsPerSide — and re-scan the same CSR candidate rows for
+// trimmed cell window (Index.window) and re-scan the same slot runs for
 // every single point. The batch path amortises all of that: points are
 // sorted by grid cell once per tier (a single []int64 key sort over
 // reusable scratch, zero allocations in the steady state), each occupied
-// cell-neighbourhood is walked exactly once per batch, and every
-// candidate row is scanned candidate-major — the camera's SoA columns
-// (position, orientation sin/cos, radius², cos φ/2) are loaded into
-// registers once and tested against the whole cell's points — instead of
-// point-major.
+// bucket's window — trimmed to the disc around the group's bounding box
+// rather than around one point — is walked exactly once per batch, and
+// every slot run is scanned candidate-major: the camera's cover-test
+// columns (position, orientation sin/cos, radius², cos φ/2), read in
+// slot order, are loaded into registers once and tested against the
+// whole cell's points instead of point-major.
 //
 // Two further savings fall out of the cell grouping:
 //
@@ -29,10 +29,12 @@
 //
 // Results are not merely the same multiset as the point-at-a-time path —
 // they are the same per-point sequences. Tiers are processed in index
-// order, buckets in the same (dy, dx) walk order, candidates in CSR row
-// order, and overlay-added cameras last; the final counting-sort
-// placement is stable in emission order, so each point's slice of the
-// CSR result equals AppendViewedDirections(nil, p) element for element.
+// order, window rows and columns in the same order, candidates in slot
+// order, and overlay-added cameras last; a group's window, like each
+// member point's own, holds every camera covering that point, and the
+// final counting-sort placement is stable in emission order, so each
+// point's slice of the CSR result equals AppendViewedDirections(nil, p)
+// element for element.
 // A View runs the identical engine with its overlay, the removed-bitmap
 // check hoisted to once per candidate.
 package spatial
@@ -46,7 +48,8 @@ import (
 
 // prefilterSlack is the absolute slack (as a fraction of the torus
 // side) subtracted from the cell-level lower distance bound before it
-// may reject a candidate. The bound is assembled from a handful of
+// may reject a candidate; Index.window widens its disc by the same
+// slack before it trims a row. The bound is assembled from a handful of
 // additions and one halving — each exact to ~1 ulp (≈2e-16 relative) —
 // so a 1e-12·side margin exceeds the worst-case accumulated error by
 // almost four orders of magnitude while remaining far below any sensing
@@ -66,8 +69,8 @@ type BatchScratch struct {
 	keys   []int64   // per-tier sort keys: bucket<<32 | point index
 	gx, gy []float64 // current group's coordinates, unpacked contiguously
 	gi     []int32   // current group's batch point indices, same order
-	hitPt  []int32   // emission-ordered (point, camera) covering pairs
-	hitCam []int32
+	hitPt  []int32   // emission-ordered (point, camera) covering pairs:
+	hitCam []int32   // a base camera by slot, an added one as Len()+j
 	counts []int32   // per-point hit counts, then placement cursors
 	offs   []int32   // CSR offsets over the batch (len = points+1)
 	dirs   []float64 // result storage for AppendViewedDirectionsBatch
@@ -146,52 +149,37 @@ func (ix *Index) gatherBatch(sc *BatchScratch, points []geom.Vec, d *overlay) {
 		sc.wy[i] = w.Y
 	}
 
+	var runs windowRuns
 	for ti := range ix.tiers {
 		t := &ix.tiers[ti]
-		if t.all {
-			// Whole-tier scan (the span "all" case), hoisted to once per
-			// batch: every candidate row is t.camIdx, every point is in
-			// one group.
-			sc.keys = sc.keys[:n]
-			for i := 0; i < n; i++ {
-				sc.keys[i] = int64(i)
-			}
-			g := sc.prepareGroup(sc.keys[:n])
-			ix.scanCandidates(sc, d, t.camIdx, g)
-			continue
-		}
-		reach, cells := t.reach, t.cells
 		// Sort the batch by bucket: key = bucket<<32 | index, so equal
 		// buckets group together and ties keep batch order, making the
-		// grouping deterministic.
-		sc.keys = sc.keys[:n]
+		// grouping deterministic. A whole-tier tier puts every point in
+		// one group. A point with a NaN coordinate is covered by no
+		// camera and joins no group.
+		keys := sc.keys[:0]
 		for i := 0; i < n; i++ {
-			cx := int(sc.wx[i] / t.cellSize)
-			cy := int(sc.wy[i] / t.cellSize)
-			if cx >= cells {
-				cx = cells - 1
+			x, y := sc.wx[i], sc.wy[i]
+			if x != x || y != y {
+				continue
 			}
-			if cy >= cells {
-				cy = cells - 1
+			var b int32
+			if !t.all {
+				b = t.bucketOf(x, y)
 			}
-			sc.keys[i] = int64(cy*cells+cx)<<32 | int64(i)
+			keys = append(keys, int64(b)<<32|int64(i))
 		}
-		slices.Sort(sc.keys)
-		for lo := 0; lo < n; {
-			bucket := sc.keys[lo] >> 32
+		slices.Sort(keys)
+		for lo := 0; lo < len(keys); {
+			bucket := keys[lo] >> 32
 			hi := lo + 1
-			for hi < n && sc.keys[hi]>>32 == bucket {
+			for hi < len(keys) && keys[hi]>>32 == bucket {
 				hi++
 			}
-			g := sc.prepareGroup(sc.keys[lo:hi])
-			pcx := int(bucket) % cells
-			pcy := int(bucket) / cells
-			for dy := -reach; dy <= reach; dy++ {
-				row := wrapCell(pcy+dy, cells) * cells
-				for dx := -reach; dx <= reach; dx++ {
-					b := row + wrapCell(pcx+dx, cells)
-					ix.scanCandidates(sc, d, t.camIdx[t.starts[b]:t.starts[b+1]], g)
-				}
+			g := sc.prepareGroup(keys[lo:hi])
+			nr := ix.window(t, &runs, g.minX, g.maxX, g.minY, g.maxY)
+			for _, r := range runs[:nr] {
+				ix.scanCandidates(sc, d, r, g)
 			}
 			lo = hi
 		}
@@ -256,7 +244,7 @@ func (sc *BatchScratch) prepareGroup(group []int64) groupView {
 	return g
 }
 
-// scanCandidates tests one candidate row against one prepared point
+// scanCandidates tests one slot run against one prepared point
 // group, candidate-major: each camera's SoA columns are loaded once and
 // held across the whole group. The cell-level prefilter rejects a
 // candidate only when its disc provably misses the group's bounding
@@ -275,10 +263,7 @@ func (sc *BatchScratch) prepareGroup(group []int64) groupView {
 // computed difference), so results stay bit-identical; groups whose
 // interval straddles a wrap boundary (only possible near the torus
 // seam) take the fully-branchy fallback, which is the oracle verbatim.
-func (ix *Index) scanCandidates(sc *BatchScratch, d *overlay, cands []int32, g groupView) {
-	if len(cands) == 0 || g.n == 0 {
-		return
-	}
+func (ix *Index) scanCandidates(sc *BatchScratch, d *overlay, run slotRun, g groupView) {
 	gx, gy, gi := sc.gx[:g.n], sc.gy[:g.n], sc.gi[:g.n]
 	cx0 := (g.minX + g.maxX) / 2
 	cy0 := (g.minY + g.maxY) / 2
@@ -286,8 +271,8 @@ func (ix *Index) scanCandidates(sc *BatchScratch, d *overlay, cands []int32, g g
 	hy := (g.maxY-g.minY)/2 + prefilterSlack*ix.side
 
 	side, half := ix.side, ix.half
-	for _, c := range cands {
-		if d != nil && d.isRemoved(c) {
+	for c := run.lo; c < run.hi; c++ {
+		if d != nil && d.isRemoved(ix.camIdx[c]) {
 			continue
 		}
 		px, py := ix.posX[c], ix.posY[c]

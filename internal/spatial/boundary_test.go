@@ -28,7 +28,7 @@ func checkAgainstOracle(t *testing.T, net *sensor.Network, ix *Index, p geom.Vec
 	}
 	w := net.Torus().Wrap(p)
 	for i := 0; i < net.Len(); i++ {
-		if got, covered := ix.covers(int32(i), w.X, w.Y), net.Camera(i).Covers(net.Torus(), w); got != covered {
+		if got, covered := ix.covers(ix.camSlot[i], w.X, w.Y), net.Camera(i).Covers(net.Torus(), w); got != covered {
 			t.Errorf("%s p=%v: covers(%d) = %v, Camera.Covers %v", label, p, i, got, covered)
 		}
 	}

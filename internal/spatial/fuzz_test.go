@@ -42,13 +42,24 @@ func (d *fuzzDecoder) camera(side float64) sensor.Camera {
 
 // point decodes one query point against the live list. Modes: 0 uniform;
 // 1 on the wrap seam; 2 exactly on a camera (zero displacement); 3 on a
-// camera's radius inside its aperture; 4 on a camera's aperture edge.
+// camera's radius inside its aperture; 4 on a camera's aperture edge;
+// 5 non-finite (NaN, +Inf or −Inf in x, y or both).
 func (d *fuzzDecoder) point(side float64, live []sensor.Camera) geom.Vec {
-	mode := d.u8() % 5
-	if mode >= 2 && len(live) == 0 {
+	mode := d.u8() % 6
+	if mode >= 2 && mode <= 4 && len(live) == 0 {
 		mode = 0
 	}
 	switch mode {
+	case 5:
+		s := d.u8()
+		v, u := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[s%3], d.unit()*side
+		switch s / 3 % 3 {
+		case 0:
+			return geom.V(v, u)
+		case 1:
+			return geom.V(u, v)
+		}
+		return geom.V(v, v)
 	case 1:
 		seam := []float64{0, math.Nextafter(side, 0), side, -1e-17, math.Nextafter(side, 2*side)}
 		s := d.u8()
@@ -123,6 +134,22 @@ func FuzzGather(f *testing.F) {
 		cam(0.4, 0.4, 0.25, 2, 64).cam(0.45, 0.42, 0.6, 7, 32).cam(0.7, 0.2, 0.8, 0, 16).cam(0.1, 0.9, 0.3, 3, 200).cam(0.5, 0.5, 0.5, 1, 100).
 		u8(4, 1, 4, 3, 2).cam(0.41, 0.41, 0.7, 4, 50).u8(0, 1).u16(0x2000).
 		u8(6, 3, 0).u16(0x8000).u8(3, 1).u16(0).u8(4, 0).u16(0x8000).u8(0, 4, 1).u16(0xc000).u8(1, 2, 2)))
+	// Non-finite points — NaN, +Inf and −Inf in x, in y and in both —
+	// through a View whose overlay removes a base camera and adds one,
+	// with a whole-tier radius across the seam. The batch leads with a
+	// NaN point so a group's bounding box must not absorb it.
+	f.Add([]byte(fuzzSeed{}.u8(0, 4).
+		cam(0.2, 0.3, 0.1, 2, 200).cam(0.7667, 0.5, 0.6, 7, 255).cam(0.6, 0.6, 0.3, 5, 90).cam(0.3, 0.9, 0.8, 3, 128).
+		u8(2, 1, 0, 2).cam(0.5, 0.5, 0.2, 6, 255).
+		u8(7, 5, 0).u16(0x4000).u8(1, 2).u16(0x8000).u8(5, 1).u16(0x2000).u8(5, 2).u16(0x6000).
+		u8(5, 3).u16(0x4000).u8(5, 4).u16(0xc000).u8(5, 5).u16(0x1000).u8(5, 7).u16(0).u8(5, 8).u16(0)))
+	// The same on the side-10 torus, where every camera sits in a
+	// windowed tier: the point walk and the count walk must not index a
+	// cell from a NaN coordinate.
+	f.Add([]byte(fuzzSeed{}.u8(2, 6).
+		cam(0.1, 0.1, 0.1, 0, 255).cam(0.3, 0.2, 0.5, 0, 255).cam(0.5, 0.6, 0.9, 1, 200).cam(0.7, 0.8, 0.2, 1, 160).cam(0.2, 0.7, 0.7, 0, 100).cam(0.9, 0.4, 0.4, 1, 255).
+		u8(0).
+		u8(5, 5, 0).u16(0x8000).u8(5, 4).u16(0x8000).u8(5, 8).u16(0).u8(0).u16(0x4000, 0x4000).u8(5, 6).u16(0).u8(5, 1).u16(0xffff)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &fuzzDecoder{b: data}

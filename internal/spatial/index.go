@@ -10,19 +10,28 @@
 //
 // # Layout
 //
-// Cameras are stored twice: as the original structs (for accessors) and
-// as structure-of-arrays columns (positions, orientation sin/cos,
-// squared radius, half-aperture and its cosine) so the per-candidate
-// cover test is a branch-light scan over flat float64 slices.
-//
 // Cameras are partitioned into radius tiers (each tier spans at most a
 // 2× radius ratio) and each tier gets its own bucket grid in compressed
-// sparse row form: starts []int32 offsets into one flat camIdx []int32
-// slice. A query visits each tier through that tier's own window, 5×5
-// cells just over half the tier's largest radius wide, so a
-// heterogeneous network — the paper's whole subject — never scans the
-// neighbourhood of its largest radius on behalf of its smallest group.
-// Candidate enumeration is closure-free: the gathers walk the CSR rows
+// sparse row form. Every camera owns one CSR slot: slots run tier-major,
+// then bucket by bucket, and starts []int32 holds each bucket's first
+// slot. The cover-test columns (position, orientation sin/cos, squared
+// radius, cos φ/2, and the orientation and half-aperture of the exact
+// fallback) are stored once, in slot order, so a scan over a run of
+// adjacent buckets reads each column front to back. camIdx maps a slot
+// to its camera and camSlot maps back; the original structs are kept
+// only for Camera(i).
+//
+// # Window
+//
+// A query visits each tier through that tier's own window of 5×5 cells
+// just over half the tier's largest radius wide, so a heterogeneous
+// network — the paper's whole subject — never scans the neighbourhood
+// of its largest radius on behalf of its smallest group. The window is
+// trimmed to the disc of that radius around the point: a window row
+// whose band lies farther than the radius is skipped, and every other
+// row is cut to the columns the disc reaches (see Index.window). What is
+// left of a row is one contiguous slot run, or two where it crosses the
+// seam. Candidate enumeration is closure-free: the gathers walk the runs
 // inline and append into caller-owned scratch buffers.
 package spatial
 
@@ -52,6 +61,18 @@ const tierRatio = 2
 // which fails both certainty tests and takes the exact path).
 const coverGuard = 1e-9
 
+// maxReach is the largest window reach a tier scans: cellsPerSide keeps
+// cellSize > maxR/2, so ⌊maxR/cellSize⌋ + 1 ≤ 2. A tier whose rounding
+// would give more scans whole instead, so a window fits in windowRuns.
+const maxReach = 2
+
+// slotRun is a half-open run [lo, hi) of CSR slots.
+type slotRun struct{ lo, hi int32 }
+
+// windowRuns holds the slot runs of one window: at most 2·maxReach+1
+// rows, each split in two at most (where it crosses the seam).
+type windowRuns [2 * (2*maxReach + 1)]slotRun
+
 // Index is an immutable spatial index over the cameras of one network.
 type Index struct {
 	torus   geom.Torus
@@ -59,7 +80,7 @@ type Index struct {
 	half    float64
 	cameras []sensor.Camera
 
-	// Structure-of-arrays camera columns, indexed like cameras.
+	// Cover-test columns, indexed by CSR slot.
 	posX, posY []float64
 	orient     []float64 // orientation, normalized to [0, 2π)
 	radius2    []float64 // Radius²
@@ -68,21 +89,25 @@ type Index struct {
 	sinOrient  []float64
 	cosHalf    []float64 // cos(Aperture/2)
 
+	camIdx  []int32 // slot → camera index
+	camSlot []int32 // camera index → slot
+
 	tiers []tier
 }
 
-// tier is one radius class with its own CSR bucket grid. reach and all
-// are the tier's scan window, decided once at build time: a query walks
-// the (2·reach+1)² cells around its own, or the whole tier when all is
-// set (the window would wrap onto itself).
+// tier is one radius class with its own CSR bucket grid over the slots
+// [lo, hi). reach and all are the tier's scan window, decided once at
+// build time: a query walks the (2·reach+1)² cells around its own, cut
+// by Index.window, or the whole tier when all is set (the window would
+// wrap onto itself).
 type tier struct {
 	maxR     float64
 	cells    int
 	cellSize float64
 	reach    int
 	all      bool
-	starts   []int32 // length cells*cells+1; CSR row offsets into camIdx
-	camIdx   []int32 // camera indices grouped by bucket
+	lo, hi   int32
+	starts   []int32 // length cells*cells+1; first slot of each bucket
 }
 
 // NewIndex builds an index for the network. Building is O(n log n); the
@@ -94,38 +119,43 @@ func NewIndex(net *sensor.Network) *Index {
 	n := len(cameras)
 
 	ix := &Index{
-		torus:     t,
-		side:      t.Side(),
-		half:      t.Side() / 2,
-		cameras:   cameras,
-		posX:      make([]float64, n),
-		posY:      make([]float64, n),
-		orient:    make([]float64, n),
-		radius2:   make([]float64, n),
-		halfAper:  make([]float64, n),
-		cosOrient: make([]float64, n),
-		sinOrient: make([]float64, n),
-		cosHalf:   make([]float64, n),
-	}
-	for i, c := range cameras {
-		ix.posX[i] = c.Pos.X
-		ix.posY[i] = c.Pos.Y
-		ix.orient[i] = c.Orient
-		ix.radius2[i] = c.Radius * c.Radius
-		ix.halfAper[i] = c.Aperture / 2
-		sin, cos := math.Sincos(c.Orient)
-		ix.sinOrient[i] = sin
-		ix.cosOrient[i] = cos
-		ix.cosHalf[i] = math.Cos(c.Aperture / 2)
+		torus:   t,
+		side:    t.Side(),
+		half:    t.Side() / 2,
+		cameras: cameras,
+		camIdx:  make([]int32, n),
+		camSlot: make([]int32, n),
 	}
 	ix.buildTiers()
+	ix.posX = make([]float64, n)
+	ix.posY = make([]float64, n)
+	ix.orient = make([]float64, n)
+	ix.radius2 = make([]float64, n)
+	ix.halfAper = make([]float64, n)
+	ix.cosOrient = make([]float64, n)
+	ix.sinOrient = make([]float64, n)
+	ix.cosHalf = make([]float64, n)
+	for s, i := range ix.camIdx {
+		c := &cameras[i]
+		ix.camSlot[i] = int32(s)
+		ix.posX[s] = c.Pos.X
+		ix.posY[s] = c.Pos.Y
+		ix.orient[s] = c.Orient
+		ix.radius2[s] = c.Radius * c.Radius
+		ix.halfAper[s] = c.Aperture / 2
+		sin, cos := math.Sincos(c.Orient)
+		ix.sinOrient[s] = sin
+		ix.cosOrient[s] = cos
+		ix.cosHalf[s] = math.Cos(c.Aperture / 2)
+	}
 	return ix
 }
 
 // buildTiers partitions cameras into radius classes spanning at most
-// tierRatio× each and builds one CSR bucket grid per class. Tier count
-// is logarithmic in the radius spread, so even a network whose radii
-// span 100× gets a handful of tiers, each scanned with its own reach.
+// tierRatio× each, builds one CSR bucket grid per class and lays the
+// classes' slots out one after another in camIdx. Tier count is
+// logarithmic in the radius spread, so even a network whose radii span
+// 100× gets a handful of tiers, each scanned with its own reach.
 func (ix *Index) buildTiers() {
 	n := len(ix.cameras)
 	if n == 0 {
@@ -144,14 +174,14 @@ func (ix *Index) buildTiers() {
 		for hi < n && ix.cameras[order[hi]].Radius <= tierRatio*base {
 			hi++
 		}
-		ix.tiers = append(ix.tiers, ix.buildTier(order[lo:hi]))
+		ix.tiers = append(ix.tiers, ix.buildTier(order[lo:hi], int32(lo)))
 		lo = hi
 	}
 }
 
 // buildTier lays the given cameras into one CSR bucket grid sized for
-// the group's largest radius.
-func (ix *Index) buildTier(members []int32) tier {
+// the group's largest radius, filling the slots from lo on.
+func (ix *Index) buildTier(members []int32, lo int32) tier {
 	maxR := 0.0
 	for _, i := range members {
 		if r := ix.cameras[i].Radius; r > maxR {
@@ -163,26 +193,30 @@ func (ix *Index) buildTier(members []int32) tier {
 		maxR:     maxR,
 		cells:    cells,
 		cellSize: ix.side / float64(cells),
+		lo:       lo,
+		hi:       lo + int32(len(members)),
 		starts:   make([]int32, cells*cells+1),
-		camIdx:   make([]int32, len(members)),
 	}
 	// A covering camera lies within maxR of the point, so on each axis
 	// their cell indices differ by at most ⌊maxR/cellSize⌋ + 1: two
 	// coordinates less than k cell widths apart can straddle k cell
 	// edges. A window as wide as the grid scans the whole tier.
 	t.reach = int(t.maxR/t.cellSize) + 1
-	t.all = cells == 1 || 2*t.reach+1 >= cells
+	t.all = cells == 1 || 2*t.reach+1 >= cells || t.reach > maxReach
 	// Counting sort into CSR: bucket sizes, prefix sums, then placement.
+	t.starts[0] = lo
 	for _, i := range members {
-		t.starts[t.bucketOf(ix.posX[i], ix.posY[i])+1]++
+		p := ix.cameras[i].Pos
+		t.starts[t.bucketOf(p.X, p.Y)+1]++
 	}
 	for b := 1; b < len(t.starts); b++ {
 		t.starts[b] += t.starts[b-1]
 	}
 	cursor := make([]int32, cells*cells)
 	for _, i := range members {
-		b := t.bucketOf(ix.posX[i], ix.posY[i])
-		t.camIdx[t.starts[b]+cursor[b]] = i
+		p := ix.cameras[i].Pos
+		b := t.bucketOf(p.X, p.Y)
+		ix.camIdx[t.starts[b]+cursor[b]] = i
 		cursor[b]++
 	}
 	return t
@@ -190,16 +224,17 @@ func (ix *Index) buildTier(members []int32) tier {
 
 // bucketOf maps an already-wrapped position to its bucket.
 func (t *tier) bucketOf(x, y float64) int32 {
-	cx := int(x / t.cellSize)
-	cy := int(y / t.cellSize)
+	return int32(t.cellOf(y)*t.cells + t.cellOf(x))
+}
+
+// cellOf maps an already-wrapped coordinate to its cell column (or row).
+func (t *tier) cellOf(x float64) int {
+	c := int(x / t.cellSize)
 	// Guard against x/cellSize rounding up to t.cells.
-	if cx >= t.cells {
-		cx = t.cells - 1
+	if c >= t.cells {
+		c = t.cells - 1
 	}
-	if cy >= t.cells {
-		cy = t.cells - 1
-	}
-	return int32(cy*t.cells + cx)
+	return c
 }
 
 // cellsPerSide picks a tier's grid resolution: ideally ceil(2·side/maxR)
@@ -250,25 +285,25 @@ func (ix *Index) delta(a, b float64) float64 {
 	return d
 }
 
-// covers reports whether camera i covers the wrapped point (px, py).
-// The result is bit-identical to sensor.Camera.Covers: the radius test
-// is the same arithmetic, and the angular test uses the algebraic form
-// with a guard band that defers to the exact predicate when the margin
-// is within coverGuard·|d| of the boundary.
-func (ix *Index) covers(i int32, px, py float64) bool {
-	dx := ix.delta(ix.posX[i], px)
-	dy := ix.delta(ix.posY[i], py)
+// covers reports whether the camera in slot s covers the wrapped point
+// (px, py). The result is bit-identical to sensor.Camera.Covers: the
+// radius test is the same arithmetic, and the angular test uses the
+// algebraic form with a guard band that defers to the exact predicate
+// when the margin is within coverGuard·|d| of the boundary.
+func (ix *Index) covers(s int32, px, py float64) bool {
+	dx := ix.delta(ix.posX[s], px)
+	dy := ix.delta(ix.posY[s], py)
 	n2 := dx*dx + dy*dy
-	if n2 > ix.radius2[i] {
+	if n2 > ix.radius2[s] {
 		return false
 	}
 	if dx == 0 && dy == 0 {
 		return true
 	}
 	// ∠(d, f) ≤ φ/2  ⟺  d·f̂ ≥ |d|·cos(φ/2)   (cos is monotone on [0, π]).
-	dot := dx*ix.cosOrient[i] + dy*ix.sinOrient[i]
+	dot := dx*ix.cosOrient[s] + dy*ix.sinOrient[s]
 	norm := math.Sqrt(n2)
-	rhs := norm * ix.cosHalf[i]
+	rhs := norm * ix.cosHalf[s]
 	margin := coverGuard * norm
 	if dot-rhs > margin {
 		return true
@@ -276,39 +311,113 @@ func (ix *Index) covers(i int32, px, py float64) bool {
 	if rhs-dot > margin {
 		return false
 	}
-	return ix.coversExact(i, dx, dy)
+	return ix.coversExact(s, dx, dy)
 }
 
 // coversExact is the boundary fallback: the angular predicate exactly
 // as sensor.Camera.Covers computes it. Kept out of covers so the hot
 // path stays small enough to inline.
-func (ix *Index) coversExact(i int32, dx, dy float64) bool {
-	return geom.AngularDistance(geom.Vec{X: dx, Y: dy}.Angle(), ix.orient[i]) <= ix.halfAper[i]
+func (ix *Index) coversExact(s int32, dx, dy float64) bool {
+	return geom.AngularDistance(geom.Vec{X: dx, Y: dy}.Angle(), ix.orient[s]) <= ix.halfAper[s]
 }
 
 // viewedDirection returns the viewed direction of wrapped point (px,
-// py) with respect to camera i, bit-identical to
+// py) with respect to the camera in slot s, bit-identical to
 // sensor.Camera.ViewedDirection (the angle of the vector P→S).
-func (ix *Index) viewedDirection(i int32, px, py float64) float64 {
-	return geom.Vec{X: ix.delta(px, ix.posX[i]), Y: ix.delta(py, ix.posY[i])}.Angle()
+func (ix *Index) viewedDirection(s int32, px, py float64) float64 {
+	return geom.Vec{X: ix.delta(px, ix.posX[s]), Y: ix.delta(py, ix.posY[s])}.Angle()
 }
 
-// span yields the cell-range parameters of one tier for a wrapped
-// query point: when all is true the whole tier must be scanned;
-// otherwise the (pcx, pcy, reach) neighbourhood applies.
-func (t *tier) span(px, py float64) (pcx, pcy, reach int, all bool) {
+// window fills runs with the slot runs of tier t that a camera covering
+// some point of the wrapped box [x0, x1]×[y0, y1] can sit in, and
+// returns how many it filled. A point is the box x0 = x1, y0 = y1; a
+// batch group is its bounding box, whose corner (x0, y0) lies in the
+// group's bucket. The box must lie in one bucket.
+//
+// A whole-tier tier yields its one run. Otherwise the rows and columns
+// of the (2·reach+1)² window around the corner's cell are walked in the
+// order the untrimmed walk visited them — rows up, columns left to
+// right from the window's left edge, across the seam — but a row whose
+// band lies farther than maxR from the box is skipped, and the others
+// keep only the columns within √(maxR² − h²) of the box, h being the
+// row's distance. Both tests widen maxR and shrink h by prefilterSlack,
+// which dwarfs the rounding of the cell arithmetic, so every camera the
+// exact per-point test could accept stays in a run. A box with a NaN
+// coordinate (Wrap maps ±Inf to NaN) is covered by no camera and yields
+// no run.
+func (ix *Index) window(t *tier, runs *windowRuns, x0, x1, y0, y1 float64) int {
+	if x0 != x0 || x1 != x1 || y0 != y0 || y1 != y1 {
+		return 0
+	}
 	if t.all {
-		return 0, 0, 0, true
+		runs[0] = slotRun{t.lo, t.hi}
+		return 1
 	}
-	pcx = int(px / t.cellSize)
-	pcy = int(py / t.cellSize)
-	if pcx >= t.cells {
-		pcx = t.cells - 1
+	cs, cells := t.cellSize, t.cells
+	slack := prefilterSlack * ix.side
+	r := t.maxR + slack
+	pcx, pcy := t.cellOf(x0), t.cellOf(y0)
+	n := 0
+	for ry := pcy - t.reach; ry <= pcy+t.reach; ry++ {
+		h := max(float64(ry)*cs-y1, y0-float64(ry+1)*cs) - slack
+		if h > r {
+			continue
+		}
+		w := r + slack
+		if h > 0 {
+			w = math.Sqrt(r*r-h*h) + slack
+		}
+		cLo := max(int(math.Floor((x0-w)/cs)), pcx-t.reach)
+		cHi := min(int(math.Floor((x1+w)/cs)), pcx+t.reach)
+		row := t.starts[wrapCell(ry, cells)*cells:]
+		switch {
+		case cLo < 0:
+			n = appendRun(runs, n, row, cLo+cells, cells-1)
+			n = appendRun(runs, n, row, 0, cHi)
+		case cHi >= cells:
+			n = appendRun(runs, n, row, cLo, cells-1)
+			n = appendRun(runs, n, row, 0, cHi-cells)
+		default:
+			n = appendRun(runs, n, row, cLo, cHi)
+		}
 	}
-	if pcy >= t.cells {
-		pcy = t.cells - 1
+	return n
+}
+
+// appendRun stores the slots of columns [c0, c1] of the row whose
+// bucket offsets start at row[0] as runs[n], unless the run is empty.
+func appendRun(runs *windowRuns, n int, row []int32, c0, c1 int) int {
+	if c0 > c1 {
+		return n
 	}
-	return pcx, pcy, t.reach, false
+	if lo, hi := row[c0], row[c1+1]; lo < hi {
+		runs[n] = slotRun{lo, hi}
+		n++
+	}
+	return n
+}
+
+// nearChunk is how many slots nearSlots filters at a time.
+const nearChunk = 64
+
+// nearSlots writes to near the slots in [lo, hi) whose camera's disc
+// holds the wrapped point (px, py) — covers' radius test, same
+// arithmetic — and returns how many it wrote. The pass is branch-free
+// in the test, so the angular test that follows runs on the few
+// survivors without a mispredicted branch per rejected candidate.
+func (ix *Index) nearSlots(near *[nearChunk]int32, lo, hi int32, px, py float64) int {
+	xs, ys, r2s := ix.posX[lo:hi], ix.posY[lo:hi], ix.radius2[lo:hi]
+	ys, r2s = ys[:len(xs)], r2s[:len(xs)]
+	k := 0
+	for j, x := range xs {
+		dx := ix.delta(x, px)
+		dy := ix.delta(ys[j], py)
+		near[k&(nearChunk-1)] = lo + int32(j)
+		if dx*dx+dy*dy <= r2s[j] {
+			k++
+		}
+	}
+	return k
 }
 
 // AppendViewedDirections appends the viewed directions (angle of P→S)
@@ -323,28 +432,20 @@ func (ix *Index) AppendViewedDirections(dst []float64, p geom.Vec) []float64 {
 // removed bit is set is skipped, and the overlay-added cameras are
 // scanned last with the exact sensor predicates, which the algebraic
 // covers test is bit-identical to by contract. The emission order —
-// tier, bucket walk, CSR row, then added cameras — defines the
+// tier, window row, column, CSR slot, then added cameras — defines the
 // per-point sequence the batch gather reproduces element for element.
 func (ix *Index) appendViewedDirections(dst []float64, p geom.Vec, d *overlay) []float64 {
 	p = ix.torus.Wrap(p)
+	var runs windowRuns
+	var near [nearChunk]int32
 	for ti := range ix.tiers {
-		t := &ix.tiers[ti]
-		pcx, pcy, reach, all := t.span(p.X, p.Y)
-		if all {
-			for _, i := range t.camIdx {
-				if ix.covers(i, p.X, p.Y) && (d == nil || !d.isRemoved(i)) {
-					dst = append(dst, ix.viewedDirection(i, p.X, p.Y))
-				}
-			}
-			continue
-		}
-		for dy := -reach; dy <= reach; dy++ {
-			row := wrapCell(pcy+dy, t.cells) * t.cells
-			for dx := -reach; dx <= reach; dx++ {
-				b := row + wrapCell(pcx+dx, t.cells)
-				for _, i := range t.camIdx[t.starts[b]:t.starts[b+1]] {
-					if ix.covers(i, p.X, p.Y) && (d == nil || !d.isRemoved(i)) {
-						dst = append(dst, ix.viewedDirection(i, p.X, p.Y))
+		nr := ix.window(&ix.tiers[ti], &runs, p.X, p.X, p.Y, p.Y)
+		for _, r := range runs[:nr] {
+			for lo := r.lo; lo < r.hi; lo += nearChunk {
+				k := ix.nearSlots(&near, lo, min(lo+nearChunk, r.hi), p.X, p.Y)
+				for _, s := range near[:k] {
+					if ix.covers(s, p.X, p.Y) && (d == nil || !d.isRemoved(ix.camIdx[s])) {
+						dst = append(dst, ix.viewedDirection(s, p.X, p.Y))
 					}
 				}
 			}
@@ -364,24 +465,16 @@ func (ix *Index) appendViewedDirections(dst []float64, p geom.Vec, d *overlay) [
 // traditional k-coverage multiplicity.
 func (ix *Index) CountCovering(p geom.Vec) int {
 	p = ix.torus.Wrap(p)
+	var runs windowRuns
+	var near [nearChunk]int32
 	count := 0
 	for ti := range ix.tiers {
-		t := &ix.tiers[ti]
-		pcx, pcy, reach, all := t.span(p.X, p.Y)
-		if all {
-			for _, i := range t.camIdx {
-				if ix.covers(i, p.X, p.Y) {
-					count++
-				}
-			}
-			continue
-		}
-		for dy := -reach; dy <= reach; dy++ {
-			row := wrapCell(pcy+dy, t.cells) * t.cells
-			for dx := -reach; dx <= reach; dx++ {
-				b := row + wrapCell(pcx+dx, t.cells)
-				for _, i := range t.camIdx[t.starts[b]:t.starts[b+1]] {
-					if ix.covers(i, p.X, p.Y) {
+		nr := ix.window(&ix.tiers[ti], &runs, p.X, p.X, p.Y, p.Y)
+		for _, r := range runs[:nr] {
+			for lo := r.lo; lo < r.hi; lo += nearChunk {
+				k := ix.nearSlots(&near, lo, min(lo+nearChunk, r.hi), p.X, p.Y)
+				for _, s := range near[:k] {
+					if ix.covers(s, p.X, p.Y) {
 						count++
 					}
 				}
@@ -404,7 +497,7 @@ func (ix *Index) countCovering(p geom.Vec, d *overlay) int {
 	p = ix.torus.Wrap(p)
 	for w, word := range d.removed {
 		for ; word != 0; word &= word - 1 {
-			if ix.covers(int32(w*64+bits.TrailingZeros64(word)), p.X, p.Y) {
+			if ix.covers(ix.camSlot[w*64+bits.TrailingZeros64(word)], p.X, p.Y) {
 				count--
 			}
 		}

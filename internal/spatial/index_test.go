@@ -28,10 +28,12 @@ func randomNetwork(t *testing.T, n int, seed uint64) *sensor.Network {
 }
 
 // TestIndexMatchesBruteForce pins which cameras the index considers
-// covering: ix.covers(i, p) must equal cameras[i].Covers(torus, p) for
-// every camera i, over uniform points and points planted on each
+// covering: ix.covers(slot of i, p) must equal cameras[i].Covers(torus,
+// p) for every camera i, over uniform points, points planted on each
 // camera's position, radius and aperture edges and across the seam,
-// and the gather must find every covering camera.
+// and non-finite points (NaN or ±Inf in either coordinate, covered by
+// no camera). The count walk, the point gather and the batch rows must
+// find every covering camera.
 func TestIndexMatchesBruteForce(t *testing.T) {
 	net := randomNetwork(t, 500, 42)
 	ix := NewIndex(net)
@@ -51,12 +53,17 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 			geom.V(cam.Pos.X, math.Nextafter(1, 0)),
 		)
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		points = append(points, geom.V(v, 0.5), geom.V(0.5, v), geom.V(v, v))
+	}
+	var sc BatchScratch
+	_, offs := ix.AppendViewedDirectionsBatch(&sc, points)
 	for pi, p := range points {
 		w := torus.Wrap(p)
 		want := 0
 		for i := 0; i < net.Len(); i++ {
 			covered := net.Camera(i).Covers(torus, w)
-			if got := ix.covers(int32(i), w.X, w.Y); got != covered {
+			if got := ix.covers(ix.camSlot[i], w.X, w.Y); got != covered {
 				t.Fatalf("point %d %v: covers(%d) = %v, Camera.Covers %v", pi, p, i, got, covered)
 			}
 			if covered {
@@ -65,6 +72,12 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 		}
 		if got := ix.CountCovering(p); got != want {
 			t.Fatalf("point %d %v: CountCovering = %d, brute force %d", pi, p, got, want)
+		}
+		if got := len(ix.AppendViewedDirections(nil, p)); got != want {
+			t.Fatalf("point %d %v: AppendViewedDirections found %d cameras, brute force %d", pi, p, got, want)
+		}
+		if got := int(offs[pi+1] - offs[pi]); got != want {
+			t.Fatalf("point %d %v: batch row has %d cameras, brute force %d", pi, p, got, want)
 		}
 	}
 }

@@ -19,10 +19,21 @@
 // or an end-to-end median is worse than its bound; an unresolved
 // metric does not change it.
 //
+// The workload "kernel" is the kernel gate instead: both sides build
+// fvcbench and run `fvcbench -kernelbench` in alternating, order-flipped
+// pairs, and the run fails when any case's median paired change/parent
+// ns/point ratio is above 1.10, or when a change run fails
+// kernelbench.Compare against BENCH_kernel.json (a case missing, or
+// more than one allocation in a case's timed batch where that file
+// records none). The change's ns/point medians against
+// BENCH_kernel.json are printed as a trajectory only: that file was
+// recorded on other hardware.
+//
 // Usage, from anywhere in the repository:
 //
 //	go run ./scripts/abbench -workload query-bulk -pairs 10
 //	go run ./scripts/abbench -workload query-bulk -pairs 2 -trace 1
+//	go run ./scripts/abbench -workload kernel -pairs 7
 //
 // Set TMPDIR to choose where the parent is exported.
 package main
@@ -86,7 +97,7 @@ func main() {
 func mainErr(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("abbench", flag.ContinueOnError)
 	parentRev := fs.String("parent", "", "parent revision (default: git merge-base HEAD main)")
-	workload := fs.String("workload", "query-bulk", "bench workload")
+	workload := fs.String("workload", "query-bulk", "bench workload, or kernel for the kernel gate")
 	seed := fs.Int("seed", 1, "bench seed, the same for every run")
 	pairs := fs.Int("pairs", 10, "parent/change pairs to run")
 	trace := fs.String("trace", "0", "bench -trace: 0 for end-to-end metrics, 1 for per-layer ones")
@@ -129,29 +140,57 @@ func mainErr(ctx context.Context, args []string, stdout io.Writer) error {
 	if dirty != "" {
 		change += " + uncommitted changes"
 	}
+	if *workload == "kernel" {
+		if *trace != "0" {
+			return errors.New("-trace does not apply to -workload kernel")
+		}
+		fmt.Fprintf(stdout, "abbench: kernel, %d pairs; parent %.12s, change %s\n", *pairs, rev, change)
+		return kernelAB(ctx, stdout, root, tmp, *pairs)
+	}
 	fmt.Fprintf(stdout, "abbench: %s, seed %d, %d pairs; parent %.12s, change %s\n",
 		*workload, *seed, *pairs, rev, change)
 
 	parent := &side{name: "parent", dir: tmp}
 	cur := &side{name: "change", dir: root}
 	benchArgs := []string{"bench/run.sh", "--workload", *workload, "--seed", fmt.Sprint(*seed), "--trace", *trace}
-	for p := 0; p < *pairs; p++ {
-		order := []*side{parent, cur}
-		if p%2 == 1 {
-			order[0], order[1] = cur, parent
+	err = alternate(*pairs, func(change bool) (string, error) {
+		s := parent
+		if change {
+			s = cur
 		}
-		for _, s := range order {
-			o, err := runBench(ctx, s.dir, benchArgs)
-			if err != nil {
-				return fmt.Errorf("pair %d, %s: %w", p+1, s.name, err)
-			}
-			s.runs = append(s.runs, o)
-			fmt.Fprintf(os.Stderr, "pair %d/%d %s: correct=%v failed=%d/%d\n",
-				p+1, *pairs, s.name, o.Correct, o.Failed, o.Attempted)
+		o, err := runBench(ctx, s.dir, benchArgs)
+		if err != nil {
+			return "", err
 		}
+		s.runs = append(s.runs, o)
+		return fmt.Sprintf("correct=%v failed=%d/%d", o.Correct, o.Failed, o.Attempted), nil
+	})
+	if err != nil {
+		return err
 	}
 	if !report(stdout, spec, parent, cur) {
 		return errors.New("a run failed or an end-to-end metric is worse than its bound")
+	}
+	return nil
+}
+
+// alternate runs the parent (change false) and the change once per pair
+// for the given number of pairs, the order flipped on every pair so a
+// drifting host favours neither side, and prints each run's progress
+// line to stderr.
+func alternate(pairs int, run func(change bool) (progress string, err error)) error {
+	for p := 0; p < pairs; p++ {
+		for _, change := range []bool{p%2 == 1, p%2 == 0} {
+			name := "parent"
+			if change {
+				name = "change"
+			}
+			progress, err := run(change)
+			if err != nil {
+				return fmt.Errorf("pair %d, %s: %w", p+1, name, err)
+			}
+			fmt.Fprintf(os.Stderr, "pair %d/%d %s: %s\n", p+1, pairs, name, progress)
+		}
 	}
 	return nil
 }
