@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseDigests -fuzztime=15s ./internal/cluster/
 	$(GO) test -run=NONE -fuzz=FuzzReplay -fuzztime=15s ./internal/jsonlog/
 	$(GO) test -run=NONE -fuzz=FuzzQueryEncoding -fuzztime=15s ./internal/server/
+	$(GO) test -run=NONE -fuzz=FuzzQueryDecode -fuzztime=15s -fuzzminimizetime=1s ./internal/server/
 
 # Run the fvcd coverage query daemon (see README "Running the service").
 FVCD_ADDR ?= :8080

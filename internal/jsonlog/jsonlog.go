@@ -40,8 +40,9 @@ import (
 // Decode decodes data, which must hold exactly one JSON document, into
 // v. Unknown object fields and anything but whitespace after the
 // document are errors. Besides every log line, the module's other
-// strict inputs (the peers file, digest maps, registration bodies)
-// decode with it.
+// strict inputs decode with it: the peers file, digest maps, the
+// router's placement key, and every HTTP request body fvcd accepts
+// (the /query scanner declines to it whatever it does not take).
 func Decode(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()

@@ -26,7 +26,7 @@ import (
 
 // do drives one request through the handler directly (no TCP), which
 // keeps fault windows deterministic.
-func do(t *testing.T, h http.Handler, method, target string, body []byte) *httptest.ResponseRecorder {
+func do(t testing.TB, h http.Handler, method, target string, body []byte) *httptest.ResponseRecorder {
 	t.Helper()
 	var r io.Reader
 	if body != nil {

@@ -332,7 +332,7 @@ func (s *Server) handleDigest(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMirror(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var batch mirrorBatch
-	if err := decodeBody(r, &batch); err != nil {
+	if err := s.decodeBody(r, &batch); err != nil {
 		writeDecodeError(w, err)
 		return
 	}

@@ -614,6 +614,42 @@ func TestRetryableAnswersCarryRetryAfter(t *testing.T) {
 	waitReadyz(t, srv2.Handler(), ReadyOK)
 }
 
+// TestRegisterKeyAgreesWithShard: the router's placement key and the
+// shard's registration handler accept and refuse the same bodies, so no
+// registration the router refuses would have been accepted by a shard,
+// nor the other way round.
+func TestRegisterKeyAgreesWithShard(t *testing.T) {
+	srv := mustNew(t, Config{})
+	h := srv.Handler()
+	const valid = `{"profile":"` + testProfile + `","n":20,"seed":9}`
+	for _, body := range []string{
+		valid,
+		valid + `}`,
+		valid + `]`,
+		valid + `}}`,
+		valid + ` {}`,
+		`{"profile":"` + testProfile + `","n":20,"seed":9,"nope":1}`,
+		`{"Profile":"` + testProfile + `","N":20,"SEED":9}`,
+		`null`,
+		`{"cameras":null,"profile":"` + testProfile + `","n":20}`,
+	} {
+		key, err := DeploymentIDFromRequest([]byte(body))
+		rec := do(t, h, "POST", "/v1/deployments", []byte(body))
+		shardOK := rec.Code == http.StatusCreated || rec.Code == http.StatusOK
+		if (err == nil) != shardOK {
+			t.Errorf("%s: placement key error %v, shard answered %d %s", body, err, rec.Code, rec.Body.String())
+			continue
+		}
+		if shardOK {
+			var reg registerResponse
+			decode(t, rec, &reg)
+			if reg.ID != key {
+				t.Errorf("%s: placement key %s, shard assigned %s", body, key, reg.ID)
+			}
+		}
+	}
+}
+
 // TestDeploymentIDFromRequest: the router's placement key is the exact
 // fingerprint the shard assigns, for both registration forms; garbage
 // is rejected with the handler's strictness.

@@ -28,7 +28,7 @@ import (
 // concurrent registrations of one fingerprint build single-flight.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(r, &req); err != nil {
 		writeDecodeError(w, err)
 		return
 	}
@@ -139,7 +139,7 @@ func (e *badPatch) Error() string { return e.msg }
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req patchRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(r, &req); err != nil {
 		writeDecodeError(w, err)
 		return
 	}
@@ -260,8 +260,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req queryRequest
-	if err := decodeBody(r, &req); err != nil {
+	req, err := s.decodeQuery(r)
+	if err != nil {
 		writeDecodeError(w, err)
 		return
 	}
@@ -377,7 +377,7 @@ func (s *Server) handleSurvey(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req surveyRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(r, &req); err != nil {
 		writeDecodeError(w, err)
 		return
 	}

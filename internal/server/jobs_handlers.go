@@ -199,7 +199,7 @@ func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 // the admission gate.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobSubmitRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := s.decodeBody(r, &req); err != nil {
 		writeDecodeError(w, err)
 		return
 	}

@@ -274,6 +274,9 @@ type Server struct {
 	// admission gate and before its handler starts. Tests use it to hold
 	// requests in flight deterministically.
 	testHookAdmitted func(route string, r *http.Request)
+	// testNoQueryScan makes /query decode through jsonlog.Decode alone,
+	// the path FuzzQueryDecode compares the scanner's answers with.
+	testNoQueryScan bool
 }
 
 // New builds a Server from the configuration. With cfg.StateDir set it

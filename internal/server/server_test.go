@@ -27,7 +27,7 @@ import (
 const testProfile = "0.3:0.2:0.4,0.7:0.1:0.5"
 
 // mustNew builds a Server, failing the test on a config error.
-func mustNew(t *testing.T, cfg Config) *Server {
+func mustNew(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {
@@ -298,6 +298,26 @@ func TestErrorResponses(t *testing.T) {
 			`{"thetasPi":[1.5],"points":[{"x":0.5,"y":0.5}]}`, http.StatusBadRequest},
 		{"survey theta out of range", "/v1/deployments/" + reg + "/survey",
 			`{"thetaPi":0}`, http.StatusBadRequest},
+		// A valid body followed by a closing bracket or brace is
+		// trailing data on every route, as it is to the router.
+		{"query trailing brace", "/v1/deployments/" + reg + "/query",
+			`{"thetasPi":[0.25],"points":[{"x":0.5,"y":0.5}]}}`, http.StatusBadRequest},
+		{"query trailing bracket", "/v1/deployments/" + reg + "/query",
+			`{"thetasPi":[0.25],"points":[{"x":0.5,"y":0.5}]}]`, http.StatusBadRequest},
+		{"query trailing brackets and garbage", "/v1/deployments/" + reg + "/query",
+			`{"thetasPi":[0.25],"points":[{"x":0.5,"y":0.5}]}]]]garbage`, http.StatusBadRequest},
+		{"survey trailing brace", "/v1/deployments/" + reg + "/survey",
+			`{"thetaPi":0.25}}`, http.StatusBadRequest},
+		{"survey trailing bracket", "/v1/deployments/" + reg + "/survey",
+			`{"thetaPi":0.25}]`, http.StatusBadRequest},
+		{"register trailing brace", "/v1/deployments",
+			`{"profile":"1:0.1:0.5","n":5}}`, http.StatusBadRequest},
+		{"register trailing bracket", "/v1/deployments",
+			`{"profile":"1:0.1:0.5","n":5}]`, http.StatusBadRequest},
+		{"job trailing brace", "/v1/jobs",
+			`{"kind":"survey","deployment":"` + reg + `","thetaPi":0.25}}`, http.StatusBadRequest},
+		{"job trailing bracket", "/v1/jobs",
+			`{"kind":"survey","deployment":"` + reg + `","thetaPi":0.25}]`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		var e errorResponse
@@ -305,6 +325,29 @@ func TestErrorResponses(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d", tc.name, code, tc.want)
 		} else if e.Error == "" {
 			t.Errorf("%s: empty error body", tc.name)
+		}
+	}
+
+	// PATCH rows.
+	for _, tc := range []struct{ name, body string }{
+		{"patch trailing brace", `{"reaim":[{"index":0,"orient":1}]}}`},
+		{"patch trailing bracket", `{"reaim":[{"index":0,"orient":1}]}]`},
+	} {
+		req, err := http.NewRequest("PATCH", ts.URL+"/v1/deployments/"+reg, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", tc.name, resp.StatusCode)
+		} else if err != nil || e.Error == "" {
+			t.Errorf("%s: no error body (%v)", tc.name, err)
 		}
 	}
 }
@@ -542,8 +585,15 @@ func TestMaxBodyBytes(t *testing.T) {
 	srv := mustNew(t, Config{MaxBodyBytes: 64})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	big := fmt.Sprintf(`{"profile":%q,"n":10,"seed":1,"deploy":"uniform","torus":1}`, testProfile)
-	if code := post(t, ts.Client(), ts.URL+"/v1/deployments", []byte(big), nil); code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status = %d, want 413", code)
+	// Any body past the cap is 413, whatever its content: the body is
+	// read whole before it is decoded.
+	for _, big := range []string{
+		fmt.Sprintf(`{"profile":%q,"n":10,"seed":1,"deploy":"uniform","torus":1}`, testProfile),
+		`{"profile":"1:0.1:0.5","n":5}` + strings.Repeat(" ", 64),
+		"x" + strings.Repeat(" ", 64),
+	} {
+		if code := post(t, ts.Client(), ts.URL+"/v1/deployments", []byte(big), nil); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized body %q: status = %d, want 413", big, code)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 	"fullview/internal/depjournal"
 	"fullview/internal/deploy"
 	"fullview/internal/geom"
+	"fullview/internal/jsonlog"
 	"fullview/internal/retry"
 	"fullview/internal/rng"
 	"fullview/internal/sensor"
@@ -313,20 +315,42 @@ func writeDecodeError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "malformed body: "+err.Error())
 }
 
-// decodeBody strictly decodes a JSON request body into dst: unknown
-// fields (almost always a misspelt parameter) and trailing garbage are
-// rejected so a malformed request fails loudly instead of running with
-// defaults.
-func decodeBody(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+// decodeBody reads the capped request body and strictly decodes it
+// into dst with jsonlog.Decode, the rule the router's placement key
+// also applies: unknown fields (almost always a misspelt parameter) and
+// anything but whitespace after the document are refused, so a
+// malformed request fails loudly instead of running with defaults.
+func (s *Server) decodeBody(r *http.Request, dst any) error {
+	body, err := s.readBody(r)
+	if err != nil {
 		return err
 	}
-	if dec.More() {
-		return errors.New("trailing data after JSON body")
+	return jsonlog.Decode(body, dst)
+}
+
+// readBody reads the whole request body, which the caller has capped
+// with http.MaxBytesReader at MaxBodyBytes. The buffer is sized from
+// Content-Length when that is within the cap, so a request of declared
+// length is read into one allocation.
+func (s *Server) readBody(r *http.Request) ([]byte, error) {
+	size := 512
+	if n := r.ContentLength; n >= 0 && n <= s.cfg.MaxBodyBytes {
+		size = int(n) + 1 // the extra byte reads io.EOF without growing
 	}
-	return nil
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // buildNetwork materialises the network a journal record describes —
