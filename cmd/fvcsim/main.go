@@ -32,12 +32,12 @@ import (
 	"fullview/internal/checkpoint"
 	"fullview/internal/core"
 	"fullview/internal/deploy"
-	"fullview/internal/experiment"
 	"fullview/internal/geom"
 	"fullview/internal/jsonlog"
 	"fullview/internal/report"
 	"fullview/internal/rng"
 	"fullview/internal/sensor"
+	"fullview/internal/sweep"
 	"fullview/internal/version"
 	"fullview/internal/viz"
 )
@@ -122,7 +122,7 @@ func run(args []string, w io.Writer) error {
 	}
 	// The grid sweep dominates the run time; spread it over the cores.
 	// Results are bit-identical to the sequential sweep at any -parallel,
-	// and -checkpoint journals the sweep band by band so a killed run
+	// and -checkpoint journals the sweep group by group so a killed run
 	// resumes where it left off with identical statistics.
 	var stats core.RegionStats
 	if *ckptPath != "" {
@@ -228,14 +228,14 @@ func writeSVGAtomic(path string, scene *viz.Scene) error {
 	return nil
 }
 
-// surveyCheckpoint surveys the grid as a resumable journaled run: the
-// grid's rows are the journal's trials, each row surveyed with a
-// per-goroutine checker clone and recorded durably on completion. The
-// merged statistics are bit-identical to SurveyRegionParallel — every
-// RegionStats field is an exact integer sum or minimum (MeanCovering is
-// re-derived from the carried integer total), so merging restored and
-// freshly-computed rows in row order reproduces the single-sweep
-// result.
+// surveyCheckpoint surveys the grid as a resumable journaled run in
+// the row groups of sweep.GroupRows: group g is the journal's trial g,
+// surveyed by the same sweep as the plain path and recorded durably on
+// completion. The merged statistics are bit-identical to one
+// SurveyRegionParallel over the whole grid — every RegionStats field is
+// an exact integer sum or minimum (MeanCovering is re-derived from the
+// carried integer total), so merging restored and freshly surveyed
+// groups reproduces the single-sweep result.
 func surveyCheckpoint(
 	path string,
 	checker *core.Checker,
@@ -248,30 +248,35 @@ func surveyCheckpoint(
 	seed uint64,
 	parallel int,
 ) (core.RegionStats, error) {
+	rows := sweep.GroupRows(side)
+	groups := (side + rows - 1) / rows
 	header := checkpoint.Header{
 		Kind:   "fvcsim/survey",
 		Seed:   seed,
-		Trials: side,
-		Params: fmt.Sprintf("deploy=%s n=%d theta=%.17g profile=%s grid=%d",
-			deployment, n, theta, sensor.FormatProfile(profile), side),
+		Trials: groups,
+		Params: fmt.Sprintf("deploy=%s n=%d theta=%.17g profile=%s grid=%d rows=%d",
+			deployment, n, theta, sensor.FormatProfile(profile), side, rows),
 	}
 	journal, err := checkpoint.Open(path, header)
 	if err != nil {
 		return core.RegionStats{}, err
 	}
-	rows, err := experiment.RunResumable(context.Background(), journal, seed, side, parallel,
-		func(row int, _ *rng.PCG) (core.RegionStats, error) {
-			return checker.Clone().SurveyRegion(points[row*side : (row+1)*side]), nil
-		})
-	if err != nil {
-		return core.RegionStats{}, fmt.Errorf("checkpointed survey: %w", err)
-	}
+	defer journal.Close()
 	var stats core.RegionStats
-	for _, row := range rows {
-		stats = stats.Merge(row)
+	for g := range groups {
+		var group core.RegionStats
+		done, err := journal.Get(g, &group)
+		if err != nil {
+			return core.RegionStats{}, err
+		}
+		if !done {
+			lo, hi := g*rows, min((g+1)*rows, side)
+			group = checker.SurveyRegionParallel(points[lo*side:hi*side], parallel)
+			if err := journal.Record(g, group); err != nil {
+				return core.RegionStats{}, fmt.Errorf("checkpointed survey: group %d: %w", g, err)
+			}
+		}
+		stats = stats.Merge(group)
 	}
-	if err := journal.Close(); err != nil {
-		return core.RegionStats{}, err
-	}
-	return stats, nil
+	return stats, journal.Close()
 }

@@ -183,26 +183,56 @@ func TestRunCheckpointResumesPartialJournal(t *testing.T) {
 	if err := run(args, &full); err != nil {
 		t.Fatal(err)
 	}
-	// Truncate the journal to the header plus a few records — the state a
-	// killed run leaves behind — and resume.
 	data, err := os.ReadFile(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Grid 12 runs as two groups of six rows: a header and two records.
 	lines := strings.SplitAfter(string(data), "\n")
-	if len(lines) < 5 {
-		t.Fatalf("journal too short to truncate: %d lines", len(lines))
+	if len(lines) != 4 || lines[3] != "" {
+		t.Fatalf("journal has %d lines, want a header and 2 group records:\n%s", len(lines)-1, data)
 	}
-	partial := strings.Join(lines[:4], "")
-	if err := os.WriteFile(journal, []byte(partial), 0o644); err != nil {
+	// The states a killed run leaves behind: the header plus the first
+	// group, and that with the second group's append torn mid-record.
+	for name, partial := range map[string]string{
+		"first group": lines[0] + lines[1],
+		"torn tail":   lines[0] + lines[1] + lines[2][:len(lines[2])/2],
+	} {
+		if err := os.WriteFile(journal, []byte(partial), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var resumed strings.Builder
+		if err := run(args, &resumed); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if resumed.String() != full.String() {
+			t.Errorf("%s: resume from partial journal produced different output", name)
+		}
+		if after, err := os.ReadFile(journal); err != nil || string(after) != string(data) {
+			t.Errorf("%s: resumed journal = %q (%v), want %q", name, after, err, data)
+		}
+	}
+}
+
+// TestRunCheckpointRefusesPerRowJournal: a journal of the earlier
+// one-row-per-trial layout (testdata/per_row_journal.jsonl, the header
+// and first four rows of a killed run of these arguments) is refused
+// with ErrMismatch and left byte-identical, not misread as row groups.
+func TestRunCheckpointRefusesPerRowJournal(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "per_row_journal.jsonl"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var resumed strings.Builder
-	if err := run(args, &resumed); err != nil {
+	journal := filepath.Join(t.TempDir(), "survey.jsonl")
+	if err := os.WriteFile(journal, fixture, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if resumed.String() != full.String() {
-		t.Error("resume from partial journal produced different output")
+	err = run([]string{"-checkpoint", journal, "-n", "200", "-grid", "12", "-seed", "5"}, &strings.Builder{})
+	if !errors.Is(err, checkpoint.ErrMismatch) {
+		t.Fatalf("per-row journal: err = %v, want ErrMismatch", err)
+	}
+	if after, err := os.ReadFile(journal); err != nil || string(after) != string(fixture) {
+		t.Errorf("refused journal became %q (%v)", after, err)
 	}
 }
 

@@ -3,18 +3,18 @@
 //
 // A Journal is a JSONL file: one header line identifying the run (kind,
 // seed, trial count, and a free-form parameter fingerprint) followed by
-// one line per completed trial. Because trial i of every experiment
-// runner draws its randomness from the dedicated (seed, i) RNG stream,
-// a resumed run that re-executes only the missing trials produces
-// results bit-identical to an uninterrupted run.
+// one line per completed trial, in completion order. Because trial i of
+// every experiment runner draws its randomness from the dedicated
+// (seed, i) RNG stream, a resumed run that re-executes only the missing
+// trials produces results bit-identical to an uninterrupted run.
 //
 // # Durability
 //
-// Every write replaces the journal atomically through
-// jsonlog.WriteAtomic, so a crash or kill at any instant leaves either
-// the previous journal or the new one — never a torn line. Loading
-// follows the jsonlog decode and torn-tail rules, so journals damaged by
-// filesystem loss still resume from their intact prefix.
+// The journal is a jsonlog.Log: each Record appends one line in one
+// write and fsyncs it, and a failed append is truncated back. A crash
+// mid-append can leave a torn final line; loading follows the jsonlog
+// decode and torn-tail rules, and reopening a matching journal cuts
+// that tail before the next append.
 package checkpoint
 
 import (
@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 
@@ -71,20 +70,23 @@ type record struct {
 }
 
 // Journal is an append-only store of completed trial results backed by
-// an atomically rewritten JSONL file. It is safe for concurrent use.
+// a JSONL log. It is safe for concurrent use.
 type Journal struct {
 	mu      sync.Mutex
 	path    string
 	header  Header
 	results map[int]json.RawMessage
+	log     *jsonlog.Log[record] // nil until the file exists, and once closed
 	closed  bool
 }
 
-// Open creates the journal at path, or resumes from an existing one.
-// The header (Version filled in automatically) must match an existing
-// journal's exactly; otherwise Open fails with ErrMismatch and leaves
-// the file untouched. Records beyond a truncated final line are
-// dropped; malformed interior lines fail with ErrCorrupt.
+// Open resumes from the journal at path, or prepares a new one there;
+// Open never creates the file, the first Record does. The header
+// (Version filled in automatically) must match an existing journal's
+// exactly; otherwise Open fails with ErrMismatch. A journal that fails
+// for any reason is left byte-identical. Records beyond a torn final
+// line are dropped, and the tail is cut from a matching journal before
+// its next append; malformed interior lines fail with ErrCorrupt.
 func Open(path string, h Header) (*Journal, error) {
 	if h.Trials <= 0 {
 		return nil, fmt.Errorf("checkpoint: trials must be positive, got %d", h.Trials)
@@ -99,7 +101,7 @@ func Open(path string, h Header) (*Journal, error) {
 	case err != nil:
 		return nil, fmt.Errorf("checkpoint: read journal: %w", err)
 	}
-	stored, results, err := parse(data)
+	stored, results, good, err := parse(data)
 	if err != nil {
 		return nil, err
 	}
@@ -111,16 +113,20 @@ func Open(path string, h Header) (*Journal, error) {
 			return nil, fmt.Errorf("%w: %d not in [0, %d)", ErrBadTrial, trial, h.Trials)
 		}
 	}
+	if j.log, err = jsonlog.Reopen[record](path, good); err != nil {
+		return nil, fmt.Errorf("checkpoint: reopen journal: %w", err)
+	}
 	j.results = results
 	return j, nil
 }
 
 // parse decodes a journal image into its header and records under the
-// jsonlog decode and torn-tail rules.
-func parse(data []byte) (Header, map[int]json.RawMessage, error) {
+// jsonlog decode and torn-tail rules, and returns the length of its
+// intact prefix.
+func parse(data []byte) (Header, map[int]json.RawMessage, int64, error) {
 	var h Header
 	results := make(map[int]json.RawMessage)
-	_, err := jsonlog.Replay(data, func(hdr Header) error {
+	good, err := jsonlog.Replay(data, func(hdr Header) error {
 		if h = hdr; h.Version != Version {
 			return fmt.Errorf("unsupported version %d", h.Version)
 		}
@@ -133,9 +139,9 @@ func parse(data []byte) (Header, map[int]json.RawMessage, error) {
 		return nil
 	})
 	if err != nil {
-		return h, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return h, nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return h, results, nil
+	return h, results, good, nil
 }
 
 // Path returns the journal's file path.
@@ -192,12 +198,12 @@ func (j *Journal) Get(trial int, out any) (bool, error) {
 	return true, nil
 }
 
-// Record journals a completed trial's result and flushes the journal
-// atomically (temp file in the target directory, fsync, rename).
-// Results must round-trip through encoding/json; non-finite floats are
-// rejected by Marshal, which is intentional — run numeric-health checks
-// before journaling. Re-recording an already-journaled trial with an
-// identical result is a no-op.
+// Record journals a completed trial's result: it appends one line to
+// the journal and fsyncs it, creating the file with its header first if
+// Open found none. Results must round-trip through encoding/json;
+// non-finite floats are rejected by Marshal, which is intentional — run
+// numeric-health checks before journaling. Re-recording an
+// already-journaled trial with an identical result is a no-op.
 func (j *Journal) Record(trial int, result any) error {
 	if trial < 0 || trial >= j.header.Trials {
 		return fmt.Errorf("%w: %d not in [0, %d)", ErrBadTrial, trial, j.header.Trials)
@@ -217,41 +223,15 @@ func (j *Journal) Record(trial int, result any) error {
 		}
 		return fmt.Errorf("checkpoint: trial %d already journaled with a different result", trial)
 	}
-	j.results[trial] = raw
-	if err := j.flushLocked(); err != nil {
-		delete(j.results, trial)
-		return err
-	}
-	return nil
-}
-
-// flushLocked writes the full journal image atomically. Callers hold
-// j.mu.
-func (j *Journal) flushLocked() error {
-	var buf bytes.Buffer
-	if err := j.encodeLocked(&buf); err != nil {
-		return fmt.Errorf("checkpoint: encode journal: %w", err)
-	}
-	if err := jsonlog.WriteAtomic(j.path, buf.Bytes()); err != nil {
-		return fmt.Errorf("checkpoint: write journal: %w", err)
-	}
-	return nil
-}
-
-// encodeLocked writes the journal image: the header, then the records
-// in ascending trial order. Callers hold j.mu.
-func (j *Journal) encodeLocked(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(j.header); err != nil {
-		return err
-	}
-	for i := 0; i < j.header.Trials; i++ {
-		if raw, ok := j.results[i]; ok {
-			if err := enc.Encode(record{Trial: i, Result: raw}); err != nil {
-				return err
-			}
+	if j.log == nil {
+		if j.log, err = jsonlog.Create[record](j.path, j.header); err != nil {
+			return fmt.Errorf("checkpoint: create journal: %w", err)
 		}
 	}
+	if err := j.log.Append(record{Trial: trial, Result: raw}); err != nil {
+		return fmt.Errorf("checkpoint: write journal: %w", err)
+	}
+	j.results[trial] = raw
 	return nil
 }
 
@@ -262,36 +242,33 @@ func (j *Journal) Complete() bool {
 	return len(j.results) == j.header.Trials
 }
 
-// Close marks the journal closed; subsequent Records fail with
+// Close closes the journal's file; subsequent Records fail with
 // ErrClosed. The file stays on disk so the run can be inspected or
 // resumed later; use Remove to delete it.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.closeLocked()
+}
+
+func (j *Journal) closeLocked() error {
 	j.closed = true
-	return nil
+	if j.log == nil {
+		return nil
+	}
+	err := j.log.Close()
+	j.log = nil
+	return err
 }
 
 // Remove closes the journal and deletes its file. Removing a journal
-// that was never flushed is not an error.
+// that was never written is not an error.
 func (j *Journal) Remove() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.closed = true
+	j.closeLocked()
 	if err := os.Remove(j.path); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("checkpoint: remove journal: %w", err)
 	}
 	return nil
-}
-
-// WriteTo serializes the journal's current image (header plus records
-// in trial order); it is the exact byte content flushes write.
-func (j *Journal) WriteTo(w io.Writer) (int64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var buf bytes.Buffer
-	if err := j.encodeLocked(&buf); err != nil {
-		return 0, err
-	}
-	return buf.WriteTo(w)
 }

@@ -27,7 +27,7 @@ func TestOpenFreshJournal(t *testing.T) {
 	if got := j.Missing(); len(got) != 5 || got[0] != 0 || got[4] != 4 {
 		t.Errorf("Missing = %v", got)
 	}
-	// Opening never creates the file; only Record flushes.
+	// Opening never creates the file; only Record does.
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("journal file created on Open: %v", err)
 	}
@@ -157,9 +157,42 @@ func TestTornFinalLineDropped(t *testing.T) {
 		t.Errorf("torn journal kept %d records (done0=%v done1=%v), want intact prefix only",
 			resumed.Len(), resumed.Done(0), resumed.Done(1))
 	}
-	// The dropped trial can be re-journaled.
+	// The dropped trial can be re-journaled, and it lands where the torn
+	// tail was cut away.
 	if err := resumed.Record(1, 20); err != nil {
 		t.Errorf("re-record dropped trial: %v", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+		t.Errorf("repaired journal = %q (%v), want %q", after, err, data)
+	}
+}
+
+// TestOpenRefusalLeavesFileUntouched: a journal Open refuses — another
+// run's, a corrupt one, or one holding a trial out of range — keeps its
+// bytes.
+func TestOpenRefusalLeavesFileUntouched(t *testing.T) {
+	hdr := `{"version":1,"kind":"test/grid","seed":2012,"trials":3,"params":"n=100 theta=0.25pi"}` + "\n"
+	other := testHeader(3)
+	other.Seed++
+	for name, tc := range map[string]struct {
+		content string
+		h       Header
+		want    error
+	}{
+		"mismatch":     {hdr + `{"trial":0,"result":1}` + "\n" + `{"trial":1,"res`, other, ErrMismatch},
+		"corrupt":      {hdr + `{"trial":0,"res` + "\n" + `{"trial":1,"result":1}` + "\n", testHeader(3), ErrCorrupt},
+		"out-of-range": {hdr + `{"trial":3,"result":1}` + "\n" + `{"trial":1,"res`, testHeader(3), ErrBadTrial},
+	} {
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path, tc.h); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
+		}
+		if after, err := os.ReadFile(path); err != nil || string(after) != tc.content {
+			t.Errorf("%s: refused journal became %q (%v)", name, after, err)
+		}
 	}
 }
 
@@ -235,27 +268,43 @@ func TestConcurrentRecord(t *testing.T) {
 	}
 }
 
-func TestWriteToMatchesFile(t *testing.T) {
+// TestRecordAppendsOneLine pins the append path: the first Record
+// creates the file with its header, every Record adds exactly one line
+// and leaves the file before the call a byte prefix of the file after,
+// and an identical re-record writes nothing.
+func TestRecordAppendsOneLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	j, err := Open(path, testHeader(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Record(2, "z")
-	j.Record(0, "a")
-	var buf strings.Builder
-	if _, err := j.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	defer j.Close()
+	var before []byte
+	for _, rec := range []struct {
+		trial  int
+		result string
+		lines  int
+	}{{2, "z", 2}, {0, "a", 3}, {0, "a", 3}, {1, "m", 4}} {
+		if err := j.Record(rec.trial, rec.result); err != nil {
+			t.Fatal(err)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(after, before) {
+			t.Fatalf("Record(%d) rewrote the file: %q is not a prefix of %q", rec.trial, before, after)
+		}
+		if got := bytes.Count(after, []byte("\n")); got != rec.lines || after[len(after)-1] != '\n' {
+			t.Fatalf("after Record(%d): %d lines in %q, want %d", rec.trial, got, after, rec.lines)
+		}
+		before = after
 	}
-	onDisk, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if !strings.HasPrefix(string(before), `{"version":1`) {
+		t.Errorf("missing header line: %q", before)
 	}
-	if buf.String() != string(onDisk) {
-		t.Errorf("WriteTo = %q, file = %q", buf.String(), onDisk)
-	}
-	if !strings.HasPrefix(buf.String(), `{"version":1`) {
-		t.Errorf("missing header line: %q", buf.String())
+	if want := `{"trial":1,"result":"m"}` + "\n"; !strings.HasSuffix(string(before), want) {
+		t.Errorf("last line of %q, want %q", before, want)
 	}
 }
 
@@ -272,9 +321,9 @@ func TestRemove(t *testing.T) {
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Error("journal file survives Remove")
 	}
-	// Removing an unflushed journal is fine too.
+	// Removing a journal that was never written is fine too.
 	j2, _ := Open(filepath.Join(t.TempDir(), "never.jsonl"), testHeader(2))
 	if err := j2.Remove(); err != nil {
-		t.Errorf("Remove of unflushed journal: %v", err)
+		t.Errorf("Remove of unwritten journal: %v", err)
 	}
 }

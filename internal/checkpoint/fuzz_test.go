@@ -2,12 +2,18 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
 // FuzzParse throws arbitrary bytes at the journal loader: it must never
-// panic, and whatever it accepts must re-serialize into an image that
-// parses back to the same header and record set (load/store round-trip).
+// panic, and a journal Open would accept must resume by appending —
+// written to a file, opened, given one missing trial and opened again,
+// it keeps its header and record set plus the new trial, and its intact
+// prefix stays a byte prefix of the file.
 func FuzzParse(f *testing.F) {
 	valid := "{\"version\":1,\"kind\":\"test/grid\",\"seed\":2012,\"trials\":3,\"params\":\"n=5\"}\n" +
 		"{\"trial\":0,\"result\":{\"hits\":3}}\n" +
@@ -21,41 +27,60 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte("{\"version\":1,\"kind\":\"k\",\"seed\":0,\"trials\":1}\n{\"trial\":0,\"result\":1}{\"trial\":0,\"result\":2}\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, results, err := parse(data)
-		if err != nil {
+		h, results, good, err := parse(data)
+		if err != nil || h.Trials <= 0 {
+			// Open rejects a non-positive trial count; parse alone has no floor.
 			return
 		}
-		// Accepted journals must round-trip: rebuild the image through the
-		// same writer the journal uses and parse it again.
-		j := &Journal{header: h, results: results}
-		if h.Trials <= 0 {
-			// Open would reject this header; parse alone has no floor.
-			return
-		}
-		var buf bytes.Buffer
-		if _, err := j.WriteTo(&buf); err != nil {
-			t.Fatalf("WriteTo on accepted journal: %v", err)
-		}
-		h2, results2, err := parse(buf.Bytes())
-		if err != nil {
-			t.Fatalf("re-parse of serialized journal: %v\nimage:\n%s", err, buf.Bytes())
-		}
-		if h2 != h {
-			t.Fatalf("header round-trip: %+v -> %+v", h, h2)
-		}
-		// Records outside [0, Trials) are dropped by WriteTo (Open would
-		// reject the journal); in-range ones must survive byte-for-byte.
-		for trial, raw := range results {
+		for trial := range results {
 			if trial < 0 || trial >= h.Trials {
-				continue
+				return // Open refuses it with ErrBadTrial
 			}
-			got, ok := results2[trial]
-			if !ok {
-				t.Fatalf("trial %d lost in round-trip", trial)
+		}
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := Open(path, h)
+		if err != nil {
+			t.Fatalf("Open of an accepted image: %v\nimage:\n%s", err, data)
+		}
+		added := -1
+		for i := 0; i < h.Trials && added < 0; i++ {
+			if !j.Done(i) {
+				added = i
 			}
-			if !bytes.Equal(got, raw) {
-				t.Fatalf("trial %d result changed: %s -> %s", trial, raw, got)
+		}
+		if added >= 0 {
+			if err := j.Record(added, "added"); err != nil {
+				t.Fatalf("Record(%d): %v", added, err)
 			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		resumed, err := Open(path, h)
+		if err != nil {
+			t.Fatalf("reopen after append: %v", err)
+		}
+		defer resumed.Close()
+		if resumed.Header() != h {
+			t.Fatalf("header round-trip: %+v -> %+v", h, resumed.Header())
+		}
+		want := results
+		if added >= 0 {
+			want[added] = json.RawMessage(`"added"`)
+		}
+		if !reflect.DeepEqual(resumed.results, want) {
+			t.Fatalf("records round-trip:\n got %q\nwant %q", resumed.results, want)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(after, data[:good]) {
+			t.Fatalf("intact prefix %q is not a prefix of the file %q", data[:good], after)
 		}
 	})
 }

@@ -111,11 +111,21 @@ func TestRunGridInvalidConfig(t *testing.T) {
 	}
 }
 
+// runPoints is the point experiment at cfg.Theta alone: RunPointsThetas
+// with the one-element list {cfg.Theta}.
+func runPoints(cfg Config, pointsPerTrial, trials, parallelism int, seed uint64) (PointOutcome, error) {
+	outs, err := RunPointsThetas(cfg, []float64{cfg.Theta}, pointsPerTrial, trials, parallelism, seed)
+	if err != nil {
+		return PointOutcome{}, err
+	}
+	return outs[0], nil
+}
+
 func TestRunPointsMatchesAnalyticUniform(t *testing.T) {
 	// E10 in miniature: empirical point-failure frequency vs Eq. (2).
 	prof := testProfile(t)
 	cfg := Config{N: 300, Theta: math.Pi / 2, Profile: prof}
-	out, err := RunPoints(cfg, 40, 150, 0, 99)
+	out, err := runPoints(cfg, 40, 150, 0, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +146,7 @@ func TestRunPointsPoissonMatchesTheorem(t *testing.T) {
 	prof := testProfile(t)
 	theta := math.Pi / 2
 	cfg := Config{N: 300, Theta: theta, Profile: prof, Deployment: DeployPoisson}
-	out, err := RunPoints(cfg, 40, 150, 0, 123)
+	out, err := runPoints(cfg, 40, 150, 0, 123)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +168,7 @@ func TestRunPointsPoissonMatchesTheorem(t *testing.T) {
 
 func TestRunPointsContingencyConsistency(t *testing.T) {
 	cfg := Config{N: 150, Theta: math.Pi / 3, Profile: testProfile(t)}
-	out, err := RunPoints(cfg, 50, 40, 0, 5)
+	out, err := runPoints(cfg, 50, 40, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +194,7 @@ func TestRunPointsExpectedCoverage(t *testing.T) {
 	// Mean covering count ≈ n·s_c (Section VI-A).
 	prof := testProfile(t)
 	cfg := Config{N: 500, Theta: math.Pi / 2, Profile: prof}
-	out, err := RunPoints(cfg, 30, 80, 0, 11)
+	out, err := runPoints(cfg, 30, 80, 0, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +212,7 @@ func TestRunPointsKTarget(t *testing.T) {
 		N: 200, Theta: theta, Profile: testProfile(t),
 		KTarget: analytic.KNecessary(theta),
 	}
-	out, err := RunPoints(cfg, 50, 40, 0, 17)
+	out, err := runPoints(cfg, 50, 40, 0, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +226,7 @@ func TestRunPointsKTarget(t *testing.T) {
 
 	// KTarget disabled leaves the counter empty.
 	cfg.KTarget = 0
-	out, err = RunPoints(cfg, 10, 5, 0, 17)
+	out, err = runPoints(cfg, 10, 5, 0, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +237,12 @@ func TestRunPointsKTarget(t *testing.T) {
 
 func TestRunPointsValidation(t *testing.T) {
 	cfg := Config{N: 100, Theta: math.Pi / 2, Profile: testProfile(t)}
-	if _, err := RunPoints(cfg, 0, 10, 0, 1); !errors.Is(err, ErrBadPoints) {
+	if _, err := runPoints(cfg, 0, 10, 0, 1); !errors.Is(err, ErrBadPoints) {
 		t.Errorf("error = %v, want ErrBadPoints", err)
 	}
 	bad := cfg
 	bad.Theta = -1
-	if _, err := RunPoints(bad, 10, 10, 0, 1); !errors.Is(err, ErrBadTheta) {
+	if _, err := runPoints(bad, 10, 10, 0, 1); !errors.Is(err, ErrBadTheta) {
 		t.Errorf("error = %v, want ErrBadTheta", err)
 	}
 }

@@ -63,7 +63,7 @@ func pointsThetasTrialFunc(cfg Config, thetas []float64, pointsPerTrial, trials,
 		// All sample points are drawn up front (diagnosis consumes no
 		// randomness), so the trial's random sequence — and therefore its
 		// deployment and points — does not depend on the θ-list: outcome
-		// k is bit-identical to RunPoints at θ_k.
+		// k is bit-identical to a one-θ run at θ_k.
 		side := cfg.Torus.Side()
 		points := make([]geom.Vec, pointsPerTrial)
 		for i := range points {
@@ -192,10 +192,10 @@ func formatThetas(thetas []float64) string {
 // RunPointsThetas executes the point experiment for a whole list of
 // effective angles at once: each trial deploys a single network, draws a
 // single set of sample points, and diagnoses every θ from one candidate
-// gather per point. Outcome k is bit-identical to what RunPoints would
-// return with cfg.Theta = thetas[k] (the trial RNG sequence does not
-// depend on θ), at a fraction of the deployment and gather cost.
-// cfg.Theta is ignored.
+// gather per point. Outcome k is bit-identical to a run with the
+// one-element list {thetas[k]} (the trial RNG sequence does not depend
+// on θ), at a fraction of the deployment and gather cost. cfg.Theta is
+// ignored.
 func RunPointsThetas(cfg Config, thetas []float64, pointsPerTrial, trials, parallelism int, seed uint64) ([]PointOutcome, error) {
 	cfg, err := validatePoints(cfg, thetas, pointsPerTrial)
 	if err != nil {

@@ -68,8 +68,9 @@ func goldenPointConfigs(t *testing.T) map[string]Config {
 	}
 }
 
-// TestRunPointsGolden pins RunPoints and RunPointsCheckpoint to the
-// recorded outcomes, bit for bit, at one and three workers.
+// TestRunPointsGolden pins the one-θ point experiment, RunPointsThetas
+// and RunPointsThetasCheckpoint at {cfg.Theta}, to the recorded
+// outcomes, bit for bit, at one and three workers.
 func TestRunPointsGolden(t *testing.T) {
 	data, err := os.ReadFile(pointGoldenPath)
 	if err != nil {
@@ -86,21 +87,21 @@ func TestRunPointsGolden(t *testing.T) {
 		}
 		for _, workers := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				out, err := RunPoints(cfg, goldenPointsPerTrial, goldenTrials, workers, goldenSeed)
+				outs, err := RunPointsThetas(cfg, []float64{cfg.Theta}, goldenPointsPerTrial, goldenTrials, workers, goldenSeed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := goldenOf(out); got != want {
-					t.Errorf("RunPoints:\n got %+v\nwant %+v", got, want)
+				if got := goldenOf(outs[0]); got != want {
+					t.Errorf("RunPointsThetas:\n got %+v\nwant %+v", got, want)
 				}
 				path := filepath.Join(t.TempDir(), "points.jsonl")
-				out, err = RunPointsCheckpoint(context.Background(), path, cfg,
+				outs, err = RunPointsThetasCheckpoint(context.Background(), path, cfg, []float64{cfg.Theta},
 					goldenPointsPerTrial, goldenTrials, workers, goldenSeed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := goldenOf(out); got != want {
-					t.Errorf("RunPointsCheckpoint:\n got %+v\nwant %+v", got, want)
+				if got := goldenOf(outs[0]); got != want {
+					t.Errorf("RunPointsThetasCheckpoint:\n got %+v\nwant %+v", got, want)
 				}
 			})
 		}
@@ -108,8 +109,8 @@ func TestRunPointsGolden(t *testing.T) {
 }
 
 // TestRunPointsThetasMatchesRunPoints runs each golden cell as one
-// 3-angle experiment: outcome k must equal RunPoints at θ_k, and the
-// cell's own θ must reproduce the recorded outcome.
+// 3-angle experiment: outcome k must equal the one-θ experiment at θ_k,
+// and the cell's own θ must reproduce the recorded outcome.
 func TestRunPointsThetasMatchesRunPoints(t *testing.T) {
 	data, err := os.ReadFile(pointGoldenPath)
 	if err != nil {
@@ -131,12 +132,12 @@ func TestRunPointsThetasMatchesRunPoints(t *testing.T) {
 		for k, theta := range thetas {
 			one := cfg
 			one.Theta = theta
-			want, err := RunPoints(one, goldenPointsPerTrial, goldenTrials, 1, goldenSeed)
+			want, err := RunPointsThetas(one, []float64{theta}, goldenPointsPerTrial, goldenTrials, 1, goldenSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(outs[k], want) {
-				t.Errorf("%s θ=%.4f: RunPointsThetas outcome %d\n got %+v\nwant %+v", name, theta, k, outs[k], want)
+			if !reflect.DeepEqual(outs[k], want[0]) {
+				t.Errorf("%s θ=%.4f: RunPointsThetas outcome %d\n got %+v\nwant %+v", name, theta, k, outs[k], want[0])
 			}
 		}
 		if got := goldenOf(outs[1]); got != golden[name] {

@@ -233,24 +233,26 @@ func TestRunPointsCheckpointBitIdentical(t *testing.T) {
 	cfg := testConfig()
 	for _, workers := range resumeWorkerCounts() {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			baseline, err := RunPoints(cfg, pointsPerTrial, trials, workers, seed)
+			one := []float64{cfg.Theta}
+			outs, err := RunPointsThetas(cfg, one, pointsPerTrial, trials, workers, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
+			baseline := outs[0]
 			path := filepath.Join(t.TempDir(), "points.jsonl")
-			out, err := RunPointsCheckpoint(context.Background(), path, cfg, pointsPerTrial, trials, workers, seed)
+			outs, err = RunPointsThetasCheckpoint(context.Background(), path, cfg, one, pointsPerTrial, trials, workers, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(out, baseline) {
-				t.Errorf("checkpointed outcome differs from RunPoints:\n got %+v\nwant %+v", out, baseline)
+			if !reflect.DeepEqual(outs[0], baseline) {
+				t.Errorf("checkpointed outcome differs from the one-θ run:\n got %+v\nwant %+v", outs[0], baseline)
 			}
 			// Resume over the full journal: no recomputation, same result.
-			again, err := RunPointsCheckpoint(context.Background(), path, cfg, pointsPerTrial, trials, workers, seed)
+			again, err := RunPointsThetasCheckpoint(context.Background(), path, cfg, one, pointsPerTrial, trials, workers, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(again, baseline) {
+			if !reflect.DeepEqual(again[0], baseline) {
 				t.Error("outcome from fully-journaled run differs")
 			}
 
@@ -263,7 +265,7 @@ func TestRunPointsCheckpointBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(multi[1], baseline) {
-				t.Errorf("3-angle outcome at cfg.Theta differs from RunPoints:\n got %+v\nwant %+v", multi[1], baseline)
+				t.Errorf("3-angle outcome at cfg.Theta differs from the one-θ run:\n got %+v\nwant %+v", multi[1], baseline)
 			}
 			multiPath := filepath.Join(t.TempDir(), "points-thetas.jsonl")
 			for _, pass := range []string{"fresh", "fully journaled"} {
@@ -280,11 +282,11 @@ func TestRunPointsCheckpointBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunPointsCheckpointRefusesSingleThetaJournal: RunPointsCheckpoint
-// journals as "experiment/point-thetas", so a journal of the older
-// "experiment/point" kind (the fixture, a complete run of the golden
-// uniform cell) is refused with ErrMismatch and left byte-identical
-// rather than resumed or rewritten.
+// TestRunPointsCheckpointRefusesSingleThetaJournal: the one-θ
+// RunPointsThetasCheckpoint journals as "experiment/point-thetas", so a
+// journal of the older "experiment/point" kind (the fixture, a complete
+// run of the golden uniform cell) is refused with ErrMismatch and left
+// byte-identical rather than resumed or rewritten.
 func TestRunPointsCheckpointRefusesSingleThetaJournal(t *testing.T) {
 	fixture, err := os.ReadFile("testdata/point_single_theta_journal.jsonl")
 	if err != nil {
@@ -298,7 +300,8 @@ func TestRunPointsCheckpointRefusesSingleThetaJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := goldenPointConfigs(t)["uniform"]
-	_, err = RunPointsCheckpoint(context.Background(), path, cfg, goldenPointsPerTrial, goldenTrials, 1, goldenSeed)
+	_, err = RunPointsThetasCheckpoint(context.Background(), path, cfg, []float64{cfg.Theta},
+		goldenPointsPerTrial, goldenTrials, 1, goldenSeed)
 	if !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Fatalf("error = %v, want checkpoint.ErrMismatch", err)
 	}

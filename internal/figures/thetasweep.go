@@ -27,7 +27,7 @@ func init() {
 // (E19). The whole θ-list is diagnosed from one simulation — one
 // deployment, one spatial index, and one candidate gather per sample
 // point (core.MultiChecker via RunPointsThetas) — so the sweep costs
-// barely more than a single-θ experiment; a per-θ loop of RunPoints
+// barely more than a single-θ experiment; a per-θ loop of one-θ runs
 // would redo the deployment and gather work |θ| times for identical
 // results. Analytic overlays are Equations 2 and 13 per θ.
 func runThetaSweep(w io.Writer, opts Options) error {

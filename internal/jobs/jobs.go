@@ -4,7 +4,7 @@
 //
 // A job's result is split into bands — one grid row at one θ — and the
 // job runs in row groups: one sweep evaluates a block of consecutive
-// rows at every θ at once (see groupRows), and the group's band records
+// rows at every θ at once (see sweep.GroupRows), and the group's band records
 // are fsynced to a per-job JSONL journal in one write before the next
 // group starts (see journal.go for the format). Because
 // RegionStats.Merge is exact for any partition of the region, replaying
@@ -679,7 +679,7 @@ func (m *Manager) Subscribe(id string) (Snapshot, <-chan Event, func(), error) {
 	}
 	// Room for every band of a small job, and always for one row
 	// group's band events, which a group emits in one burst.
-	depth := min(j.spec.Bands(), max(1024, j.spec.Slots()*groupRows(j.spec.Grid))) + 16
+	depth := min(j.spec.Bands(), max(1024, j.spec.Slots()*sweep.GroupRows(j.spec.Grid))) + 16
 	ch := make(chan Event, depth)
 	j.subs[ch] = struct{}{}
 	j.mu.Unlock()
@@ -768,20 +768,6 @@ func (m *Manager) worker(q chan *job) {
 	}
 }
 
-// groupPoints is the sample-point budget of one row group: large
-// enough that a group's sweep gives every worker many sweep.BatchSize
-// batches, so sweep start and barrier costs and the group's journal
-// fsync amortise over real work.
-const groupPoints = 64 * sweep.BatchSize
-
-// groupRows is the number of grid rows a job evaluates per group:
-// ⌈groupPoints/grid⌉ rows, but never more than half the grid, so every
-// grid of two or more rows runs as at least two groups and a crash or
-// throttle can land between them.
-func groupRows(grid int) int {
-	return max(1, min((groupPoints+grid-1)/grid, (grid+1)/2))
-}
-
 // runJob executes every row group whose bands the journal doesn't
 // already hold, then merges the per-band stats into the result. A ctx
 // error routes to abandon (cancel vs. shutdown); anything else fails
@@ -811,7 +797,7 @@ func (m *Manager) runJob(j *job) {
 		return
 	}
 
-	grid, rows := j.spec.Grid, groupRows(j.spec.Grid)
+	grid, rows := j.spec.Grid, sweep.GroupRows(j.spec.Grid)
 	for lo := 0; lo < grid; lo += rows {
 		hi := min(lo+rows, grid)
 		missing := m.missingBands(j, lo, hi)

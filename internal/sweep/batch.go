@@ -14,6 +14,21 @@ import (
 // cell-sorted gather's per-batch setup.
 const BatchSize = 256
 
+// groupPoints is the sample-point budget of one row group: large
+// enough that a group's sweep gives every worker many BatchSize
+// batches, so sweep start and barrier costs and the group's journal
+// fsync amortise over real work.
+const groupPoints = 64 * BatchSize
+
+// GroupRows is the number of grid rows a resumable survey evaluates per
+// group — one sweep and one journal append per group:
+// ⌈groupPoints/grid⌉ rows, but never more than half the grid, so every
+// grid of two or more rows runs as at least two groups and a crash or
+// throttle can land between them.
+func GroupRows(grid int) int {
+	return max(1, min((groupPoints+grid-1)/grid, (grid+1)/2))
+}
+
 // RunBatch is Run for kernels that evaluate whole point batches at
 // once: each worker walks its contiguous chunk in BatchSize sub-slices
 // and calls kernel(state, acc, lo, pts) per sub-slice, where lo is the

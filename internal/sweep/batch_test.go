@@ -151,3 +151,28 @@ func TestRunBatchPanicIsolated(t *testing.T) {
 		t.Fatalf("PanicError.Item = %d, want the batch start %d", perr.Item, BatchSize)
 	}
 }
+
+// TestGroupRows pins the row-group rule: ⌈groupPoints/grid⌉ rows, at
+// most half the grid, so every grid of two or more rows runs as at
+// least two groups.
+func TestGroupRows(t *testing.T) {
+	cases := []struct{ grid, rows, groups int }{
+		{1, 1, 1},
+		{2, 1, 2},
+		{4, 2, 2},
+		{6, 3, 2},
+		{7, 4, 2},
+		{10, 5, 2},
+		{12, 6, 2},
+		{124, 62, 2}, // the dense grid of a 2000-camera deployment
+		{200, 82, 3},
+		{1000, 17, 59},
+	}
+	for _, tc := range cases {
+		rows := GroupRows(tc.grid)
+		groups := (tc.grid + rows - 1) / rows
+		if rows != tc.rows || groups != tc.groups {
+			t.Errorf("grid %d: %d rows in %d groups, want %d rows in %d groups", tc.grid, rows, groups, tc.rows, tc.groups)
+		}
+	}
+}

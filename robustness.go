@@ -29,7 +29,8 @@ type (
 	// OpenCheckpoint refuses a journal whose header does not match.
 	CheckpointHeader = checkpoint.Header
 	// Journal is a JSONL record of completed trial results; every Record
-	// rewrites the whole image atomically (temp-file + rename).
+	// appends and fsyncs one line, and a torn final line left by a crash
+	// mid-append is cut when the journal is reopened.
 	Journal = checkpoint.Journal
 	// RetryPolicy bounds per-trial retries with capped exponential
 	// backoff; see Transient and ErrTransient for classification.
@@ -57,11 +58,12 @@ var (
 // classifier.
 func Transient(err error) error { return experiment.Transient(err) }
 
-// OpenCheckpoint opens (or creates) the trial journal at path. A
-// journal that exists must carry exactly header h (its Version field is
-// filled in automatically). Every Record rewrites the file atomically,
-// so a crash never tears a line; a torn final line means filesystem
-// damage, and is dropped and rewritten by the next Record.
+// OpenCheckpoint opens the trial journal at path; a missing file is
+// created by the first Record. A journal that exists must carry exactly
+// header h (its Version field is filled in automatically). Every Record
+// appends one line and fsyncs it, so a crash mid-append can leave a
+// torn final line: its trial reads as missing, and reopening cuts the
+// tail before the next append.
 func OpenCheckpoint(path string, h CheckpointHeader) (*Journal, error) {
 	return checkpoint.Open(path, h)
 }
