@@ -3,9 +3,11 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -318,5 +320,63 @@ func TestRouterClientHangupsDoNotTripBreaker(t *testing.T) {
 	}
 	if got := rt.errs[shard].Value(); got != 1 {
 		t.Fatalf("%d shard errors after one shed answer and a hang-up, want 1", got)
+	}
+}
+
+// TestRouterJobHangupsDoNotTripBreaker: a client that leaves a job poll
+// or a job event stream — before the shard answers, or mid-stream —
+// charges the owner no shard error and does not trip its breaker.
+func TestRouterJobHangupsDoNotTripBreaker(t *testing.T) {
+	shards, rt := newTestCluster(t, 1, nil)
+	shard := shards[0].name
+	jobPath := "/v1/jobs/" + jobIDFor("dep")
+	get := func(path string, timeout time.Duration) *httptest.ResponseRecorder {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		defer cancel()
+		req := httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx)
+		w := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(w, req)
+		return w
+	}
+
+	// The shard answers only after the client left — or, for a stream
+	// in the second round, starts it and then waits for the client to go.
+	release := make(chan struct{})
+	var midStream atomic.Bool
+	shards[0].set(func(w http.ResponseWriter, r *http.Request) {
+		if midStream.Load() {
+			w.Header().Set("Content-Type", "text/event-stream")
+			io.WriteString(w, "event: snapshot\ndata: {}\n\n")
+			w.(http.Flusher).Flush()
+			<-r.Context().Done()
+			return
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+		writeJSON(w, http.StatusOK, map[string]string{"shard": shard})
+	})
+	for i := 0; i < 5; i++ {
+		get(jobPath, 20*time.Millisecond)
+		get(jobPath+"/events", 20*time.Millisecond)
+	}
+	midStream.Store(true)
+	for i := 0; i < 5; i++ {
+		if w := get(jobPath+"/events", 20*time.Millisecond); !strings.Contains(w.Body.String(), "event: snapshot") {
+			t.Fatalf("mid-stream hang-up: the started stream was not relayed: %q", w.Body)
+		}
+	}
+	midStream.Store(false)
+	close(release)
+	if got := rt.breakers[shard].State(); got != BreakerClosed {
+		t.Fatalf("breaker state %d after 15 client hang-ups on a healthy shard, want closed", got)
+	}
+	if got := rt.errs[shard].Value(); got != 0 {
+		t.Fatalf("%d shard errors charged for client hang-ups, want 0", got)
+	}
+	if w := get(jobPath, 5*time.Second); w.Code != http.StatusOK {
+		t.Fatalf("poll after the hang-ups: %d %s", w.Code, w.Body)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"fullview/internal/jobs"
 	"fullview/internal/retry"
 	"fullview/internal/telemetry"
 )
@@ -64,9 +65,9 @@ type RouterConfig struct {
 //	POST   /v1/deployments/{id}/query   → owner of id
 //	POST   /v1/deployments/{id}/survey  → owner of id
 //	POST   /v1/jobs                     → owner of the body's deployment
-//	GET    /v1/jobs/{id}                → located by scatter (job ids are shard-local)
-//	DELETE /v1/jobs/{id}                → located by scatter
-//	GET    /v1/jobs/{id}/events         → located by scatter, then streamed
+//	GET    /v1/jobs/{id}                → owner of the deployment the job id names
+//	DELETE /v1/jobs/{id}                → owner of the deployment the job id names
+//	GET    /v1/jobs/{id}/events         → owner of the deployment the job id names, streamed
 //	GET    /readyz                      → per-shard aggregation (starting/ok/degraded rollup)
 //	GET    /healthz                     → the router's own liveness
 //	GET    /metrics                     → the router's own cluster telemetry
@@ -76,7 +77,7 @@ type RouterConfig struct {
 type Router struct {
 	cfg    RouterConfig
 	ring   *Ring
-	order  []Member // scatter order: members sorted by name
+	order  []Member // members sorted by name: breaker setup and /readyz order
 	client *http.Client
 
 	// The router defaults, held per router so in-package tests can
@@ -184,8 +185,8 @@ func (rt *Router) routes() *http.ServeMux {
 	mux.HandleFunc("POST /v1/deployments/{id}/query", rt.handleReadByID)
 	mux.HandleFunc("POST /v1/deployments/{id}/survey", rt.handleReadByID)
 	mux.HandleFunc("POST /v1/jobs", rt.routeByBody(jobDeployment))
-	mux.HandleFunc("GET /v1/jobs/{id}", rt.handleJobScatter)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", rt.handleJobScatter)
+	mux.HandleFunc("GET /v1/jobs/{id}", rt.handleJob)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", rt.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", rt.handleJobEvents)
 	mux.HandleFunc("GET /readyz", rt.handleReadyz)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -243,43 +244,40 @@ func (rt *Router) handleReadByID(w http.ResponseWriter, r *http.Request) {
 	rt.forwardRead(w, r, r.PathValue("id"), body)
 }
 
-// handleJobScatter locates a job by trying every shard: job ids are
-// generated by the shard that accepted the submission, so the router
-// holds no id→shard map (it is stateless by design). Shards answer 404
-// for ids they do not know; the first non-404 answer is authoritative.
-// The scatter order is deterministic (members by name) so repeated
-// polls of one id trace the same path.
-func (rt *Router) handleJobScatter(w http.ResponseWriter, r *http.Request) {
-	body, err := rt.readBody(w, r)
-	if err != nil {
-		return
+// jobOwner returns the shard that holds the job the path id names: the
+// ring owner of the job's deployment, the only shard that accepts its
+// submission (writes never fail over). An id that names no deployment
+// is answered 404 here.
+func (rt *Router) jobOwner(w http.ResponseWriter, r *http.Request) (string, bool) {
+	dep, ok := jobs.DeploymentOf(r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Sprintf("job %s names no deployment: "+
+			"it predates deployment-scoped job ids; ask the shard that ran it", r.PathValue("id")))
+		return "", false
 	}
-	shard, found := rt.locateJob(r.Context(), r.PathValue("id"))
-	if !found {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no shard knows job %s", r.PathValue("id")))
-		return
-	}
-	rt.forward(w, r, shard, body)
+	return rt.ring.Owner(dep), true
 }
 
-// handleJobEvents locates the job's shard, then proxies the SSE stream
-// without buffering or retries — a live stream cannot be replayed.
+// handleJob routes a job poll or cancel, neither of which has a body,
+// to the job's owner.
+func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
+	if shard, ok := rt.jobOwner(w, r); ok {
+		rt.forward(w, r, shard, nil)
+	}
+}
+
+// handleJobEvents proxies the job's SSE stream from its owner in one
+// attempt — a live stream cannot be replayed — without buffering.
 func (rt *Router) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	shard, found := rt.locateJob(r.Context(), r.PathValue("id"))
-	if !found {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no shard knows job %s", r.PathValue("id")))
+	shard, ok := rt.jobOwner(w, r)
+	if !ok {
 		return
 	}
-	req, err := rt.shardRequest(r.Context(), shard, http.MethodGet, r.URL.RequestURI(), nil, "")
+	resp, err := rt.attempt(r, shard, nil)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	rt.forwards[shard].Inc()
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		rt.errs[shard].Inc()
-		rt.unavailable(w, fmt.Sprintf("shard %s: %v", shard, err))
+		if r.Context().Err() == nil { // a client that left is owed nothing
+			rt.unavailable(w, fmt.Sprintf("shard %s: %v", shard, err))
+		}
 		return
 	}
 	if fl, ok := w.(http.Flusher); ok {
@@ -299,30 +297,6 @@ func (f flushWriter) Write(p []byte) (int, error) {
 	n, err := f.ResponseWriter.Write(p)
 	f.Flush()
 	return n, err
-}
-
-// locateJob probes shards (GET /v1/jobs/{id}) in scatter order and
-// returns the first one that does not answer 404. Unreachable shards
-// are skipped: a job on a live shard is still found, and an id whose
-// only possible home is down reports not-found (the client retries and
-// finds it once the shard is back).
-func (rt *Router) locateJob(ctx context.Context, id string) (shard string, found bool) {
-	for _, m := range rt.order {
-		probe, err := rt.shardRequest(ctx, m.Name, http.MethodGet, "/v1/jobs/"+id, nil, "")
-		if err != nil {
-			continue
-		}
-		resp, err := rt.client.Do(probe)
-		if err != nil {
-			rt.errs[m.Name].Inc()
-			continue
-		}
-		discard(resp)
-		if resp.StatusCode != http.StatusNotFound {
-			return m.Name, true
-		}
-	}
-	return "", false
 }
 
 // readBody slurps the request body under the size cap. The body must

@@ -271,53 +271,108 @@ func TestRouterJobSubmitRoutesByDeployment(t *testing.T) {
 	}
 }
 
-// TestRouterJobScatter: job ids are shard-local, so polls scatter in
-// deterministic member order until a shard answers non-404; an id no
-// shard knows is a 404.
-func TestRouterJobScatter(t *testing.T) {
+// jobIDFor makes a well-formed job id for a job of deployment dep, in
+// the shape internal/jobs mints.
+func jobIDFor(dep string) string { return "job-" + dep + "-0123456789abcdef01234567" }
+
+// TestRouterJobRoutesToOwner: a job poll, cancel or event stream goes
+// to the ring owner of the deployment its id names — one router→shard
+// request, no probing — for a job on each shard. An id its owner does
+// not know is the owner's 404, an id that names no deployment is the
+// router's own 404, and a tripped owner breaker is a 503 that sends
+// nothing.
+func TestRouterJobRoutesToOwner(t *testing.T) {
 	shards, rt := newTestCluster(t, 3, nil)
-	const jobID = "01HTESTJOB"
+	// One job on each shard.
+	jobOn := make(map[string]string)
+	for i := 0; len(jobOn) < len(shards); i++ {
+		dep := fmt.Sprintf("dep-%d", i)
+		if owner := rt.Ring().Owner(dep); jobOn[owner] == "" {
+			jobOn[owner] = jobIDFor(dep)
+		}
+	}
+	hits := func() (total int64) {
+		for _, s := range shards {
+			total += s.hits.Load()
+		}
+		return total
+	}
+	// requests are the poll, the cancel and the event stream of a job.
+	type request struct{ method, path string }
+	requests := func(jobID string) []request {
+		return []request{
+			{http.MethodGet, "/v1/jobs/" + jobID},
+			{http.MethodDelete, "/v1/jobs/" + jobID},
+			{http.MethodGet, "/v1/jobs/" + jobID + "/events"},
+		}
+	}
 	for _, s := range shards {
-		s.set(func(w http.ResponseWriter, r *http.Request) {
-			writeError(w, http.StatusNotFound, "unknown job")
-		})
-	}
-	// Only shard-2 knows the job.
-	shardByName(shards, "shard-2").set(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"id": jobID, "state": "done"})
-	})
-	w := do(t, rt, http.MethodGet, "/v1/jobs/"+jobID, "")
-	if w.Code != http.StatusOK {
-		t.Fatalf("scatter: %d %s", w.Code, w.Body)
-	}
-	if !strings.Contains(w.Body.String(), `"state":"done"`) {
-		t.Fatalf("body %s", w.Body)
-	}
-	// All three probed (scatter is by name order, shard-2 last), plus
-	// the forwarded request itself.
-	if h0, h1, h2 := shards[0].hits.Load(), shards[1].hits.Load(), shards[2].hits.Load(); h0 != 1 || h1 != 1 || h2 != 2 {
-		t.Fatalf("scatter hits %d/%d/%d, want 1/1/2", h0, h1, h2)
-	}
-
-	// A tripped breaker does not hide the job: the scatter and the event
-	// stream sit outside the breaker, so the poll still locates shard-2
-	// (and fast-fails there with the circuit-open 503, not a 404) and
-	// the stream is still proxied.
-	tripBreaker(rt, "shard-2")
-	w = do(t, rt, http.MethodGet, "/v1/jobs/"+jobID, "")
-	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "shard-2 circuit open") {
-		t.Fatalf("poll of a job on a tripped shard: %d %s, want its circuit-open 503", w.Code, w.Body)
-	}
-	w = do(t, rt, http.MethodGet, "/v1/jobs/"+jobID+"/events", "")
-	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"state":"done"`) {
-		t.Fatalf("events of a job on a tripped shard: %d %s", w.Code, w.Body)
+		for _, tc := range requests(jobOn[s.name]) {
+			before, forwards := hits(), rt.forwards[s.name].Value()
+			w := do(t, rt, tc.method, tc.path, "")
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s %s: %d %s", tc.method, tc.path, w.Code, w.Body)
+			}
+			var resp struct{ Shard, Path string }
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Shard != s.name || resp.Path != tc.path {
+				t.Errorf("%s %s answered by %s for %s, want %s", tc.method, tc.path, resp.Shard, resp.Path, s.name)
+			}
+			if got := hits() - before; got != 1 {
+				t.Errorf("%s %s cost %d shard requests, want 1", tc.method, tc.path, got)
+			}
+			if got := rt.forwards[s.name].Value() - forwards; got != 1 {
+				t.Errorf("%s %s counted %d forwards to %s, want 1", tc.method, tc.path, got, s.name)
+			}
+		}
 	}
 
-	shardByName(shards, "shard-2").set(func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, "unknown job")
+	// An id its owner does not know: the owner's 404, relayed.
+	unknown := jobIDFor("dep-unknown")
+	owner := shardByName(shards, rt.Ring().Owner("dep-unknown"))
+	owner.set(func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotFound, "no job "+unknown)
 	})
-	if w := do(t, rt, http.MethodGet, "/v1/jobs/"+jobID, ""); w.Code != http.StatusNotFound {
-		t.Fatalf("unknown job: %d, want 404", w.Code)
+	before := hits()
+	if w := do(t, rt, http.MethodGet, "/v1/jobs/"+unknown, ""); w.Code != http.StatusNotFound || !strings.Contains(w.Body.String(), "no job") {
+		t.Fatalf("unknown job: %d %s, want the owner's 404", w.Code, w.Body)
+	}
+	if got := hits() - before; got != 1 {
+		t.Fatalf("unknown job cost %d shard requests, want 1", got)
+	}
+
+	// An id that names no deployment never reaches a shard.
+	before = hits()
+	for _, legacy := range []string{"job-0123456789abcdef01234567", "01HTESTJOB"} {
+		for _, path := range []string{"/v1/jobs/" + legacy, "/v1/jobs/" + legacy + "/events"} {
+			w := do(t, rt, http.MethodGet, path, "")
+			if w.Code != http.StatusNotFound || !strings.Contains(w.Body.String(), "predates deployment-scoped job ids") {
+				t.Fatalf("GET %s: %d %s, want the router's legacy-id 404", path, w.Code, w.Body)
+			}
+		}
+	}
+	if got := hits() - before; got != 0 {
+		t.Fatalf("legacy ids reached the shards (%d requests)", got)
+	}
+
+	// A tripped owner breaker: 503 + Retry-After for polls, cancels and
+	// streams alike, and nothing sent.
+	tripped := shards[2].name
+	tripBreaker(rt, tripped)
+	before = hits()
+	for _, tc := range requests(jobOn[tripped]) {
+		w := do(t, rt, tc.method, tc.path, "")
+		if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), tripped) || !strings.Contains(w.Body.String(), "circuit open") {
+			t.Fatalf("%s %s on a tripped owner: %d %s, want its circuit-open 503", tc.method, tc.path, w.Code, w.Body)
+		}
+		if w.Header().Get("Retry-After") == "" {
+			t.Fatalf("%s %s: circuit-open 503 carries no Retry-After", tc.method, tc.path)
+		}
+	}
+	if got := hits() - before; got != 0 {
+		t.Fatalf("a tripped owner was sent %d requests", got)
 	}
 }
 
@@ -466,7 +521,7 @@ func TestRouterEventsStreamUnbuffered(t *testing.T) {
 		<-release
 	})
 	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(front.URL + "/v1/jobs/j1/events")
+	resp, err := client.Get(front.URL + "/v1/jobs/job-dep-0123456789abcdef01234567/events")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,8 +135,8 @@ func (s Spec) validate() error {
 	default:
 		return fmt.Errorf("jobs: unknown kind %q", s.Kind)
 	}
-	if s.Deployment == "" {
-		return errors.New("jobs: spec has no deployment id")
+	if !validDeployment(s.Deployment) {
+		return fmt.Errorf("jobs: deployment id %q is not a non-empty run of [0-9A-Za-z_-]", s.Deployment)
 	}
 	// The checker's own θ test, so a θ whose partition would not fit
 	// (core.MaxSectors) is refused at submit time, not when a band runs.
@@ -570,9 +570,9 @@ func (m *Manager) Submit(spec Spec) (Snapshot, error) {
 		m.mu.Unlock()
 		return Snapshot{}, ErrClosed
 	}
-	id := newID()
+	id := newID(spec.Deployment)
 	for _, taken := m.jobs[id]; taken; _, taken = m.jobs[id] {
-		id = newID()
+		id = newID(spec.Deployment)
 	}
 	j := &job{
 		id:      id,
@@ -1109,10 +1109,34 @@ func (m *Manager) gcOnce(now time.Time) {
 	}
 }
 
-func newID() string {
+// newID mints a job id for a job of deployment dep:
+// job-<dep>-<24 hex digits>. A router sends every request about the job
+// to the owner of dep, the only shard that accepts its submission.
+func newID(dep string) string {
 	var b [12]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("job-%d", time.Now().UnixNano())
+		return fmt.Sprintf("job-%s-%024x", dep, time.Now().UnixNano())
 	}
-	return "job-" + hex.EncodeToString(b[:])
+	return "job-" + dep + "-" + hex.EncodeToString(b[:])
+}
+
+// DeploymentOf returns the deployment a job id names. It answers false
+// for an id that names none: one minted before job ids carried their
+// deployment (job-<24 hex digits>), or a hand-made one such as the test
+// fixtures' job-fixture-done.
+func DeploymentOf(id string) (string, bool) {
+	rest, ok := strings.CutPrefix(id, "job-")
+	n := len(rest) - 25 // the deployment's length, before -<24 hex digits>
+	if !ok || n < 1 || rest[n] != '-' || !validDeployment(rest[:n]) ||
+		strings.Trim(rest[n+1:], "0123456789abcdef") != "" {
+		return "", false
+	}
+	return rest[:n], true
+}
+
+// validDeployment reports whether dep is a non-empty run of
+// [0-9A-Za-z_-]: the deployment ids a job id, and so a job journal's
+// file name, can carry.
+func validDeployment(dep string) bool {
+	return dep != "" && strings.Trim(dep, "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_-") == ""
 }

@@ -189,10 +189,45 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: KindSurvey, Deployment: "dep", ThetasPi: []float64{0}, Grid: 4},
 		{Kind: KindSurvey, Deployment: "dep", ThetasPi: []float64{1.5}, Grid: 4},
 		{Kind: KindSurvey, Deployment: "dep", ThetasPi: []float64{0.5}, Grid: 0},
+		// The deployment id becomes part of the journal's file name.
+		{Kind: KindSurvey, Deployment: "../x", ThetasPi: []float64{0.5}, Grid: 4},
 	}
 	for i, spec := range bad {
 		if _, err := m.Submit(spec); err == nil {
 			t.Errorf("spec %d: Submit accepted %+v", i, spec)
+		}
+	}
+}
+
+// TestDeploymentOf: a minted job id names its deployment, and ids that
+// name none — the pre-deployment shape, the fixtures' hand-made ids and
+// malformed ones — answer false.
+func TestDeploymentOf(t *testing.T) {
+	m := newManager(t, Config{}, realExec(t, testNet(t, 10, 1)))
+	for _, dep := range []string{"dep", "3f82aa01", "a-b_C-0123456789abcdef01234567"} {
+		spec := surveySpec(4)
+		spec.Deployment = dep
+		snap, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := DeploymentOf(snap.ID); !ok || got != dep {
+			t.Errorf("DeploymentOf(%q) = %q, %v; want %q", snap.ID, got, ok, dep)
+		}
+	}
+	for _, id := range []string{
+		"job-3f82aa0199c4d5e6f7a8b9c0", // minted before ids carried a deployment
+		"job-fixture-done",             // the fixtures' hand-made ids
+		"job-fixture-midrun",
+		"job--3f82aa0199c4d5e6f7a8b9c0",    // empty deployment
+		"job-a.b-3f82aa0199c4d5e6f7a8b9c0", // a character outside [0-9A-Za-z_-]
+		"job-dep_3f82aa0199c4d5e6f7a8b9c0", // no separator before the suffix
+		"job-dep-3f82aa0199c4d5e6f7a8b9cz", // suffix not hex
+		"jab-dep-3f82aa0199c4d5e6f7a8b9c0", // wrong prefix
+		"",
+	} {
+		if dep, ok := DeploymentOf(id); ok {
+			t.Errorf("DeploymentOf(%q) = %q, true; want false", id, dep)
 		}
 	}
 }

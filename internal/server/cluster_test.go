@@ -28,6 +28,7 @@ import (
 	"fullview/internal/cluster"
 	"fullview/internal/depjournal"
 	"fullview/internal/faultinject"
+	"fullview/internal/jobs"
 )
 
 // testClient disables keep-alives so that killing a replica (closing
@@ -370,6 +371,108 @@ func TestClusterRouterReadyzRollsUpReplicas(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"r1"`) {
 		t.Fatalf("rollup does not name the dead shard: %s", data)
+	}
+}
+
+// TestClusterJobsRouteToOwner: a survey job submitted through the
+// router to a live 3-replica cluster is followed, polled and cancelled
+// through the router. Each poll or cancel is exactly one forward, to
+// the ring owner of the job's deployment; with that owner killed, a
+// poll is the router's 503 + Retry-After, not a 404.
+func TestClusterJobsRouteToOwner(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a 3-replica TCP cluster")
+	}
+	defer faultinject.Reset()
+	reps, peers := startCluster(t, 3)
+	for _, r := range reps {
+		waitURLReadyz(t, r.url, ReadyOK)
+	}
+	ring, err := peers.Ring()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := cluster.NewRouter(cluster.RouterConfig{
+		Peers:       peers,
+		RegisterKey: DeploymentIDFromRequest,
+		Client:      testClient,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(rt.Handler())
+	defer router.Close()
+	h := rt.Handler()
+
+	dep := registerNet(t, h, testNetwork(t, 60, 14))
+	owner := ring.Owner(dep)
+	forwards := func() map[string]float64 {
+		out := make(map[string]float64)
+		for _, r := range reps {
+			out[r.name] = urlMetricValue(t, router.URL, `fvcd_cluster_forwards_total{shard="`+r.name+`"}`)
+		}
+		return out
+	}
+	// oneForward runs req and checks it cost exactly one forward, to the
+	// owner.
+	oneForward := func(what string, req func()) {
+		t.Helper()
+		before := forwards()
+		req()
+		after := forwards()
+		for _, r := range reps {
+			want := 0.0
+			if r.name == owner {
+				want = 1
+			}
+			if got := after[r.name] - before[r.name]; got != want {
+				t.Errorf("%s: %v forwards to %s, want %v (owner %s)", what, got, r.name, want, owner)
+			}
+		}
+	}
+
+	job := submitJob(t, h, jobSubmitRequest{Kind: "survey", Deployment: dep, ThetaPi: 0.25, Grid: 6})
+	if got, ok := jobs.DeploymentOf(job.ID); !ok || got != dep {
+		t.Fatalf("job id %s names deployment %q (%v), want %s", job.ID, got, ok, dep)
+	}
+	if _, state := streamEvents(t, router.URL+"/v1/jobs/"+job.ID+"/events"); state != "done" {
+		t.Fatalf("event stream through the router ended in %q, want done", state)
+	}
+	oneForward("poll", func() {
+		if body := getJob(t, h, job.ID); body.State != "done" {
+			t.Fatalf("poll through the router: state %q, want done", body.State)
+		}
+	})
+
+	// A job held in its first band is cancelled through the router.
+	gate := make(chan struct{})
+	remove := faultinject.Set(faultinject.JobBand, func() error {
+		<-gate
+		return nil
+	})
+	held := submitJob(t, h, jobSubmitRequest{Kind: "survey", Deployment: dep, ThetaPi: 0.25, Grid: 6})
+	pollJobUntil(t, h, held.ID, func(b jobResponse) bool { return b.State == "running" })
+	oneForward("cancel", func() {
+		if rec := do(t, h, "DELETE", "/v1/jobs/"+held.ID, nil); rec.Code != http.StatusOK {
+			t.Fatalf("cancel through the router: %d %s", rec.Code, rec.Body.String())
+		}
+	})
+	remove()
+	close(gate)
+	if final := pollJob(t, h, held.ID); final.State != "cancelled" {
+		t.Fatalf("cancelled job ended in %q", final.State)
+	}
+
+	// Kill the owner: the poll sheds with 503 + Retry-After.
+	for _, r := range reps {
+		if r.name == owner {
+			r.ln.Close()
+		}
+	}
+	code, data, hdr := httpDo(t, "GET", router.URL+"/v1/jobs/"+job.ID, nil)
+	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+		t.Fatalf("poll with the owner down: %d (Retry-After %q) %s, want 503 with Retry-After",
+			code, hdr.Get("Retry-After"), data)
 	}
 }
 

@@ -317,6 +317,22 @@ for u in "http://127.0.0.1:$p1" "http://127.0.0.1:$p2" "http://127.0.0.1:$p3"; d
 done
 echo "cluster: $depid registered+patched via router, mirrored to all replicas, verdicts match oracle"
 
+# A survey job through the router: its id names its deployment, so the
+# submission, the event stream and the poll all go to the deployment's
+# owner. The stream ends with the terminal snapshot.
+jobid=$(curl -sf -X POST "$router/v1/jobs" \
+    -d '{"kind":"survey","deployment":"'"$depid"'","thetaPi":0.25,"grid":12}' \
+    | sed 's/.*"id":"\([^"]*\)".*/\1/')
+[[ "$jobid" == "job-$depid-"* ]] || { echo "router job submission returned id '$jobid'"; exit 1; }
+curl -sfN --max-time 30 "$router/v1/jobs/$jobid/events" >"$workdir/events.txt" \
+    || { echo "job event stream through the router failed:"; cat "$workdir/events.txt"; exit 1; }
+[[ "$(grep '^event: ' "$workdir/events.txt" | tail -n 1)" == "event: snapshot" ]] \
+    && grep '^data: ' "$workdir/events.txt" | tail -n 1 | grep -q '"state":"done"' \
+    || { echo "job event stream through the router did not end with a done snapshot:"; cat "$workdir/events.txt"; exit 1; }
+curl -sf "$router/v1/jobs/$jobid" | grep -q '"state":"done"' \
+    || { echo "job poll through the router is not done:"; curl -s "$router/v1/jobs/$jobid"; exit 1; }
+echo "cluster: job $jobid submitted, streamed to its done snapshot and polled through the router"
+
 # kill -9 replica r2 and destroy its disk; its replacement must warm
 # from its peers in its boot anti-entropy round.
 kill -9 "$rpid2"
