@@ -14,9 +14,9 @@ import (
 // are bit-identical to the sequential sweep at any worker count. Each
 // worker gets its own Clone of the Checker over the shared immutable
 // spatial index and rides the cell-sorted batch kernel (SurveyBatch),
-// so every single-θ production survey — server /survey, experiment
-// grids — amortises the spatial gather across sweep.BatchSize points.
-// Jobs survey their row groups at every θ at once (SurveyRowsContext).
+// so every single-θ survey of the experiment grids amortises the
+// spatial gather across sweep.BatchSize points. The server's /survey and
+// jobs survey grid rows at every θ at once (SurveyRowsContext).
 //
 // A cancelled context aborts the sweep promptly and returns ctx.Err()
 // with zero statistics.

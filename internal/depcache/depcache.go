@@ -35,9 +35,8 @@ import (
 // copy of the deployment — live cameras, torus, and version; no base
 // network is kept beside it. Entries are shared between requests; reads
 // pin a lock-free Index.Snapshot and per-request checkers are derived
-// from that View (core.NewCheckerFromSource /
-// NewMultiCheckerFromSource). Mutations must go through Cache.Mutate so
-// they serialize per deployment.
+// from that View (core.NewMultiCheckerFromSource). Mutations must go
+// through Cache.Mutate so they serialize per deployment.
 type Entry struct {
 	// Fingerprint is the content hash the entry is cached under — the
 	// fingerprint of the *base* registration; mutations advance

@@ -122,7 +122,10 @@ func (s Spec) Slot(band int) int { return band / s.Grid }
 // Row returns the grid row band b covers within its slot.
 func (s Spec) Row(band int) int { return band % s.Grid }
 
-func (s Spec) validate() error {
+// Validate is the rule every job spec meets: Submit refuses a spec
+// that breaks it, journal replay a header that does, and the server
+// vets its inline surveys with it too.
+func (s Spec) Validate() error {
 	switch s.Kind {
 	case KindSurvey:
 		if len(s.ThetasPi) != 1 {
@@ -562,7 +565,7 @@ func (m *Manager) Close() {
 // snapshot. ErrQueueFull reports a saturated kind queue (retryable);
 // ErrClosed a shut-down manager.
 func (m *Manager) Submit(spec Spec) (Snapshot, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return Snapshot{}, err
 	}
 	m.mu.Lock()

@@ -54,7 +54,7 @@ func (h header) validate() error {
 	if h.ID == "" {
 		return errors.New("header has no job id")
 	}
-	return h.Spec.validate()
+	return h.Spec.Validate()
 }
 
 // record is one post-header journal line: exactly one of a completed

@@ -30,12 +30,6 @@ type Delta struct {
 	Ratio      float64
 }
 
-// Regressed reports whether the case slowed down by more than
-// maxRegress (a fraction: 0.10 = 10%).
-func (d Delta) Regressed(maxRegress float64) bool {
-	return d.Ratio > maxRegress
-}
-
 // Compare matches current results against a baseline by case name and
 // returns one Delta per baseline case, in baseline order. Any mismatch
 // in case coverage is an error, in both directions: a baseline case
@@ -80,19 +74,14 @@ func Compare(baseline, current Report) ([]Delta, error) {
 	return deltas, nil
 }
 
-// WriteDeltas renders a comparison table, worst ratio first, marking
-// every case beyond maxRegress.
-func WriteDeltas(w io.Writer, deltas []Delta, maxRegress float64) error {
+// WriteDeltas renders a comparison table, worst ratio first.
+func WriteDeltas(w io.Writer, deltas []Delta) error {
 	sorted := make([]Delta, len(deltas))
 	copy(sorted, deltas)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Ratio > sorted[j].Ratio })
 	for _, d := range sorted {
-		mark := ""
-		if d.Regressed(maxRegress) {
-			mark = "  REGRESSION"
-		}
-		if _, err := fmt.Fprintf(w, "%-28s %10.1f ns/point  baseline %10.1f  %+6.1f%%%s\n",
-			d.Name, d.CurrentNs, d.BaselineNs, 100*d.Ratio, mark); err != nil {
+		if _, err := fmt.Fprintf(w, "%-28s %10.1f ns/point  baseline %10.1f  %+6.1f%%\n",
+			d.Name, d.CurrentNs, d.BaselineNs, 100*d.Ratio); err != nil {
 			return err
 		}
 	}

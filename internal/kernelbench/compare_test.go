@@ -26,21 +26,12 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	if len(deltas) != 3 {
 		t.Fatalf("got %d deltas, want 3", len(deltas))
 	}
-	// Baseline order preserved; only B is past the 10% gate.
+	// Baseline order preserved; B's ratio is binary-exact: 12.5% slower.
 	if deltas[0].Name != "A" || deltas[1].Name != "B" || deltas[2].Name != "C" {
 		t.Fatalf("delta order %v", deltas)
 	}
-	for _, d := range deltas {
-		want := d.Name == "B"
-		if got := d.Regressed(0.10); got != want {
-			t.Errorf("%s: Regressed(0.10) = %v (ratio %+.3f), want %v", d.Name, got, d.Ratio, want)
-		}
-	}
-	// Exactly at the gate clears it (strictly-greater contract); the
-	// values are binary-exact so the ratio is exactly 0.125.
-	exact := Delta{Name: "X", BaselineNs: 128, CurrentNs: 144, Ratio: 144.0/128.0 - 1}
-	if exact.Regressed(0.125) {
-		t.Errorf("case at exactly the gate flagged as regression (ratio %+.4f)", exact.Ratio)
+	if deltas[1].Ratio != 0.125 {
+		t.Errorf("B: ratio %+.4f, want +0.125", deltas[1].Ratio)
 	}
 }
 
@@ -109,21 +100,18 @@ func TestReadReportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteDeltasMarksRegressions(t *testing.T) {
+func TestWriteDeltasWorstFirst(t *testing.T) {
 	deltas := []Delta{
 		{Name: "fine", BaselineNs: 100, CurrentNs: 101, Ratio: 0.01},
 		{Name: "slow", BaselineNs: 100, CurrentNs: 150, Ratio: 0.50},
 	}
 	var b strings.Builder
-	if err := WriteDeltas(&b, deltas, 0.10); err != nil {
+	if err := WriteDeltas(&b, deltas); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 2 || !strings.HasPrefix(lines[0], "slow") {
 		t.Fatalf("worst case not first:\n%s", out)
-	}
-	if !strings.Contains(lines[0], "REGRESSION") || strings.Contains(lines[1], "REGRESSION") {
-		t.Fatalf("regression marking wrong:\n%s", out)
 	}
 }

@@ -302,18 +302,13 @@ type Report struct {
 	Results   []Result `json:"results"`
 }
 
-// Run measures every case. Each case warms up once, then runs batches
-// of doubling size until the measured batch lasts at least benchtime
-// (one single batch when benchtime ≤ 0 — the -benchtime=1x smoke mode).
-func Run(benchtime time.Duration) (Report, error) {
-	return RunFiltered(benchtime, nil)
-}
-
-// RunFiltered is Run restricted to the cases keep accepts (nil keeps
-// every case) — the engine behind `fvcbench -batch point|batch` A/B
-// profiling. Filtered reports must not be compared against the full
-// committed baseline: Compare treats the missing cases as a gate
-// failure.
+// RunFiltered measures the cases keep accepts (nil keeps every case;
+// a filter is the engine behind `fvcbench -batch point|batch` A/B
+// profiling). Each case warms up once, then runs batches of doubling
+// size until the measured batch lasts at least benchtime (one single
+// batch when benchtime ≤ 0 — the -benchtime=1x smoke mode). Filtered
+// reports must not be compared against the full committed baseline:
+// Compare treats the missing cases as a gate failure.
 func RunFiltered(benchtime time.Duration, keep func(Case) bool) (Report, error) {
 	report := Report{
 		GoVersion: runtime.Version(),

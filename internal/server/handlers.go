@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -12,9 +11,9 @@ import (
 	"fullview/internal/core"
 	"fullview/internal/depcache"
 	"fullview/internal/depjournal"
-	"fullview/internal/deploy"
 	"fullview/internal/faultinject"
 	"fullview/internal/geom"
+	"fullview/internal/jobs"
 	"fullview/internal/retry"
 	"fullview/internal/spatial"
 	"fullview/internal/sweep"
@@ -298,15 +297,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	parts, err := evaluateQuery(r.Context(), mc, req.Points, req.ThetasPi, s.cfg.SurveyWorkers)
 	if err != nil {
-		var perr *sweep.PanicError
-		if errors.As(err, &perr) {
-			s.logf("panic in query kernel (recovered): %v", err)
-			s.m.panics.Inc()
-			writeError(w, http.StatusInternalServerError,
-				fmt.Sprintf("internal error: query kernel panicked: %v", perr.Value))
-			return
-		}
-		writeCtxError(w, err)
+		s.writeSweepError(w, "query", err)
 		return
 	}
 	n := len(req.Points)
@@ -368,9 +359,11 @@ func evaluateQuery(ctx context.Context, mc *core.MultiChecker, points []pointJSO
 	)
 }
 
-// handleSurvey sweeps a sample grid through the parallel sweep engine
-// with the request's context wired into the engine's cancellation: a
-// disconnecting client aborts its sweep within a few hundred points.
+// handleSurvey surveys a sample grid on the request goroutine: the
+// same jobs.Spec a survey job would queue (surveySpec), run by the job
+// executor's row runner over every row in one call, with the request's
+// context wired into the sweep's cancellation — a disconnecting client
+// aborts its sweep within a few hundred points.
 func (s *Server) handleSurvey(w http.ResponseWriter, r *http.Request) {
 	entry, ok := s.deployment(w, r)
 	if !ok {
@@ -382,63 +375,44 @@ func (s *Server) handleSurvey(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Pin one snapshot for the whole sweep (same rationale as query).
+	// The inline survey reads a negative worker count as the server
+	// default, where the job rule refuses it.
 	view := entry.Index.Snapshot()
-	checker, err := core.NewCheckerFromSource(view, req.ThetaPi*math.Pi)
+	spec, err := s.surveySpec(entry.Fingerprint, view, jobs.KindSurvey, []float64{req.ThetaPi}, req.Grid, max(req.Workers, 0))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-
-	// Resolve the grid side first and vet k×k against the point cap
-	// BEFORE materialising the grid: a hostile {"grid": 100000} must be
-	// rejected by arithmetic, not by attempting the allocation.
-	k := req.Grid
-	if k <= 0 {
-		k, err = deploy.DenseGridSide(view.Len())
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	// The k ≤ cap check also makes the k² product safe from overflow:
-	// past it, k² ≤ cap², which fits int64 for any plausible cap.
-	if int64(k) > int64(s.cfg.MaxBatchPoints) || int64(k)*int64(k) > int64(s.cfg.MaxBatchPoints) {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("survey of %d×%d points exceeds cap %d", k, k, s.cfg.MaxBatchPoints))
-		return
-	}
-	points, err := deploy.GridPoints(view.Torus(), k)
+	run, err := s.surveyRunner(view, spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	workers := s.cfg.SurveyWorkers
-	if req.Workers > 0 && req.Workers < workers {
-		workers = req.Workers
 	}
 
 	t0 := time.Now()
-	stats, err := checker.SurveyRegionContext(r.Context(), points, workers)
+	rows, err := run(r.Context(), 0, spec.Grid)
+	if errors.Is(err, context.DeadlineExceeded) {
+		// The inline survey outlived SurveyTimeout: steer the client to
+		// the async job API, where the same sweep runs without a request
+		// deadline and survives crashes.
+		writeJSON(w, http.StatusGatewayTimeout, errorResponse{
+			Error:      "deadline exceeded: survey outlived the inline request timeout",
+			RetryAsJob: true,
+			Jobs:       "/v1/jobs",
+		})
+		return
+	}
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			// The inline survey outlived SurveyTimeout: steer the client
-			// to the async job API, where the same sweep runs without a
-			// request deadline and survives crashes.
-			writeJSON(w, http.StatusGatewayTimeout, errorResponse{
-				Error:      "deadline exceeded: survey outlived the inline request timeout",
-				RetryAsJob: true,
-				Jobs:       "/v1/jobs",
-			})
-		case errors.Is(err, context.Canceled):
-			writeCtxError(w, err)
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
+		s.writeSweepError(w, "survey", err)
 		return
 	}
 	elapsed := time.Since(t0)
-	s.m.points.Add(int64(stats.Points))
+	// Rows merge in row order, as jobs.Manager.merge folds a job's
+	// bands: the total is bit-identical to a whole-grid SurveyRegion.
+	var stats core.RegionStats
+	for _, row := range rows {
+		stats = stats.Merge(row)
+	}
 	s.m.surveyPoints.Add(int64(stats.Points))
 	if stats.Points > 0 {
 		s.m.pointCost["survey"].Observe(elapsed.Nanoseconds() / int64(stats.Points))
@@ -460,15 +434,26 @@ func (s *Server) handleSurvey(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writeCtxError maps a context failure to its status: an expired
-// deadline (the server's per-route timeout) is 504; a cancellation
-// (the client walked away) is 499.
-func writeCtxError(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) {
+// writeSweepError answers a /query or /survey sweep that failed. A
+// kernel panic (*sweep.PanicError) is logged with its stack, counted in
+// fvcd_panics_total and answered 500 with the panic value alone: the
+// stack stays in the log. An expired deadline (the route's timeout) is
+// 504, and a cancellation (the client walked away) is 499.
+func (s *Server) writeSweepError(w http.ResponseWriter, route string, err error) {
+	var perr *sweep.PanicError
+	switch {
+	case errors.As(err, &perr):
+		s.logf("panic in %s kernel (recovered): %v", route, err)
+		s.m.panics.Inc()
+		writeError(w, http.StatusInternalServerError,
+			fmt.Sprintf("internal error: %s kernel panicked: %v", route, perr.Value))
+	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, "deadline exceeded")
-		return
+	case errors.Is(err, context.Canceled):
+		writeError(w, StatusClientClosedRequest, "request cancelled")
+	default:
+		writeError(w, http.StatusInternalServerError, err.Error())
 	}
-	writeError(w, StatusClientClosedRequest, "request cancelled")
 }
 
 // handleHealthz is the liveness probe.

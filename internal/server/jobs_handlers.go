@@ -15,6 +15,7 @@ import (
 	"fullview/internal/core"
 	"fullview/internal/deploy"
 	"fullview/internal/jobs"
+	"fullview/internal/spatial"
 	"fullview/internal/telemetry"
 )
 
@@ -147,12 +148,7 @@ func (s *Server) openJobs() error {
 // resumes): it resolves the deployment — through the same lookup as
 // the synchronous handlers, so journaled ids work after a restart —
 // pins one snapshot, verifies the version the job was submitted
-// against, and returns the runner of its row groups. One band is one
-// grid row at one θ; a row group's bands come from one
-// MultiChecker.SurveyRowsContext sweep over the group's rows at every
-// θ, whose chunk-order merge makes each band independent of the worker
-// count and of the group it ran in, so a job resumed under a different
-// -parallel setting is still bit-identical.
+// against, and returns the runner of its row groups.
 func (s *Server) execJob(spec jobs.Spec) (jobs.BandRunner, error) {
 	entry, ok := s.lookup(spec.Deployment)
 	if !ok {
@@ -163,6 +159,51 @@ func (s *Server) execJob(spec jobs.Spec) (jobs.BandRunner, error) {
 		return nil, fmt.Errorf("deployment %s is at version %d but the job pinned version %d (mutated since submission)",
 			spec.Deployment, view.Version(), spec.Version)
 	}
+	return s.surveyRunner(view, spec)
+}
+
+// surveySpec is the one description of a survey, inline or queued, of
+// deployment id at the pinned view. It resolves the grid side (the
+// paper's dense grid for the deployment size when grid ≤ 0), vets k×k
+// against MaxBatchPoints, caps the θ-list, pins the view's version and
+// holds the result to the job rule (jobs.Spec.Validate). The grid is
+// vetted by arithmetic before anything is materialised: a hostile
+// {"grid": 100000} is a 400, not an allocation.
+func (s *Server) surveySpec(id string, view spatial.Source, kind jobs.Kind, thetasPi []float64, grid, workers int) (jobs.Spec, error) {
+	k := grid
+	if k <= 0 {
+		var err error
+		if k, err = deploy.DenseGridSide(view.Len()); err != nil {
+			return jobs.Spec{}, err
+		}
+	}
+	// The k ≤ cap check also makes the k² product safe from overflow:
+	// past it, k² ≤ cap², which fits int64 for any plausible cap.
+	if int64(k) > int64(s.cfg.MaxBatchPoints) || int64(k)*int64(k) > int64(s.cfg.MaxBatchPoints) {
+		return jobs.Spec{}, fmt.Errorf("survey of %d×%d points exceeds cap %d", k, k, s.cfg.MaxBatchPoints)
+	}
+	if _, err := thetasFromPi(thetasPi, s.cfg.MaxThetas); err != nil {
+		return jobs.Spec{}, err
+	}
+	spec := jobs.Spec{
+		Kind:       kind,
+		Deployment: id,
+		ThetasPi:   thetasPi,
+		Grid:       k,
+		Workers:    workers,
+		Version:    view.Version(),
+	}
+	return spec, spec.Validate()
+}
+
+// surveyRunner returns the runner of spec's row groups over view. One
+// band is one grid row at one θ; a row group's bands come from one
+// MultiChecker.SurveyRowsContext sweep over the group's rows at every
+// θ, whose chunk-order merge makes each band independent of the worker
+// count and of the group it ran in, so a job resumed under a different
+// -parallel setting is still bit-identical. A job runs it group by
+// group; the inline /survey runs it once over every row.
+func (s *Server) surveyRunner(view spatial.Source, spec jobs.Spec) (jobs.BandRunner, error) {
 	points, err := deploy.GridPoints(view.Torus(), spec.Grid)
 	if err != nil {
 		return nil, err
@@ -211,43 +252,18 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		thetas = []float64{req.ThetaPi}
 	}
-	if len(thetas) > s.cfg.MaxThetas {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("%d thetas exceed the cap %d", len(thetas), s.cfg.MaxThetas))
-		return
-	}
 	entry, ok := s.lookup(req.Deployment)
 	if !ok {
 		writeError(w, http.StatusNotFound,
 			fmt.Sprintf("deployment %q not registered (or evicted); re-register it", req.Deployment))
 		return
 	}
-	view := entry.Index.Snapshot()
-	k := req.Grid
-	if k <= 0 {
-		var err error
-		k, err = deploy.DenseGridSide(view.Len())
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	// Same arithmetic-before-allocation vetting as the inline survey:
-	// the job grid is materialised at run time, but a hostile grid must
-	// be a 400 at submit time.
-	if int64(k) > int64(s.cfg.MaxBatchPoints) || int64(k)*int64(k) > int64(s.cfg.MaxBatchPoints) {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("survey of %d×%d points exceeds cap %d", k, k, s.cfg.MaxBatchPoints))
+	spec, err := s.surveySpec(entry.Fingerprint, entry.Index.Snapshot(), jobs.Kind(req.Kind), thetas, req.Grid, req.Workers)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	snap, err := s.jobs.Submit(jobs.Spec{
-		Kind:       jobs.Kind(req.Kind),
-		Deployment: entry.Fingerprint,
-		ThetasPi:   thetas,
-		Grid:       k,
-		Workers:    req.Workers,
-		Version:    view.Version(),
-	})
+	snap, err := s.jobs.Submit(spec)
 	switch {
 	case err == nil:
 	case errors.Is(err, jobs.ErrQueueFull):

@@ -7,10 +7,13 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"fullview/internal/core"
 	"fullview/internal/geom"
+	"fullview/internal/jobs"
 	"fullview/internal/rng"
 	"fullview/internal/spatial"
 	"fullview/internal/sweep"
@@ -119,10 +122,14 @@ func TestQueryEvaluateAllocs(t *testing.T) {
 	}
 }
 
-// panickingSource is a spatial.Source whose gather panics.
+// panickingSource is a spatial.Source whose gathers panic.
 type panickingSource struct{ spatial.Source }
 
 func (panickingSource) AppendViewedDirections([]float64, geom.Vec) []float64 {
+	panic("injected gather panic")
+}
+
+func (panickingSource) AppendViewedDirectionsBatch(*spatial.BatchScratch, []geom.Vec) ([]float64, []int32) {
 	panic("injected gather panic")
 }
 
@@ -138,6 +145,44 @@ func TestQueryKernelPanicContained(t *testing.T) {
 	var perr *sweep.PanicError
 	if !errors.As(err, &perr) {
 		t.Fatalf("evaluateQuery error = %v, want *sweep.PanicError", err)
+	}
+}
+
+// TestSurveyKernelPanicContained pins panic containment on the
+// survey path: a kernel panic in the survey runner answers 500 with the
+// panic value and no goroutine stack, and counts in fvcd_panics_total.
+func TestSurveyKernelPanicContained(t *testing.T) {
+	srv := mustNewStopped(t, Config{SurveyWorkers: 2})
+	h := srv.Handler()
+	waitReadyz(t, h, ReadyOK)
+	src := panickingSource{spatial.NewIndex(testNetwork(t, 300, 3))}
+	spec, err := srv.surveySpec("panicky", src, jobs.KindSurvey, []float64{0.25}, 32, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := srv.surveyRunner(src, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = run(context.Background(), 0, spec.Grid)
+	var perr *sweep.PanicError
+	if !errors.As(err, &perr) {
+		t.Fatalf("survey runner error = %v, want *sweep.PanicError", err)
+	}
+
+	before := metricValue(t, h, "fvcd_panics_total")
+	rec := httptest.NewRecorder()
+	srv.writeSweepError(rec, "survey", err)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("survey kernel panic answered %d, want 500: %s", rec.Code, rec.Body.String())
+	}
+	var e errorResponse
+	decode(t, rec, &e)
+	if !strings.Contains(e.Error, "injected gather panic") || strings.Contains(rec.Body.String(), "goroutine ") {
+		t.Fatalf("500 body = %q, want the panic value and no stack", rec.Body.String())
+	}
+	if got := metricValue(t, h, "fvcd_panics_total"); got != before+1 {
+		t.Fatalf("fvcd_panics_total went %v → %v, want +1", before, got)
 	}
 }
 

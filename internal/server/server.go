@@ -149,10 +149,6 @@ type Config struct {
 	// directory, and a restarted server replays the journal so
 	// previously registered deployment ids keep answering.
 	StateDir string
-	// JournalCompactBytes is the deployment journal's compaction
-	// threshold (default 4 MiB; negative disables compaction). Only
-	// meaningful with StateDir.
-	JournalCompactBytes int64
 	// RebuildFraction is the overlay-to-base size ratio past which a
 	// mutated deployment's index is folded into a fresh CSR base in the
 	// background (0 selects spatial.DefaultRebuildFraction; negative

@@ -47,7 +47,6 @@ func (s *Server) openState() error {
 	path := filepath.Join(s.cfg.StateDir, journalFile)
 	j, err := depjournal.Open(path,
 		depjournal.Options{
-			CompactBytes: s.cfg.JournalCompactBytes,
 			// The fold hook lets compaction absorb mutation records into
 			// recipe-form registrations by materialising the recipe through
 			// the exact registration build path.

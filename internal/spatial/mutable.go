@@ -20,8 +20,10 @@
 // Once the overlay outgrows a configurable fraction of the base, a
 // background rebuild folds it into a fresh CSR index and swaps it in
 // atomically (re-checking the version so a rebuild racing a mutation
-// installs nothing stale). Rebuilds change the representation, not the
-// deployment: the version counter is bumped by mutations only.
+// installs nothing stale, and rebuilding a stale build once under the
+// mutation lock so sustained churn cannot starve the fold). Rebuilds
+// change the representation, not the deployment: the version counter
+// is bumped by mutations only.
 package spatial
 
 import (
@@ -331,43 +333,36 @@ func (m *MutableIndex) maybeRebuildLocked(s *mutSnapshot) {
 }
 
 // rebuild constructs a fresh CSR index from the live camera list
-// outside the lock and installs it only if the version is still the one
-// it was built for; a mutation that raced the build restarts it from
-// the newer list. Rebuilds never bump the version — they change the
-// representation, not the deployment.
+// outside the lock and installs it if the version is still the one it
+// was built for. A mutation that raced the build makes it stale; the
+// retry then builds once more under m.mu, so churn faster than a build
+// cannot starve the fold: writers wait at most that one build, and
+// readers, who only load the published snapshot, never wait. Rebuilds
+// never bump the version — they change the representation, not the
+// deployment.
 func (m *MutableIndex) rebuild(cams []sensor.Camera, version uint64) {
 	t := m.cur.Load().base.Torus()
-	for {
-		fresh := newIndexFromLive(t, cams)
-		if fresh == nil {
-			m.mu.Lock()
-			m.rebuilding = false
-			m.done.Broadcast()
-			m.mu.Unlock()
-			return
-		}
-		m.mu.Lock()
-		s := m.cur.Load()
-		if s.version != version {
-			// Stale build: retry against the current live list.
-			cams = append(cams[:0], m.cams...)
-			version = s.version
-			m.mu.Unlock()
-			continue
-		}
-		m.cur.Store(&mutSnapshot{base: fresh, version: version})
-		for i := range m.locs {
-			m.locs[i] = camLoc{base: int32(i), add: -1}
-		}
-		m.rebuilds++
-		cb := m.opts.OnRebuild
-		m.rebuilding = false
-		m.done.Broadcast()
+	fresh := newIndexFromLive(t, cams)
+	m.mu.Lock()
+	if s := m.cur.Load(); fresh != nil && s.version != version {
+		fresh = newIndexFromLive(t, m.cams)
+		version = s.version
+	}
+	m.rebuilding = false
+	m.done.Broadcast()
+	if fresh == nil {
 		m.mu.Unlock()
-		if cb != nil {
-			cb()
-		}
 		return
+	}
+	m.cur.Store(&mutSnapshot{base: fresh, version: version})
+	for i := range m.locs {
+		m.locs[i] = camLoc{base: int32(i), add: -1}
+	}
+	m.rebuilds++
+	cb := m.opts.OnRebuild
+	m.mu.Unlock()
+	if cb != nil {
+		cb()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"fullview/internal/geom"
 	"fullview/internal/rng"
@@ -264,6 +265,37 @@ func TestMutableThresholdRebuild(t *testing.T) {
 		points[i] = geom.V(r.Float64(), r.Float64())
 	}
 	assertSourceEqual(t, "threshold-rebuild", m.Snapshot(), oracle, points)
+}
+
+// TestMutableRebuildUnderChurn pins that a rebuild installs while
+// mutations land faster than a build takes: a build made stale by a
+// racing mutation is retried once under the mutation lock instead of
+// restarting from the newer list for as long as the churn lasts.
+func TestMutableRebuildUnderChurn(t *testing.T) {
+	r := rng.New(17, 0)
+	net, err := sensor.NewNetwork(geom.UnitTorus, baseCameras(t, 50000, r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fold is due once the overlay passes 50 cameras (25 re-aims); a
+	// 50k-camera build takes milliseconds, so at one re-aim per
+	// millisecond every build is raced by several mutations.
+	m := NewMutableIndex(net, MutableOptions{RebuildFraction: 0.001})
+	deadline := time.Now().Add(3 * time.Second)
+	reaims := 0
+	for ; m.Rebuilds() == 0 && time.Now().Before(deadline); reaims++ {
+		if _, err := m.Reaim([]ReaimOp{{Index: reaims, Orient: float64(reaims)}}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Read the count before waiting: once the churn stops, any build
+	// installs.
+	installed, overlay := m.Rebuilds(), m.OverlaySize()
+	m.WaitRebuild()
+	if installed == 0 {
+		t.Fatalf("no rebuild installed during %d re-aims of sustained churn (overlay %d)", reaims, overlay)
+	}
 }
 
 // TestMutableValidation pins the all-or-nothing mutation contract:

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -84,7 +83,7 @@ func kernelAB(ctx context.Context, stdout io.Writer, root, parentDir string, pai
 		return err
 	}
 	fmt.Fprintln(stdout, "\ntrajectory: change medians vs BENCH_kernel.json (recorded on other hardware; not gated):")
-	if err := kernelbench.WriteDeltas(stdout, deltas, math.Inf(1)); err != nil {
+	if err := kernelbench.WriteDeltas(stdout, deltas); err != nil {
 		return err
 	}
 	if regressed > 0 {

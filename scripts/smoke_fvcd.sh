@@ -216,6 +216,18 @@ res2=$(grep -oE '"result":\{"stats":\[[^]]*\]\}' "$workdir/job2.json")
 [[ -n "$res1" && "$res1" == "$res2" ]] \
     || { echo "resumed result diverged from fresh run:"; echo "$res1"; echo "$res2"; exit 1; }
 
+# The inline /survey is the same survey run on the request: on the same
+# deployment, θ and grid it must report the job's counts.
+curl -sf -X POST "http://$addr/v1/deployments/$depid/survey" \
+    -d '{"thetaPi":0.25,"grid":12}' >"$workdir/survey.json"
+for f in points fullView necessary sufficient minCovering; do
+    inline=$(grep -oE '"'"$f"'":[0-9]+' "$workdir/survey.json")
+    job=$(grep -oE '"'"$f"'":[0-9]+' <<<"$res2")
+    [[ -n "$inline" && "$inline" == "$job" ]] \
+        || { echo "inline survey $f '$inline' != job $f '$job':"; cat "$workdir/survey.json"; echo "$res2"; exit 1; }
+done
+echo "inline survey: $(tr -d '\n' <"$workdir/survey.json" | grep -oE '"points":[0-9]+,"fullView":[0-9]+') matches the job result"
+
 resumes=$(curl -sf "http://$addr/metrics" | sed -n 's/^fvcd_job_resume_total \([0-9]*\)$/\1/p')
 [[ "${resumes:-0}" -ge 1 ]] || { echo "fvcd_job_resume_total = ${resumes:-missing}, want >= 1"; exit 1; }
 echo "job resumption: $jobid resumed after kill -9 and matched a fresh run bit-identically (resume_total=$resumes)"
