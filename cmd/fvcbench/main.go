@@ -32,7 +32,7 @@
 //	              1s; "1x" runs a single small batch — the CI smoke mode)
 //	-batch M      which kernel execution paths to measure: "all"
 //	              (default), "point" (point-at-a-time cases only), or
-//	              "batch" (cell-sorted batch cases only) — the A/B
+//	              "batch" (batch-entry cases only) — the A/B
 //	              profiling switch
 //
 // The kernel regression gate is `go run ./scripts/abbench -workload

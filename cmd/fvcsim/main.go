@@ -116,23 +116,19 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 	}
-	points, err := deploy.GridPoints(geom.UnitTorus, side)
-	if err != nil {
-		return err
-	}
 	// The grid sweep dominates the run time; spread it over the cores.
 	// Results are bit-identical to the sequential sweep at any -parallel,
 	// and -checkpoint journals the sweep group by group so a killed run
 	// resumes where it left off with identical statistics.
 	var stats core.RegionStats
 	if *ckptPath != "" {
-		stats, err = surveyCheckpoint(*ckptPath, checker, points, side,
+		stats, err = surveyCheckpoint(*ckptPath, checker, side,
 			*deployment, *n, theta, profile, *seed, *parallel)
-		if err != nil {
-			return err
-		}
 	} else {
-		stats = checker.SurveyRegionParallel(points, *parallel)
+		stats, err = checker.SurveyGridContext(context.Background(), side, 0, side, *parallel)
+	}
+	if err != nil {
+		return err
 	}
 
 	table := report.NewTable(
@@ -170,6 +166,10 @@ func run(args []string, w io.Writer) error {
 	}
 
 	if !stats.AllFullView() {
+		points, err := deploy.GridPoints(geom.UnitTorus, side)
+		if err != nil {
+			return err
+		}
 		if p, dir, found := checker.FirstFullViewGap(points); found {
 			if _, err := fmt.Fprintf(w, "\nfirst uncovered grid point: %v (unsafe facing direction %.4f rad)\n", p, dir); err != nil {
 				return err
@@ -232,14 +232,13 @@ func writeSVGAtomic(path string, scene *viz.Scene) error {
 // the row groups of sweep.GroupRows: group g is the journal's trial g,
 // surveyed by the same sweep as the plain path and recorded durably on
 // completion. The merged statistics are bit-identical to one
-// SurveyRegionParallel over the whole grid — every RegionStats field is
+// SurveyGridContext over the whole grid — every RegionStats field is
 // an exact integer sum or minimum (MeanCovering is re-derived from the
 // carried integer total), so merging restored and freshly surveyed
 // groups reproduces the single-sweep result.
 func surveyCheckpoint(
 	path string,
 	checker *core.Checker,
-	points []geom.Vec,
 	side int,
 	deployment string,
 	n int,
@@ -271,7 +270,10 @@ func surveyCheckpoint(
 		}
 		if !done {
 			lo, hi := g*rows, min((g+1)*rows, side)
-			group = checker.SurveyRegionParallel(points[lo*side:hi*side], parallel)
+			group, err = checker.SurveyGridContext(context.Background(), side, lo, hi, parallel)
+			if err != nil {
+				return core.RegionStats{}, err
+			}
 			if err := journal.Record(g, group); err != nil {
 				return core.RegionStats{}, fmt.Errorf("checkpointed survey: group %d: %w", g, err)
 			}

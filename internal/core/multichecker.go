@@ -153,10 +153,16 @@ func (m *MultiChecker) Evaluate(p geom.Vec) MultiReport {
 
 // report diagnoses one point from its gathered viewed directions for
 // every configured θ; it is the single verdict path behind Evaluate,
-// EvaluateBatch, Checker.Report and Checker.SurveyBatch. Occupancy runs
+// EvaluateBatch, Checker.Report and SurveyGridContext. Occupancy runs
 // first because it reads the raw directions; the in-place gap
 // computation afterwards normalizes and sorts dirs, and the hoisted 2θ
 // thresholds turn the gap into the full-view verdicts.
+//
+// The report depends only on the multiset of dirs, not their order:
+// occupancy fills a bitmask, and the gap is read off the sorted
+// directions, where +0 and −0 (which the sort may order either way)
+// give the same differences. The grid raster, which emits a point's
+// directions in another order than the point gather, relies on this.
 func (m *MultiChecker) report(dirs []float64) MultiReport {
 	for i := range m.occs {
 		m.perTheta[i] = ThetaReport{

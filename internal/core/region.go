@@ -181,11 +181,13 @@ func (s *RegionStats) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// SurveyRegion evaluates every sample point and aggregates the results.
-// It is the single-worker case of SurveyRegionParallel; both run
-// through the internal/sweep engine and produce identical statistics.
+// SurveyRegion evaluates every sample point with Report, one after
+// another, and aggregates the results. It shares no code with the grid
+// raster, so it is the oracle the grid surveys are checked against;
+// SurveyRegionParallel and SurveyGridContext produce identical
+// statistics.
 func (c *Checker) SurveyRegion(points []geom.Vec) RegionStats {
-	return c.SurveyRegionParallel(points, 1)
+	return c.SurveyBatch(points)
 }
 
 // FirstFullViewGap scans the sample points and returns the first point

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"fullview/internal/deploy"
@@ -30,7 +31,7 @@ func rowsNet(tb testing.TB) *sensor.Network {
 	return net
 }
 
-// checkSurveyRows holds SurveyRowsContext over rows [lo, hi) of a k×k
+// checkSurveyRows holds SurveyGridContext over rows [lo, hi) of a k×k
 // grid to its definition: every (slot, row) entry equals a one-θ
 // Checker.SurveyRegion of that row alone, compared with ==.
 func checkSurveyRows(t *testing.T, net *sensor.Network, k, lo, hi, workers int, thetas []float64) {
@@ -43,7 +44,7 @@ func checkSurveyRows(t *testing.T, net *sensor.Network, k, lo, hi, workers int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mc.SurveyRowsContext(context.Background(), points[lo*k:hi*k], k, workers)
+	got, err := mc.SurveyGridContext(context.Background(), k, lo, hi, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,23 +101,108 @@ func TestSurveyRowsWholeGridAndWorkers(t *testing.T) {
 	}
 }
 
-func TestSurveyRowsRejectsRaggedRows(t *testing.T) {
+// TestSurveyGridRejectsBadArguments pins the grid entry's argument
+// checks — a grid side k ≤ 0 and rows outside [0, k) are refused on
+// both entries — and a pre-cancelled sweep's nil, context.Canceled.
+func TestSurveyGridRejectsBadArguments(t *testing.T) {
 	mc, err := NewMultiChecker(rowsNet(t), []float64{math.Pi / 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := deploy.GridPoints(geom.UnitTorus, 5)
+	c, err := NewChecker(rowsNet(t), math.Pi/4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rowLen := range []int{0, -5, 4} {
-		if _, err := mc.SurveyRowsContext(context.Background(), points, rowLen, 1); err == nil {
-			t.Errorf("rowLen %d over %d points accepted", rowLen, len(points))
+	for _, a := range []struct{ k, lo, hi int }{
+		{0, 0, 0}, {-5, 0, 0}, {5, -1, 2}, {5, 3, 2}, {5, 0, 6}, {5, 6, 6},
+	} {
+		if got, err := mc.SurveyGridContext(context.Background(), a.k, a.lo, a.hi, 1); err == nil || got != nil {
+			t.Errorf("k=%d rows [%d, %d): MultiChecker got %v, %v; want nil and an error", a.k, a.lo, a.hi, got, err)
+		}
+		if got, err := c.SurveyGridContext(context.Background(), a.k, a.lo, a.hi, 1); err == nil || got != (RegionStats{}) {
+			t.Errorf("k=%d rows [%d, %d): Checker got %+v, %v; want zero stats and an error", a.k, a.lo, a.hi, got, err)
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if got, err := mc.SurveyRowsContext(ctx, points, 5, 2); !errors.Is(err, context.Canceled) || got != nil {
+	if got, err := mc.SurveyGridContext(ctx, 5, 0, 5, 2); !errors.Is(err, context.Canceled) || got != nil {
 		t.Fatalf("cancelled survey = %v, %v; want nil, context.Canceled", got, err)
 	}
+	if got, err := c.SurveyGridContext(ctx, 5, 0, 5, 2); !errors.Is(err, context.Canceled) || got != (RegionStats{}) {
+		t.Fatalf("cancelled one-θ survey = %+v, %v; want zero stats, context.Canceled", got, err)
+	}
+}
+
+// TestCheckerSurveyGridMatchesSurveyRegion pins the one-θ grid entry to
+// the per-point oracle over the same points, for row blocks and the
+// whole grid.
+func TestCheckerSurveyGridMatchesSurveyRegion(t *testing.T) {
+	net := rowsNet(t)
+	c, err := NewChecker(net, math.Pi/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 29
+	points, err := deploy.GridPoints(geom.UnitTorus, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]int{{0, k}, {3, 17}, {28, 29}, {9, 9}} {
+		for _, workers := range []int{1, 3} {
+			got, err := c.SurveyGridContext(context.Background(), k, r[0], r[1], workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := c.SurveyRegion(points[r[0]*k : r[1]*k]); got != want {
+				t.Fatalf("rows [%d, %d) workers=%d: %+v, want %+v", r[0], r[1], workers, got, want)
+			}
+		}
+	}
+}
+
+// TestReportOrderIndependent pins the property the grid raster relies
+// on: report reads only the multiset of a point's directions. Every
+// permutation of a direction list — with +0 and −0, ±π, exact
+// duplicates, and lists gathered from a real deployment — must give a
+// bit-identical MultiReport.
+func TestReportOrderIndependent(t *testing.T) {
+	thetas := []float64{math.Pi / 7, math.Pi / 4, math.Pi / 2, math.Pi}
+	mc, err := NewMultiChecker(rowsNet(t), thetas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	negZero := math.Copysign(0, -1)
+	lists := [][]float64{
+		{0, negZero},
+		{negZero, 0, 0, math.Pi / 2, -math.Pi / 2, math.Pi},
+		{math.Pi, -math.Pi, 1, 1, 1, negZero, 2.5, -2.5, 0},
+		{0.1, 0.1, 0.1},
+		{negZero},
+	}
+	for i := 0; i < 40; i++ {
+		p := geom.V(float64(i%7)/7+0.01, float64(i/7)/6+0.02)
+		lists = append(lists, mc.index.AppendViewedDirections(nil, p))
+	}
+	r := rng.New(5, 5)
+	for li, list := range lists {
+		want := cloneReport(mc.report(append([]float64(nil), list...)))
+		for trial := 0; trial < 20; trial++ {
+			perm := append([]float64(nil), list...)
+			for i := len(perm) - 1; i > 0; i-- {
+				j := r.Intn(i + 1)
+				perm[i], perm[j] = perm[j], perm[i]
+			}
+			got := mc.report(perm)
+			if got.NumCovering != want.NumCovering || math.Float64bits(got.MaxGap) != math.Float64bits(want.MaxGap) ||
+				!slices.Equal(got.PerTheta, want.PerTheta) {
+				t.Fatalf("list %d %v, permutation %d: %+v, want %+v", li, list, trial, got, want)
+			}
+		}
+	}
+}
+
+// cloneReport copies rep's reused PerTheta slice.
+func cloneReport(rep MultiReport) MultiReport {
+	rep.PerTheta = append([]ThetaReport(nil), rep.PerTheta...)
+	return rep
 }

@@ -8,20 +8,18 @@ import (
 )
 
 // GridPoints returns the k×k square lattice of points on torus t, cell
-// centres at ((i+½)·side/k, (j+½)·side/k). Centre alignment keeps all
-// points interior so no point coincides with its wrapped image.
+// centres at ((i+½)·side/k, (j+½)·side/k) (geom.Torus.GridCoord), row
+// by row: point i·k+j is (GridCoord(k, i), GridCoord(k, j)). Centre
+// alignment keeps all points interior so no point coincides with its
+// wrapped image.
 func GridPoints(t geom.Torus, k int) ([]geom.Vec, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadGridSide, k)
 	}
-	step := t.Side() / float64(k)
 	points := make([]geom.Vec, 0, k*k)
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
-			points = append(points, geom.V(
-				(float64(i)+0.5)*step,
-				(float64(j)+0.5)*step,
-			))
+			points = append(points, geom.V(t.GridCoord(k, i), t.GridCoord(k, j)))
 		}
 	}
 	return points, nil

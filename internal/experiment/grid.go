@@ -7,7 +7,6 @@ import (
 	"fullview/internal/checkpoint"
 	"fullview/internal/core"
 	"fullview/internal/deploy"
-	"fullview/internal/geom"
 	"fullview/internal/numeric"
 	"fullview/internal/rng"
 	"fullview/internal/stats"
@@ -38,31 +37,25 @@ type GridOutcome struct {
 	MeanCovering stats.Summary
 }
 
-// gridPrep validates cfg and materializes the sample grid: the explicit
-// gridSide when positive, the paper's √(n·ln n) dense grid otherwise.
-func gridPrep(cfg Config, gridSide int) (Config, []geom.Vec, int, error) {
+// gridPrep validates cfg and resolves the sample grid's side: the
+// explicit gridSide when positive, the paper's √(n·ln n) dense grid
+// otherwise.
+func gridPrep(cfg Config, gridSide int) (Config, int, error) {
 	if err := cfg.Validate(); err != nil {
-		return cfg, nil, 0, err
+		return cfg, 0, err
 	}
 	cfg = cfg.withDefaults()
-	side := gridSide
-	if side <= 0 {
-		var err error
-		side, err = deploy.DenseGridSide(cfg.N)
-		if err != nil {
-			return cfg, nil, 0, err
-		}
+	if gridSide > 0 {
+		return cfg, gridSide, nil
 	}
-	points, err := deploy.GridPoints(cfg.Torus, side)
-	if err != nil {
-		return cfg, nil, 0, err
-	}
-	return cfg, points, side, nil
+	side, err := deploy.DenseGridSide(cfg.N)
+	return cfg, side, err
 }
 
 // gridTrial returns the per-trial function of the grid experiment:
-// deploy a fresh network on the trial's RNG stream and sweep the grid.
-func gridTrial(cfg Config, points []geom.Vec, trials, parallelism int) TrialFunc[core.RegionStats] {
+// deploy a fresh network on the trial's RNG stream and survey the
+// side×side grid under ctx.
+func gridTrial(ctx context.Context, cfg Config, side, trials, parallelism int) TrialFunc[core.RegionStats] {
 	return func(_ int, r *rng.PCG) (core.RegionStats, error) {
 		net, err := cfg.deployNetwork(r)
 		if err != nil {
@@ -74,7 +67,7 @@ func gridTrial(cfg Config, points []geom.Vec, trials, parallelism int) TrialFunc
 		}
 		// Single-trial runs push the parallelism into the grid sweep
 		// itself; multi-trial runs keep cores busy at the trial level.
-		return checker.SurveyRegionParallel(points, sweepWorkers(trials, parallelism)), nil
+		return checker.SurveyGridContext(ctx, side, 0, side, sweepWorkers(trials, parallelism))
 	}
 }
 
@@ -126,11 +119,11 @@ func (o GridOutcome) checkFinite() error {
 // make large sweeps affordable; the dense grid is the paper-faithful
 // default (gridSide ≤ 0).
 func RunGrid(cfg Config, gridSide, trials, parallelism int, seed uint64) (GridOutcome, error) {
-	cfg, points, _, err := gridPrep(cfg, gridSide)
+	cfg, side, err := gridPrep(cfg, gridSide)
 	if err != nil {
 		return GridOutcome{}, err
 	}
-	results, err := Run(seed, trials, parallelism, gridTrial(cfg, points, trials, parallelism))
+	results, err := Run(seed, trials, parallelism, gridTrial(context.Background(), cfg, side, trials, parallelism))
 	if err != nil {
 		return GridOutcome{}, fmt.Errorf("grid experiment: %w", err)
 	}
@@ -150,7 +143,7 @@ func RunGridCheckpoint(
 	gridSide, trials, parallelism int,
 	seed uint64,
 ) (GridOutcome, error) {
-	cfg, points, side, err := gridPrep(cfg, gridSide)
+	cfg, side, err := gridPrep(cfg, gridSide)
 	if err != nil {
 		return GridOutcome{}, err
 	}
@@ -168,7 +161,7 @@ func RunGridCheckpoint(
 	}
 	defer journal.Close()
 	results, err := RunResumable(ctx, journal, seed, trials, parallelism,
-		gridTrial(cfg, points, trials, parallelism))
+		gridTrial(ctx, cfg, side, trials, parallelism))
 	if err != nil {
 		return GridOutcome{}, fmt.Errorf("grid experiment: %w", err)
 	}

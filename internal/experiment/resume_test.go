@@ -156,7 +156,7 @@ func TestRunGridCheckpointBitIdentical(t *testing.T) {
 			// Simulate a killed run deterministically: journal a strict
 			// subset of trials exactly as a partial run would have, using
 			// the same per-trial (seed, i) streams.
-			prepCfg, points, side, err := gridPrep(cfg, gridSide)
+			prepCfg, side, err := gridPrep(cfg, gridSide)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +169,7 @@ func TestRunGridCheckpointBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fn := gridTrial(prepCfg, points, trials, workers)
+			fn := gridTrial(context.Background(), prepCfg, side, trials, workers)
 			for _, i := range []int{0, 2, 4} {
 				res, err := fn(i, rng.New(seed, uint64(i)))
 				if err != nil {

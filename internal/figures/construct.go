@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -8,7 +9,6 @@ import (
 	"fullview/internal/analytic"
 	"fullview/internal/construct"
 	"fullview/internal/core"
-	"fullview/internal/deploy"
 	"fullview/internal/geom"
 	"fullview/internal/report"
 )
@@ -51,13 +51,12 @@ func runConstruct(w io.Writer, opts Options) error {
 		if err != nil {
 			return err
 		}
-		grid, err := deploy.GridPoints(geom.UnitTorus, gridSide)
+		// One deterministic deployment per θ — no trials to parallelise
+		// over, so the verification sweep itself takes the workers.
+		stats, err := checker.SurveyGridContext(context.Background(), gridSide, 0, gridSide, opts.Parallelism)
 		if err != nil {
 			return err
 		}
-		// One deterministic deployment per θ — no trials to parallelise
-		// over, so the verification sweep itself takes the workers.
-		stats := checker.SurveyRegionParallel(grid, opts.Parallelism)
 		if !stats.AllFullView() {
 			return fmt.Errorf("construct: plan θ=%.3gπ left %d/%d grid points uncovered",
 				t, stats.Points-stats.FullView, stats.Points)

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -42,11 +43,6 @@ func runDutyCycle(w io.Writer, opts Options) error {
 	trials := opts.trials(60, 10)
 	gridSide := pick(opts, 25, 12)
 
-	points, err := deploy.GridPoints(geom.UnitTorus, gridSide)
-	if err != nil {
-		return err
-	}
-
 	duty := report.NewTable(
 		fmt.Sprintf("Duty cycling — n = %d, θ = π/3, %d trials per p", n, trials),
 		"p", "simulated P(necessary)", "analytic at n*p", "simulated P(full-view)",
@@ -67,7 +63,10 @@ func runDutyCycle(w io.Writer, opts Options) error {
 				if err != nil {
 					return trialOut{}, err
 				}
-				s := checker.SurveyRegion(points)
+				s, err := checker.SurveyGridContext(context.Background(), gridSide, 0, gridSide, 1)
+				if err != nil {
+					return trialOut{}, err
+				}
 				return trialOut{nec: s.NecessaryFraction(), fv: s.FullViewFraction()}, nil
 			})
 		if err != nil {
@@ -115,7 +114,7 @@ func runDutyCycle(w io.Writer, opts Options) error {
 				if err != nil {
 					return 0, err
 				}
-				return fs.CoverageLifetime(theta, points, 0.9)
+				return fs.CoverageLifetime(theta, gridSide, 0.9)
 			})
 		if err != nil {
 			return err

@@ -23,10 +23,12 @@ func init() {
 
 // runHetCSA validates the paper's central heterogeneous claim (E18):
 // the critical sensing area governs coverage through the *weighted sum*
-// s_c = Σ c_y·s_y alone. Three profiles with wildly different group
-// structure — homogeneous, mild two-group, extreme three-group — are
-// each scaled to the same multiples of s_Nc(n); their grid failure
-// probabilities must exhibit the same dichotomy at the same q.
+// s_c = Σ c_y·s_y alone. Four profiles with wildly different group
+// structure — homogeneous, mild two-group, extreme three-group, and a
+// two-group profile whose radii span 2.5× and so land in two radius
+// tiers of the spatial index — are each scaled to the same
+// multiples of s_Nc(n); their grid failure probabilities must exhibit
+// the same dichotomy at the same q.
 func runHetCSA(w io.Writer, opts Options) error {
 	opts = opts.withDefaults()
 	theta := math.Pi / 4
@@ -57,6 +59,13 @@ func runHetCSA(w io.Writer, opts Options) error {
 	if err != nil {
 		return err
 	}
+	twoTier, err := sensor.NewProfile(
+		sensor.GroupSpec{Fraction: 0.5, Radius: 0.08, Aperture: math.Pi},
+		sensor.GroupSpec{Fraction: 0.5, Radius: 0.2, Aperture: math.Pi / 2},
+	)
+	if err != nil {
+		return err
+	}
 	profiles := []struct {
 		name    string
 		profile sensor.Profile
@@ -64,6 +73,7 @@ func runHetCSA(w io.Writer, opts Options) error {
 		{name: "homogeneous", profile: homogeneous},
 		{name: "2 groups (wide+narrow)", profile: twoGroup},
 		{name: "3 groups (mixed shapes)", profile: threeGroup},
+		{name: "2 groups (radii 1:2.5)", profile: twoTier},
 	}
 
 	csa, err := analytic.CSANecessary(n, theta)

@@ -34,6 +34,16 @@ func NewTorus(side float64) (Torus, error) {
 // Side returns the side length of the torus.
 func (t Torus) Side() float64 { return t.side }
 
+// GridCoord returns coordinate i of the k×k cell-centre grid,
+// (i+½)·side/k. Grid point (i, j) of deploy.GridPoints is
+// (GridCoord(k, i), GridCoord(k, j)), and the spatial grid gather
+// rebuilds the same points from it, so the two agree bit for bit. For
+// 0 ≤ i < k the coordinate lies in [0, side), where Wrap is the
+// identity.
+func (t Torus) GridCoord(k, i int) float64 {
+	return (float64(i) + 0.5) * (t.side / float64(k))
+}
+
 // Area returns the total area of the torus.
 func (t Torus) Area() float64 { return t.side * t.side }
 

@@ -19,7 +19,7 @@ import (
 // TestSweepJobEqualsWholeGridSurveys holds a multi-θ sweep job, run in
 // fused row groups, to the whole-grid surveys it replaces, bit for bit:
 // one one-θ Checker.SurveyRegion per θ, and one MultiChecker survey of
-// the whole grid as a single row. It covers worker counts 1, 2 and 3,
+// the whole grid, its rows folded per θ. It covers worker counts 1, 2 and 3,
 // grids that are not a multiple of the group size (7 = 4+3 rows; 200 =
 // 82+82+36 rows), and a resume from a journal holding only part of the
 // first group, written with one-θ row surveys.
@@ -45,9 +45,13 @@ func TestSweepJobEqualsWholeGridSurveys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole, err := mc.SurveyRowsContext(context.Background(), points, len(points), 2)
+		rows, err := mc.SurveyGridContext(context.Background(), grid, 0, grid, 2)
 		if err != nil {
 			t.Fatal(err)
+		}
+		whole := make([]core.RegionStats, len(thetas))
+		for i, row := range rows {
+			whole[i/grid] = whole[i/grid].Merge(row)
 		}
 		for i := range want {
 			if whole[i] != want[i] {

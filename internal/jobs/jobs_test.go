@@ -43,10 +43,6 @@ func testNet(t *testing.T, n int, seed uint64) *sensor.Network {
 func realExec(t *testing.T, net *sensor.Network) Exec {
 	t.Helper()
 	return func(spec Spec) (BandRunner, error) {
-		points, err := deploy.GridPoints(geom.UnitTorus, spec.Grid)
-		if err != nil {
-			return nil, err
-		}
 		thetas := make([]float64, spec.Slots())
 		for i, tp := range spec.ThetasPi {
 			thetas[i] = tp * math.Pi
@@ -56,8 +52,7 @@ func realExec(t *testing.T, net *sensor.Network) Exec {
 			return nil, err
 		}
 		return func(ctx context.Context, rowLo, rowHi int) ([]core.RegionStats, error) {
-			pts := points[rowLo*spec.Grid : rowHi*spec.Grid]
-			return mc.SurveyRowsContext(ctx, pts, spec.Grid, max(spec.Workers, 1))
+			return mc.SurveyGridContext(ctx, spec.Grid, rowLo, rowHi, max(spec.Workers, 1))
 		}, nil
 	}
 }

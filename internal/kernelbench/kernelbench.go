@@ -10,9 +10,10 @@
 // Point-at-a-time cases evaluate exactly one sample point per
 // iteration, so ns/op, B/op, and allocs/op read directly as ns/point,
 // B/point, allocs/point. Batch cases (names ending in "Batch") evaluate
-// Points samples per iteration through the cell-sorted batch kernel;
-// the harness divides by iterations × Points, so every reported figure
-// is still per point and batch cases compare directly against their
+// Points samples per iteration through the batch entry points
+// (EvaluateBatch, SurveyBatch), which loop over the point gather; the
+// harness divides by iterations × Points, so every reported figure is
+// still per point and batch cases compare directly against their
 // point-at-a-time twins.
 package kernelbench
 
@@ -204,9 +205,9 @@ func Cases() []Case {
 		{
 			// The batch twin of FullViewMultiTheta1000: the same network,
 			// θ-list, and point pool, evaluated sweep.BatchSize points per
-			// iteration through MultiChecker.EvaluateBatch (cell-sorted
-			// gather, candidate reuse, hoisted 2θ thresholds). Verdicts
-			// are bit-identical; only the grouping differs.
+			// iteration through MultiChecker.EvaluateBatch (the point
+			// gather in a loop, hoisted 2θ thresholds). Verdicts are
+			// bit-identical; only the grouping differs.
 			Name:   "FullViewMultiTheta1000Batch",
 			Points: sweep.BatchSize,
 			Setup:  multiThetaBatchSetup,
@@ -216,8 +217,8 @@ func Cases() []Case {
 			// and point pool. The point case pays two gathers per point
 			// (MeetsNecessary + MeetsSufficient); the batch kernel
 			// (Checker.SurveyBatch) answers both conditions — plus the
-			// max-gap verdict the point case skips — from one cell-sorted
-			// gather per batch.
+			// max-gap verdict the point case skips — from one gather per
+			// point.
 			Name:   "SectorOccupancy1000Batch",
 			Points: sweep.BatchSize,
 			Setup: func() (func(int), error) {
@@ -238,10 +239,10 @@ func Cases() []Case {
 			},
 		},
 		{
-			// The full survey kernel (the /survey and job-band hot path)
-			// on the 100×-radius-span heterogeneous network, batch-at-a-
-			// time: per-tier cell sort + candidate-major scan where tier
-			// reach per radius group matters most.
+			// The per-point survey kernel (Checker.SurveyBatch) on the
+			// 100×-radius-span heterogeneous network, where tier reach
+			// per radius group matters most. Dense grids take the row
+			// raster (SurveyGridContext) instead.
 			Name:   "SurveyHet1000Batch",
 			Points: sweep.BatchSize,
 			Setup: func() (func(int), error) {

@@ -35,8 +35,8 @@ func multiThetaSetup() (func(int), error) {
 // multiThetaBatchSetup is multiThetaSetup through the batch kernel:
 // identical network, θ-list, and point pool, evaluated sweep.BatchSize
 // points per iteration by MultiChecker.EvaluateBatch. Reports are
-// bit-identical to Evaluate per point; the case exists to measure the
-// cell-sorted gather's amortisation against its point-at-a-time twin.
+// bit-identical to Evaluate per point; the case measures the batch
+// entry point against its point-at-a-time twin.
 func multiThetaBatchSetup() (func(int), error) {
 	net, err := homogNetwork(1000)
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"fullview/internal/core"
-	"fullview/internal/geom"
 	"fullview/internal/rng"
 	"fullview/internal/sensor"
 )
@@ -84,9 +83,9 @@ func (fs *FailureSchedule) AliveAt(t float64) (*sensor.Network, error) {
 	return sensor.NewNetwork(fs.net.Torus(), alive)
 }
 
-// coverageAt returns the full-view-covered fraction of points at time t,
-// sweeping the grid with the given number of workers.
-func (fs *FailureSchedule) coverageAt(ctx context.Context, t, theta float64, points []geom.Vec, workers int) (float64, error) {
+// coverageAt returns the full-view-covered fraction of the k×k grid at
+// time t, sweeping it with the given number of workers.
+func (fs *FailureSchedule) coverageAt(ctx context.Context, t, theta float64, k, workers int) (float64, error) {
 	net, err := fs.AliveAt(t)
 	if err != nil {
 		return 0, err
@@ -95,7 +94,7 @@ func (fs *FailureSchedule) coverageAt(ctx context.Context, t, theta float64, poi
 	if err != nil {
 		return 0, err
 	}
-	stats, err := checker.SurveyRegionContext(ctx, points, workers)
+	stats, err := checker.SurveyGridContext(ctx, k, 0, k, workers)
 	if err != nil {
 		return 0, err
 	}
@@ -103,15 +102,16 @@ func (fs *FailureSchedule) coverageAt(ctx context.Context, t, theta float64, poi
 }
 
 // CoverageLifetime returns the time at which the full-view-covered
-// fraction of the sample points first drops below threshold — the
+// fraction of the k×k sample grid (deploy.GridPoints) first drops below
+// threshold — the
 // network's coverage lifetime under this failure realization. Coverage
 // only changes at failure instants and never recovers, so the answer is
 // found by bisecting the sorted failure times (O(log n) grid sweeps).
 // Returns 0 if coverage is below threshold from the start, and +Inf if
 // it never drops (e.g. threshold met by the empty network is impossible,
 // so +Inf only occurs for unreachable thresholds).
-func (fs *FailureSchedule) CoverageLifetime(theta float64, points []geom.Vec, threshold float64) (float64, error) {
-	return fs.CoverageLifetimeContext(context.Background(), theta, points, threshold, 1)
+func (fs *FailureSchedule) CoverageLifetime(theta float64, k int, threshold float64) (float64, error) {
+	return fs.CoverageLifetimeContext(context.Background(), theta, k, threshold, 1)
 }
 
 // CoverageLifetimeContext is CoverageLifetime with cancellation and
@@ -119,11 +119,11 @@ func (fs *FailureSchedule) CoverageLifetime(theta float64, points []geom.Vec, th
 // through the sweep engine with the given number of workers (GOMAXPROCS
 // when workers ≤ 0). The lifetime found is identical at any worker
 // count.
-func (fs *FailureSchedule) CoverageLifetimeContext(ctx context.Context, theta float64, points []geom.Vec, threshold float64, workers int) (float64, error) {
+func (fs *FailureSchedule) CoverageLifetimeContext(ctx context.Context, theta float64, k int, threshold float64, workers int) (float64, error) {
 	if !(threshold > 0) || threshold > 1 {
 		return 0, fmt.Errorf("%w: got %v", ErrBadThreshold, threshold)
 	}
-	initial, err := fs.coverageAt(ctx, 0, theta, points, workers)
+	initial, err := fs.coverageAt(ctx, 0, theta, k, workers)
 	if err != nil {
 		return 0, err
 	}
@@ -140,7 +140,7 @@ func (fs *FailureSchedule) CoverageLifetimeContext(ctx context.Context, theta fl
 	lo, hi := 0, len(events) // lo: known ≥ threshold before event lo
 	for lo < hi {
 		mid := (lo + hi) / 2
-		cov, err := fs.coverageAt(ctx, events[mid], theta, points, workers)
+		cov, err := fs.coverageAt(ctx, events[mid], theta, k, workers)
 		if err != nil {
 			return 0, err
 		}

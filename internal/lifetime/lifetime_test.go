@@ -144,12 +144,9 @@ func TestCoverageLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := deploy.GridPoints(geom.UnitTorus, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const side = 12
 	theta := math.Pi / 2
-	life, err := fs.CoverageLifetime(theta, points, 0.9)
+	life, err := fs.CoverageLifetime(theta, side, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +154,14 @@ func TestCoverageLifetime(t *testing.T) {
 		t.Fatalf("lifetime = %v, want finite positive", life)
 	}
 	// Just before the lifetime, coverage holds; just after, it doesn't.
-	before, err := fs.coverageAt(context.Background(), life*(1-1e-9), theta, points, 1)
+	before, err := fs.coverageAt(context.Background(), life*(1-1e-9), theta, side, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if before < 0.9 {
 		t.Errorf("coverage %v below threshold just before the lifetime", before)
 	}
-	after, err := fs.coverageAt(context.Background(), life, theta, points, 1)
+	after, err := fs.coverageAt(context.Background(), life, theta, side, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +176,8 @@ func TestCoverageLifetimeSparseStartsDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := deploy.GridPoints(geom.UnitTorus, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	life, err := fs.CoverageLifetime(math.Pi/4, points, 0.9)
+	const side = 10
+	life, err := fs.CoverageLifetime(math.Pi/4, side, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +192,9 @@ func TestCoverageLifetimeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := deploy.GridPoints(geom.UnitTorus, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const side = 5
 	for _, th := range []float64{0, -0.5, 1.5} {
-		if _, err := fs.CoverageLifetime(math.Pi/4, points, th); !errors.Is(err, ErrBadThreshold) {
+		if _, err := fs.CoverageLifetime(math.Pi/4, side, th); !errors.Is(err, ErrBadThreshold) {
 			t.Errorf("threshold %v: error = %v, want ErrBadThreshold", th, err)
 		}
 	}

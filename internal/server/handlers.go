@@ -363,7 +363,8 @@ func evaluateQuery(ctx context.Context, mc *core.MultiChecker, points []pointJSO
 // same jobs.Spec a survey job would queue (surveySpec), run by the job
 // executor's row runner over every row in one call, with the request's
 // context wired into the sweep's cancellation — a disconnecting client
-// aborts its sweep within a few hundred points.
+// aborts its sweep within one row block (at least 2,048 points) per
+// worker.
 func (s *Server) handleSurvey(w http.ResponseWriter, r *http.Request) {
 	entry, ok := s.deployment(w, r)
 	if !ok {

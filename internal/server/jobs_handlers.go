@@ -198,16 +198,12 @@ func (s *Server) surveySpec(id string, view spatial.Source, kind jobs.Kind, thet
 
 // surveyRunner returns the runner of spec's row groups over view. One
 // band is one grid row at one θ; a row group's bands come from one
-// MultiChecker.SurveyRowsContext sweep over the group's rows at every
+// MultiChecker.SurveyGridContext sweep over the group's rows at every
 // θ, whose chunk-order merge makes each band independent of the worker
 // count and of the group it ran in, so a job resumed under a different
 // -parallel setting is still bit-identical. A job runs it group by
 // group; the inline /survey runs it once over every row.
 func (s *Server) surveyRunner(view spatial.Source, spec jobs.Spec) (jobs.BandRunner, error) {
-	points, err := deploy.GridPoints(view.Torus(), spec.Grid)
-	if err != nil {
-		return nil, err
-	}
 	thetas := make([]float64, spec.Slots())
 	for i, tp := range spec.ThetasPi {
 		thetas[i] = tp * math.Pi
@@ -221,7 +217,7 @@ func (s *Server) surveyRunner(view spatial.Source, spec jobs.Spec) (jobs.BandRun
 		workers = s.cfg.SurveyWorkers
 	}
 	return func(ctx context.Context, rowLo, rowHi int) ([]core.RegionStats, error) {
-		stats, err := mc.SurveyRowsContext(ctx, points[rowLo*spec.Grid:rowHi*spec.Grid], spec.Grid, workers)
+		stats, err := mc.SurveyGridContext(ctx, spec.Grid, rowLo, rowHi, workers)
 		if err == nil {
 			// The fused sweep gathers each point once for every θ.
 			s.m.points.Add(int64((rowHi - rowLo) * spec.Grid))

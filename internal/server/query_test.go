@@ -129,7 +129,7 @@ func (panickingSource) AppendViewedDirections([]float64, geom.Vec) []float64 {
 	panic("injected gather panic")
 }
 
-func (panickingSource) AppendViewedDirectionsBatch(*spatial.BatchScratch, []geom.Vec) ([]float64, []int32) {
+func (panickingSource) AppendGridDirections(*spatial.BatchScratch, int, int, int) ([]float64, []int32) {
 	panic("injected gather panic")
 }
 

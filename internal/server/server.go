@@ -448,8 +448,8 @@ func (s *Server) admitted(adm *admission, route string, h http.HandlerFunc) http
 
 		// The per-route deadline bounds how long a request may hold its
 		// admission slot: the derived context is wired into the coverage
-		// kernels, which abort within a few hundred points of expiry and
-		// answer 504.
+		// kernels, which abort within one point batch or grid row block
+		// of expiry and answer 504.
 		if timeout > 0 {
 			ctx, cancel := context.WithTimeout(r.Context(), timeout)
 			defer cancel()

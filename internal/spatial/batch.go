@@ -1,79 +1,82 @@
-// Batch gather: the cell-sorted execution path of the spatial index.
+// Grid gather: the camera-major row raster behind every dense-grid
+// survey.
 //
-// Grid workloads — surveys, sweeps, job bands — evaluate dense point
-// sets whose neighbours land in the same bucket of every tier grid. The
-// point-at-a-time entry points re-derive that bucket, re-walk the same
-// trimmed cell window (Index.window) and re-scan the same slot runs for
-// every single point. The batch path amortises all of that: points are
-// sorted by grid cell once per tier (a single []int64 key sort over
-// reusable scratch, zero allocations in the steady state), each occupied
-// bucket's window — trimmed to the disc around the group's bounding box
-// rather than around one point — is walked exactly once per batch, and
-// every slot run is scanned candidate-major: the camera's cover-test
-// columns (position, orientation sin/cos, radius², cos φ/2), read in
-// slot order, are loaded into registers once and tested against the
-// whole cell's points instead of point-major.
+// The paper's area test evaluates a k×k grid of cell centres (Section
+// V), and grid point (i, j) is (c(i), c(j)) with c = geom.Torus.
+// GridCoord, so grid row i is the vertical line x = c(i). For one camera
+// and one such line, the points its sector can cover form at most two
+// intervals of the line: the disc's chord, cut by the wedge's two edge
+// half-planes. AppendGridDirections walks a block of rows camera-major
+// — the camera × demand-point coverage matrix, one camera at a time —
+// computes those intervals for each row the camera's disc reaches, and
+// runs the unchanged covers test only on the points inside them. A
+// block's candidates come from each tier's bucket columns that reach
+// the block's x-strip; no tier scans all of its cameras unless the
+// strip spans every column.
 //
-// Two further savings fall out of the cell grouping:
+// The intervals are exact supersets. The wedge is widened by
+// rasterAngleSlack, which dwarfs the few-ulp angular error of both the
+// edge vectors and covers' accept test, and the chord by chordSlack,
+// which covers the rounding of the radius test near the tangent; each
+// interval is then widened by prefilterSlack·side and one grid step,
+// split at the seam and clamped to one pass over the row, so no point
+// is tested twice. Every covering camera of every point therefore
+// reaches covers, and each emitted direction is viewedDirection's —
+// the same arithmetic as the point gather. A View skips removed slots
+// and rasters its added cameras last with the exact sensor predicates.
 //
-//   - The per-point bucket lookup becomes one key sort per tier, and the
-//     toroidal Wrap of each point runs once per batch rather than once
-//     per call.
-//   - A conservative cell-level prefilter rejects candidates whose disc
-//     cannot reach any point of the group: the group's bounding box is
-//     compared against the candidate's radius with a slack far larger
-//     than the accumulated rounding error, so a skipped candidate is one
-//     the exact per-point test would provably reject too (see
-//     prefilterSlack). Bit-identity is preserved because skipping only
-//     removes candidates whose covers() is false for every group point.
+// The hits are placed per point by a counting sort. A point's slice
+// holds the same directions as AppendViewedDirections(nil, p), bit for
+// bit, in tier → slot → added order rather than the point gather's
+// window order; every consumer of the slices (core's report) is
+// order-independent.
 //
-// Results are not merely the same multiset as the point-at-a-time path —
-// they are the same per-point sequences. Tiers are processed in index
-// order, window rows and columns in the same order, candidates in slot
-// order, and overlay-added cameras last; a group's window, like each
-// member point's own, holds every camera covering that point, and the
-// final counting-sort placement is stable in emission order, so each
-// point's slice of the CSR result equals AppendViewedDirections(nil, p)
-// element for element.
-// A View runs the identical engine with its overlay, the removed-bitmap
-// check hoisted to once per candidate.
+// AppendViewedDirectionsBatch answers an arbitrary point batch as a loop
+// over the point gather, in the point gather's order.
 package spatial
 
 import (
 	"math"
-	"slices"
 
 	"fullview/internal/geom"
+	"fullview/internal/sensor"
 )
 
-// prefilterSlack is the absolute slack (as a fraction of the torus
-// side) subtracted from the cell-level lower distance bound before it
-// may reject a candidate; Index.window widens its disc by the same
-// slack before it trims a row. The bound is assembled from a handful of
-// additions and one halving — each exact to ~1 ulp (≈2e-16 relative) —
-// so a 1e-12·side margin exceeds the worst-case accumulated error by
-// almost four orders of magnitude while remaining far below any sensing
-// radius the index would ever bucket. A candidate rejected under this
-// slack therefore provably fails the per-point radius test for every
-// point of the group, keeping batch verdicts bit-identical to the
-// point-at-a-time path.
+// prefilterSlack is the absolute slack, as a fraction of the torus
+// side, that Index.window and the grid raster widen their geometric
+// bounds by before they may reject a candidate. The bounds are
+// assembled from a handful of additions and one halving or square
+// root, each exact to ~1 ulp (≈2e-16 relative), so a 1e-12·side margin
+// exceeds the accumulated error by almost four orders of magnitude
+// while staying far below any sensing radius the index would ever
+// bucket.
 const prefilterSlack = 1e-12
 
-// BatchScratch owns every buffer the batch gather needs. The zero value
-// is ready to use; buffers grow on first use and are reused by later
-// batches, so a caller that keeps one scratch per worker pays zero
-// allocations per point in the steady state. A BatchScratch must not be
-// shared between goroutines.
+// rasterAngleSlack (radians) widens each camera's wedge before the grid
+// raster turns it into row intervals. The edge vectors and the interval
+// bounds carry a few ulps of angular error, and covers accepts points
+// up to a few ulps past the exact aperture; 1e-9 rad exceeds both by
+// six orders of magnitude.
+const rasterAngleSlack = 1e-9
+
+// chordSlack is the grid raster's relative widening of a disc chord.
+// covers accepts dy when dx² + dy² rounds to at most r², which admits
+// |dy| up to about √(2u)·r ≈ 1.5e-8·r past the true chord at a tangent
+// row (u the unit roundoff).
+const chordSlack = 1e-7
+
+// BatchScratch owns every buffer the grid gather and the batch loop
+// need. The zero value is ready to use; buffers grow on first use and
+// are reused by later calls, so a caller that keeps one scratch per
+// worker pays zero allocations per point in the steady state. A
+// BatchScratch must not be shared between goroutines.
 type BatchScratch struct {
-	wx, wy []float64 // wrapped point coordinates, indexed like the batch
-	keys   []int64   // per-tier sort keys: bucket<<32 | point index
-	gx, gy []float64 // current group's coordinates, unpacked contiguously
-	gi     []int32   // current group's batch point indices, same order
-	hitPt  []int32   // emission-ordered (point, camera) covering pairs:
-	hitCam []int32   // a base camera by slot, an added one as Len()+j
-	counts []int32   // per-point hit counts, then placement cursors
-	offs   []int32   // CSR offsets over the batch (len = points+1)
-	dirs   []float64 // result storage for AppendViewedDirectionsBatch
+	coords []float64 // grid coordinates c(0), …, c(k−1)
+	hitPt  []int32   // emission-ordered covering hits: block point index
+	hitDir []float64 // and the hit's viewed direction
+	offs   []int32   // CSR offsets over the points (len = points+1)
+	cursor []int32   // per-point hit counts, then placement cursors
+	dirs   []float64 // result storage
 }
 
 // growI32 returns a length-n slice, reusing s's storage when it is
@@ -81,13 +84,6 @@ type BatchScratch struct {
 func growI32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growI64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
 	}
 	return s[:n]
 }
@@ -100,353 +96,367 @@ func growF64(s []float64, n int) []float64 {
 }
 
 // AppendViewedDirectionsBatch computes the viewed directions of the
-// cameras covering every point in the batch through the cell-sorted
-// gather. The result is CSR over the batch: dirs[offs[i]:offs[i+1]]
+// cameras covering every point in the batch, one point gather after
+// another. The result is CSR over the batch: dirs[offs[i]:offs[i+1]]
 // equals AppendViewedDirections(nil, points[i]) element for element.
 // Both returned slices are owned by sc and are valid until its next
-// batch call.
+// call.
 func (ix *Index) AppendViewedDirectionsBatch(sc *BatchScratch, points []geom.Vec) (dirs []float64, offs []int32) {
 	return ix.appendViewedDirectionsBatch(sc, points, nil)
 }
 
-// AppendViewedDirectionsBatch implements Source over the pinned
-// snapshot.
+// AppendViewedDirectionsBatch is Index.AppendViewedDirectionsBatch over
+// the pinned snapshot.
 func (v *View) AppendViewedDirectionsBatch(sc *BatchScratch, points []geom.Vec) ([]float64, []int32) {
 	return v.s.base.appendViewedDirectionsBatch(sc, points, v.s.delta)
 }
 
 func (ix *Index) appendViewedDirectionsBatch(sc *BatchScratch, points []geom.Vec, d *overlay) ([]float64, []int32) {
-	ix.gatherBatch(sc, points, d)
-	return sc.placeDirs(ix, d)
+	sc.offs = growI32(sc.offs, len(points)+1)
+	dirs := sc.dirs[:0]
+	for i, p := range points {
+		sc.offs[i] = int32(len(dirs))
+		dirs = ix.appendViewedDirections(dirs, p, d)
+	}
+	sc.offs[len(points)] = int32(len(dirs))
+	sc.dirs = dirs
+	return dirs, sc.offs
 }
 
-// gatherBatch runs the cell-sorted candidate scan for the whole batch,
-// leaving the emission-ordered (point, camera) pairs and per-point
-// counts in sc. d is the mutation overlay (nil for a pure Index), whose
-// removed bitmap is consulted once per candidate and whose added
-// cameras are scanned last with the exact sensor predicates — the same
-// order the point-at-a-time overlay path uses.
-func (ix *Index) gatherBatch(sc *BatchScratch, points []geom.Vec, d *overlay) {
-	n := len(points)
-	sc.wx = growF64(sc.wx, n)
-	sc.wy = growF64(sc.wy, n)
-	sc.keys = growI64(sc.keys, n)
-	sc.gx = growF64(sc.gx, n)
-	sc.gy = growF64(sc.gy, n)
-	sc.gi = growI32(sc.gi, n)
-	sc.counts = growI32(sc.counts, n)
-	sc.hitPt = sc.hitPt[:0]
-	sc.hitCam = sc.hitCam[:0]
-	for i := range sc.counts[:n] {
-		sc.counts[i] = 0
+// AppendGridDirections computes the viewed directions of the cameras
+// covering every point of rows [rowLo, rowHi) of the k×k grid of
+// deploy.GridPoints through the camera-major row raster. The result is
+// CSR over the block's points in grid order: point (i, j) is
+// (i−rowLo)·k + j, and its slice holds the same directions as
+// AppendViewedDirections(nil, (c(i), c(j))), bit for bit, in tier →
+// slot order. Both returned slices are owned by sc and are valid until
+// its next call. It panics unless k ≥ 1 and 0 ≤ rowLo ≤ rowHi ≤ k.
+func (ix *Index) AppendGridDirections(sc *BatchScratch, k, rowLo, rowHi int) (dirs []float64, offs []int32) {
+	return ix.appendGridDirections(sc, k, rowLo, rowHi, nil)
+}
+
+// AppendGridDirections is Index.AppendGridDirections over the pinned
+// snapshot: removed cameras are skipped and added ones come last, in
+// added order.
+func (v *View) AppendGridDirections(sc *BatchScratch, k, rowLo, rowHi int) ([]float64, []int32) {
+	return v.s.base.appendGridDirections(sc, k, rowLo, rowHi, v.s.delta)
+}
+
+// gridBlock is the geometry of one raster call: rows [rowLo, rowHi) of
+// the k×k grid whose coordinates are coords.
+type gridBlock struct {
+	k, rowLo, rowHi int
+	side, step      float64
+	coords          []float64
+}
+
+func (ix *Index) appendGridDirections(sc *BatchScratch, k, rowLo, rowHi int, d *overlay) ([]float64, []int32) {
+	if k < 1 || rowLo < 0 || rowLo > rowHi || rowHi > k {
+		panic("spatial: grid rows out of range")
 	}
-	if n == 0 {
+	sc.coords = growF64(sc.coords, k)
+	for j := range sc.coords {
+		sc.coords[j] = ix.torus.GridCoord(k, j)
+	}
+	g := gridBlock{k: k, rowLo: rowLo, rowHi: rowHi, side: ix.side, step: ix.side / float64(k), coords: sc.coords}
+	sc.hitPt = sc.hitPt[:0]
+	sc.hitDir = sc.hitDir[:0]
+	if rowLo < rowHi {
+		slack := 2 * prefilterSlack * ix.side
+		xLo, xHi := g.coords[rowLo], g.coords[rowHi-1]
+		for ti := range ix.tiers {
+			t := &ix.tiers[ti]
+			r := t.maxR + slack
+			c0 := math.Floor((xLo - r) / t.cellSize)
+			c1 := math.Floor((xHi + r) / t.cellSize)
+			if t.all || !(c1-c0+1 < float64(t.cells)) {
+				ix.rasterSlots(sc, &g, d, t.lo, t.hi)
+				continue
+			}
+			lo, hi, cells := int(c0), int(c1), t.cells
+			for cy := 0; cy < cells; cy++ {
+				row := t.starts[cy*cells:]
+				switch {
+				case lo < 0:
+					ix.rasterSlots(sc, &g, d, row[lo+cells], row[cells])
+					ix.rasterSlots(sc, &g, d, row[0], row[hi+1])
+				case hi >= cells:
+					ix.rasterSlots(sc, &g, d, row[lo], row[cells])
+					ix.rasterSlots(sc, &g, d, row[0], row[hi-cells+1])
+				default:
+					ix.rasterSlots(sc, &g, d, row[lo], row[hi+1])
+				}
+			}
+		}
+		if d != nil {
+			for a := range d.added {
+				ix.rasterCamera(sc, &g, 0, &d.added[a])
+			}
+		}
+	}
+	return sc.placeHits((rowHi - rowLo) * k)
+}
+
+// rasterSlots rasters the base cameras in slots [lo, hi) over the
+// block, skipping the overlay's removed ones.
+func (ix *Index) rasterSlots(sc *BatchScratch, g *gridBlock, d *overlay, lo, hi int32) {
+	for s := lo; s < hi; s++ {
+		if d == nil || !d.isRemoved(ix.camIdx[s]) {
+			ix.rasterCamera(sc, g, s, nil)
+		}
+	}
+}
+
+// rasterCamera rasters one camera over the block and emits its hits:
+// the base camera in slot s through covers and viewedDirection, or,
+// when c is non-nil, the overlay-added camera c through the exact
+// sensor predicates, which covers is bit-identical to.
+func (ix *Index) rasterCamera(sc *BatchScratch, g *gridBlock, s int32, c *sensor.Camera) {
+	var px, py, r2, orient, half float64
+	if c == nil {
+		px, py, r2, orient, half = ix.posX[s], ix.posY[s], ix.radius2[s], ix.orient[s], ix.halfAper[s]
+	} else {
+		px, py, r2, orient, half = c.Pos.X, c.Pos.Y, c.Radius*c.Radius, c.Orient, c.Aperture/2
+	}
+	w, ok := newWedge(px, py, r2, orient, half)
+	if !ok {
 		return
 	}
-	for i, p := range points {
-		w := ix.torus.Wrap(p)
-		sc.wx[i] = w.X
-		sc.wy[i] = w.Y
-	}
-
-	var runs windowRuns
-	for ti := range ix.tiers {
-		t := &ix.tiers[ti]
-		// Sort the batch by bucket: key = bucket<<32 | index, so equal
-		// buckets group together and ties keep batch order, making the
-		// grouping deterministic. A whole-tier tier puts every point in
-		// one group. A point with a NaN coordinate is covered by no
-		// camera and joins no group.
-		keys := sc.keys[:0]
-		for i := 0; i < n; i++ {
-			x, y := sc.wx[i], sc.wy[i]
-			if x != x || y != y {
+	var rows [3]span
+	var spans [2]span
+	for _, rs := range rows[:g.rowSpans(&rows, px, math.Sqrt(r2))] {
+		for i := rs.lo; i <= rs.hi; i++ {
+			x := g.coords[i]
+			dx := ix.delta(px, x)
+			if dx*dx > r2 {
 				continue
 			}
-			var b int32
-			if !t.all {
-				b = t.bucketOf(x, y)
-			}
-			keys = append(keys, int64(b)<<32|int64(i))
-		}
-		slices.Sort(keys)
-		for lo := 0; lo < len(keys); {
-			bucket := keys[lo] >> 32
-			hi := lo + 1
-			for hi < len(keys) && keys[hi]>>32 == bucket {
-				hi++
-			}
-			g := sc.prepareGroup(keys[lo:hi])
-			nr := ix.window(t, &runs, g.minX, g.maxX, g.minY, g.maxY)
-			for _, r := range runs[:nr] {
-				ix.scanCandidates(sc, d, r, g)
-			}
-			lo = hi
-		}
-	}
-
-	if d != nil {
-		// Overlay-added cameras come last, exactly as in the point path,
-		// via the exact sensor predicates the CSR test is bit-identical
-		// to by contract.
-		baseLen := int32(ix.Len())
-		for j := range d.added {
-			cam := &d.added[j]
-			ci := baseLen + int32(j)
-			for i := 0; i < n; i++ {
-				if cam.Covers(ix.torus, geom.Vec{X: sc.wx[i], Y: sc.wy[i]}) {
-					sc.hitPt = append(sc.hitPt, int32(i))
-					sc.hitCam = append(sc.hitCam, ci)
-					sc.counts[i]++
-				}
-			}
-		}
-	}
-}
-
-// groupView describes one prepared point group: its size (the leading
-// n elements of sc.gx/gy/gi) and its bounding box in wrapped
-// coordinates.
-type groupView struct {
-	n                      int
-	minX, maxX, minY, maxY float64
-}
-
-// prepareGroup unpacks one sorted-key group into the contiguous gx/gy/gi
-// scratch columns — so the candidate-major inner loops stream over dense
-// memory instead of re-deriving indices from packed keys — and computes
-// the group's bounding box. Points of one bucket never straddle the wrap
-// seam (all coordinates live in [0, side)), so the box is a plain
-// interval per axis; for the whole-tier case the box may span the whole
-// domain and the prefilter simply stops rejecting.
-func (sc *BatchScratch) prepareGroup(group []int64) groupView {
-	n := len(group)
-	gx, gy, gi := sc.gx[:n], sc.gy[:n], sc.gi[:n]
-	i0 := int32(uint64(group[0]) & 0xffffffff)
-	x0, y0 := sc.wx[i0], sc.wy[i0]
-	gx[0], gy[0], gi[0] = x0, y0, i0
-	g := groupView{n: n, minX: x0, maxX: x0, minY: y0, maxY: y0}
-	for k := 1; k < n; k++ {
-		i := int32(uint64(group[k]) & 0xffffffff)
-		x, y := sc.wx[i], sc.wy[i]
-		gx[k], gy[k], gi[k] = x, y, i
-		if x < g.minX {
-			g.minX = x
-		} else if x > g.maxX {
-			g.maxX = x
-		}
-		if y < g.minY {
-			g.minY = y
-		} else if y > g.maxY {
-			g.maxY = y
-		}
-	}
-	return g
-}
-
-// scanCandidates tests one slot run against one prepared point
-// group, candidate-major: each camera's SoA columns are loaded once and
-// held across the whole group. The cell-level prefilter rejects a
-// candidate only when its disc provably misses the group's bounding
-// box; every surviving candidate runs the exact covers arithmetic, so
-// emissions are bit-identical to the per-point gather's.
-//
-// Before the inner loop, the toroidal wrap of each axis is classified
-// once per candidate against the group's bounding box: floating-point
-// subtraction is monotone, so every computed difference gx[k]−px lies in
-// [minX−px, maxX−px], and when that whole interval falls on one side of
-// the ±half wrap boundaries the per-point branch outcome is uniform —
-// the correction becomes a loop-invariant constant (±side or none) and
-// the hot loop runs with a single data-dependent branch (the radius
-// test) instead of five. The applied arithmetic is exactly the
-// point-at-a-time path's (the same conditional ±side add on the same
-// computed difference), so results stay bit-identical; groups whose
-// interval straddles a wrap boundary (only possible near the torus
-// seam) take the fully-branchy fallback, which is the oracle verbatim.
-func (ix *Index) scanCandidates(sc *BatchScratch, d *overlay, run slotRun, g groupView) {
-	gx, gy, gi := sc.gx[:g.n], sc.gy[:g.n], sc.gi[:g.n]
-	cx0 := (g.minX + g.maxX) / 2
-	cy0 := (g.minY + g.maxY) / 2
-	hx := (g.maxX-g.minX)/2 + prefilterSlack*ix.side
-	hy := (g.maxY-g.minY)/2 + prefilterSlack*ix.side
-
-	side, half := ix.side, ix.half
-	for c := run.lo; c < run.hi; c++ {
-		if d != nil && d.isRemoved(ix.camIdx[c]) {
-			continue
-		}
-		px, py := ix.posX[c], ix.posY[c]
-		r2 := ix.radius2[c]
-
-		// Conservative reject: circle-metric distance from the camera to
-		// the box centre, minus the (slack-inflated) half extents, is a
-		// lower bound on the distance to every group point; if even that
-		// bound exceeds the radius, covers() is false for the whole
-		// group.
-		adx := cx0 - px
-		if adx < -half {
-			adx += side
-		} else if adx >= half {
-			adx -= side
-		}
-		if adx < 0 {
-			adx = -adx
-		}
-		ady := cy0 - py
-		if ady < -half {
-			ady += side
-		} else if ady >= half {
-			ady -= side
-		}
-		if ady < 0 {
-			ady = -ady
-		}
-		if adx -= hx; adx < 0 {
-			adx = 0
-		}
-		if ady -= hy; ady < 0 {
-			ady = 0
-		}
-		if adx*adx+ady*ady > r2 {
-			continue
-		}
-
-		// Wrap classification: the computed differences for this
-		// candidate span [lo, hi] per axis (monotone FP subtraction).
-		var corrX, corrY float64
-		mixed := false
-		if lo, hi := g.minX-px, g.maxX-px; hi < -half {
-			corrX = side
-		} else if lo >= half {
-			corrX = -side
-		} else if lo < -half || hi >= half {
-			mixed = true
-		}
-		if lo, hi := g.minY-py, g.maxY-py; hi < -half {
-			corrY = side
-		} else if lo >= half {
-			corrY = -side
-		} else if lo < -half || hi >= half {
-			mixed = true
-		}
-
-		co, si := ix.cosOrient[c], ix.sinOrient[c]
-		ch := ix.cosHalf[c]
-		if mixed {
-			// Seam-straddling group: per-point wrap branches, exactly the
-			// point-at-a-time arithmetic.
-			for k := 0; k < g.n; k++ {
-				dxp := gx[k] - px
-				if dxp < -half {
-					dxp += side
-				} else if dxp >= half {
-					dxp -= side
-				}
-				dyp := gy[k] - py
-				if dyp < -half {
-					dyp += side
-				} else if dyp >= half {
-					dyp -= side
-				}
-				n2 := dxp*dxp + dyp*dyp
-				if n2 > r2 {
-					continue
-				}
-				if dxp != 0 || dyp != 0 {
-					dot := dxp*co + dyp*si
-					norm := math.Sqrt(n2)
-					rhs := norm * ch
-					margin := coverGuard * norm
-					if dot-rhs > margin {
-						// covered
-					} else if rhs-dot > margin {
-						continue
-					} else if !ix.coversExact(c, dxp, dyp) {
-						continue
+			base := int32((i - g.rowLo) * g.k)
+			for _, js := range spans[:w.spans(g, &spans, dx)] {
+				for j := js.lo; j <= js.hi; j++ {
+					jj := g.wrap(j)
+					y := g.coords[jj]
+					if c == nil {
+						if ix.covers(s, x, y) {
+							sc.hitPt = append(sc.hitPt, base+int32(jj))
+							sc.hitDir = append(sc.hitDir, ix.viewedDirection(s, x, y))
+						}
+					} else if p := geom.V(x, y); c.Covers(ix.torus, p) {
+						sc.hitPt = append(sc.hitPt, base+int32(jj))
+						sc.hitDir = append(sc.hitDir, c.ViewedDirection(ix.torus, p))
 					}
 				}
-				i := gi[k]
-				sc.hitPt = append(sc.hitPt, i)
-				sc.hitCam = append(sc.hitCam, c)
-				sc.counts[i]++
 			}
-			continue
-		}
-		for k := 0; k < g.n; k++ {
-			// Inline ix.covers with the camera columns held in locals and
-			// the wrap correction hoisted; arithmetic and guard-band
-			// fallback are identical. The corr != 0 guards preserve the
-			// unwrapped difference bit for bit (including a −0.0 from a
-			// point coincident with the camera) and predict perfectly —
-			// they are loop-invariant.
-			dxp := gx[k] - px
-			if corrX != 0 {
-				dxp += corrX
-			}
-			dyp := gy[k] - py
-			if corrY != 0 {
-				dyp += corrY
-			}
-			n2 := dxp*dxp + dyp*dyp
-			if n2 > r2 {
-				continue
-			}
-			if dxp != 0 || dyp != 0 {
-				dot := dxp*co + dyp*si
-				norm := math.Sqrt(n2)
-				rhs := norm * ch
-				margin := coverGuard * norm
-				if dot-rhs > margin {
-					// covered
-				} else if rhs-dot > margin {
-					continue
-				} else if !ix.coversExact(c, dxp, dyp) {
-					continue
-				}
-			}
-			i := gi[k]
-			sc.hitPt = append(sc.hitPt, i)
-			sc.hitCam = append(sc.hitCam, c)
-			sc.counts[i]++
 		}
 	}
 }
 
-// buildOffsets turns the per-point counts into CSR offsets and resets
-// the counts to per-point placement cursors.
-func (sc *BatchScratch) buildOffsets(n int) int {
+// placeHits counting-sorts the emission stream into CSR over the n
+// block points. Each point's cursor advances monotonically, so a
+// point's slice keeps emission order.
+func (sc *BatchScratch) placeHits(n int) ([]float64, []int32) {
 	sc.offs = growI32(sc.offs, n+1)
-	total := int32(0)
-	sc.offs[0] = 0
-	for i := 0; i < n; i++ {
-		total += sc.counts[i]
-		sc.offs[i+1] = total
-		sc.counts[i] = sc.offs[i]
+	sc.cursor = growI32(sc.cursor, n)
+	clear(sc.cursor)
+	for _, p := range sc.hitPt {
+		sc.cursor[p]++
 	}
-	return int(total)
+	total := int32(0)
+	for p, c := range sc.cursor {
+		sc.offs[p] = total
+		sc.cursor[p] = total
+		total += c
+	}
+	sc.offs[n] = total
+	sc.dirs = growF64(sc.dirs, int(total))
+	for h, p := range sc.hitPt {
+		sc.dirs[sc.cursor[p]] = sc.hitDir[h]
+		sc.cursor[p]++
+	}
+	return sc.dirs, sc.offs
 }
 
-// placeDirs materialises the CSR viewed-direction result from the
-// emission stream. Placement walks hits in emission order and each
-// point's cursor advances monotonically, so per-point order equals
-// emission order — the point-at-a-time candidate order. Base cameras go
-// through the index's viewedDirection (bit-identical to the point path),
-// overlay additions through the exact sensor predicate.
-func (sc *BatchScratch) placeDirs(ix *Index, d *overlay) ([]float64, []int32) {
-	n := len(sc.wx)
-	total := sc.buildOffsets(n)
-	sc.dirs = growF64(sc.dirs, total)
-	baseLen := int32(ix.Len())
-	for h, p := range sc.hitPt {
-		c := sc.hitCam[h]
-		var dir float64
-		if c < baseLen {
-			dir = ix.viewedDirection(c, sc.wx[p], sc.wy[p])
-		} else {
-			dir = d.added[c-baseLen].ViewedDirection(ix.torus, geom.Vec{X: sc.wx[p], Y: sc.wy[p]})
-		}
-		sc.dirs[sc.counts[p]] = dir
-		sc.counts[p]++
+// span is an inclusive index range, in extended coordinates: index
+// e stands for e mod k (see gridBlock.wrap).
+type span struct{ lo, hi int }
+
+// wrap maps an extended index in [−k, 2k) to [0, k). Column spans stay
+// there: their coordinates lie within side/2 plus two grid steps of
+// [0, side), and a grid of fewer than three points per side has only
+// full spans.
+func (g *gridBlock) wrap(e int) int {
+	if e < 0 {
+		return e + g.k
 	}
-	return sc.dirs, sc.offs[:n+1]
+	if e >= g.k {
+		return e - g.k
+	}
+	return e
+}
+
+// indexSpan returns the extended indices e whose coordinate c(e mod k)
+// can lie in [lo, hi] (lo ≤ hi, both within about 1.5·side of [0,
+// side)), widened by prefilterSlack·side and one grid step. full
+// reports a range of k indices or more: every index once.
+func (g *gridBlock) indexSpan(lo, hi float64) (s span, full bool) {
+	pad := prefilterSlack*g.side + g.step
+	lo, hi = lo-pad, hi+pad
+	if !(hi-lo < g.side) {
+		return span{}, true
+	}
+	// c(e) = (e + ½)·step lies in [lo, hi] ⟺ lo/step − ½ ≤ e ≤ hi/step − ½.
+	s = span{int(math.Ceil(lo/g.step - 0.5)), int(math.Floor(hi/g.step - 0.5))}
+	return s, s.hi-s.lo+1 >= g.k
+}
+
+// rowSpans fills rows with the block rows whose x lies within r of px
+// (widened as indexSpan widens) and returns how many spans it filled:
+// the extended row range shifted by −k, 0 and +k, each cut to the
+// block. The range is shorter than k, so no row appears twice.
+func (g *gridBlock) rowSpans(rows *[3]span, px, r float64) int {
+	s, full := g.indexSpan(px-r, px+r)
+	if full {
+		rows[0] = span{g.rowLo, g.rowHi - 1}
+		return 1
+	}
+	n := 0
+	for shift := -g.k; shift <= g.k; shift += g.k {
+		lo, hi := max(s.lo+shift, g.rowLo), min(s.hi+shift, g.rowHi-1)
+		if lo <= hi {
+			rows[n] = span{lo, hi}
+			n++
+		}
+	}
+	return n
+}
+
+// Wedge kinds: a sector of aperture below π is the intersection of its
+// edges' half-planes; a wider one is the disc minus the convex notch
+// between its edges; a sector whose widened notch closes is the disc.
+const (
+	wedgeConvex = iota
+	wedgeNotch
+	wedgeDisc
+)
+
+// wedge is one camera's sector prepared for the raster. On the line x =
+// dx (relative to the camera), the two edge half-planes are the
+// constraints a1·t ≥ b1·dx and a2·t ≥ b2·dx on the line's y offset t;
+// for wedgeNotch they bound the excluded notch instead.
+type wedge struct {
+	py, r2, pad    float64
+	kind           int
+	a1, b1, a2, b2 float64
+}
+
+// newWedge prepares the sector at (px, py) with squared radius r2,
+// orientation orient and half-aperture half, widened by
+// rasterAngleSlack. ok is false for a camera at a NaN position, which
+// covers no point.
+func newWedge(px, py, r2, orient, half float64) (w wedge, ok bool) {
+	if px != px || py != py {
+		return wedge{}, false
+	}
+	w = wedge{py: py, r2: r2, pad: chordSlack * math.Sqrt(r2)}
+	half += rasterAngleSlack
+	// Edges e1 and e2 bound the kept cone (convex) or the notch, whose
+	// half-angle is π − half, around orient + π.
+	mid := orient
+	switch {
+	case half < math.Pi/2:
+		w.kind = wedgeConvex
+	case math.Pi-half > 0:
+		w.kind = wedgeNotch
+		mid, half = orient+math.Pi, math.Pi-half
+	default:
+		w.kind = wedgeDisc
+		return w, true
+	}
+	s1, c1 := math.Sincos(mid - half)
+	s2, c2 := math.Sincos(mid + half)
+	if !(c1 == c1 && s1 == s1 && c2 == c2 && s2 == s2) {
+		// A NaN orientation: no half-plane is trustworthy, keep the disc.
+		w.kind = wedgeDisc
+		return w, true
+	}
+	// The cone between e1 and e2 (angular width below π) is
+	// cross(e1, d) ≥ 0 ∧ cross(d, e2) ≥ 0 for d = (dx, t).
+	w.a1, w.b1 = c1, s1
+	w.a2, w.b2 = -c2, -s2
+	return w, true
+}
+
+// clip intersects [lo, hi] with the half-line a·t ≥ b.
+func clip(lo, hi, a, b float64) (float64, float64) {
+	switch {
+	case a > 0:
+		lo = max(lo, b/a)
+	case a < 0:
+		hi = min(hi, b/a)
+	case b > 0:
+		return 1, 0 // 0 ≥ b fails everywhere on the line
+	}
+	return lo, hi
+}
+
+// spans fills out with the extended column spans of the row at offset
+// dx from the camera (dx² ≤ r²) that hold every point the camera can
+// cover, and returns how many it filled.
+func (w *wedge) spans(g *gridBlock, out *[2]span, dx float64) int {
+	// covers' dy is a wrapped difference in [−side/2, side/2), so the
+	// chord is cut there too; for a radius under side/2 it never is.
+	h := min(math.Sqrt(max(0, w.r2-dx*dx))+w.pad, g.side/2)
+	var parts [2][2]float64
+	n := 0
+	switch w.kind {
+	case wedgeConvex:
+		lo, hi := clip(-h, h, w.a1, w.b1*dx)
+		lo, hi = clip(lo, hi, w.a2, w.b2*dx)
+		if lo <= hi {
+			parts[0] = [2]float64{lo, hi}
+			n = 1
+		}
+	case wedgeNotch:
+		u1, u2 := clip(math.Inf(-1), math.Inf(1), w.a1, w.b1*dx)
+		u1, u2 = clip(u1, u2, w.a2, w.b2*dx)
+		if u1 > u2 {
+			parts[0] = [2]float64{-h, h}
+			n = 1
+			break
+		}
+		if hi := min(h, u1); -h <= hi {
+			parts[n] = [2]float64{-h, hi}
+			n++
+		}
+		if lo := max(-h, u2); lo <= h {
+			parts[n] = [2]float64{lo, h}
+			n++
+		}
+	default:
+		parts[0] = [2]float64{-h, h}
+		n = 1
+	}
+	if n == 0 {
+		return 0
+	}
+	// One pass over the row at most: a union reaching k indices is the
+	// whole row, and otherwise the spans lie within k consecutive
+	// extended indices, so none of them repeats an index.
+	whole, full := g.indexSpan(w.py+parts[0][0], w.py+parts[n-1][1])
+	if full {
+		out[0] = span{0, g.k - 1}
+		return 1
+	}
+	if n == 1 {
+		out[0] = whole
+		return 1
+	}
+	first, _ := g.indexSpan(w.py+parts[0][0], w.py+parts[0][1])
+	second, _ := g.indexSpan(w.py+parts[1][0], w.py+parts[1][1])
+	if first.hi+1 >= second.lo {
+		out[0] = whole
+		return 1
+	}
+	out[0], out[1] = first, second
+	return 2
 }

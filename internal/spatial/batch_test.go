@@ -1,6 +1,6 @@
 package spatial
 
-// Equivalence tests for the cell-sorted batch gather: the batch CSR
+// Equivalence tests for the batch gather: the batch CSR
 // results must equal the point-at-a-time outputs ELEMENT FOR ELEMENT —
 // same values in the same per-point order, compared with == (never a
 // tolerance) — over randomized heterogeneous networks with a 100×
@@ -74,9 +74,15 @@ func batchPoints(net *sensor.Network, r *rng.PCG, n int) []geom.Vec {
 	return pts
 }
 
+// batchSource is a Source with the batch loop: *Index and *View.
+type batchSource interface {
+	Source
+	AppendViewedDirectionsBatch(sc *BatchScratch, points []geom.Vec) ([]float64, []int32)
+}
+
 // assertBatchMatchesPoints checks the batch gather of src against its
 // point-at-a-time gather with exact equality.
-func assertBatchMatchesPoints(t *testing.T, tag string, src Source, sc *BatchScratch, pts []geom.Vec) {
+func assertBatchMatchesPoints(t *testing.T, tag string, src batchSource, sc *BatchScratch, pts []geom.Vec) {
 	t.Helper()
 	dirs, doffs := src.AppendViewedDirectionsBatch(sc, pts)
 	if len(doffs) != len(pts)+1 {

@@ -204,7 +204,7 @@ func FuzzGather(f *testing.F) {
 		var sc BatchScratch
 		for _, src := range []struct {
 			name string
-			src  Source
+			src  batchSource
 		}{{"index", NewIndex(liveNet)}, {"view", m.Snapshot()}} {
 			if got := src.src.Len(); got != len(live) {
 				t.Fatalf("%s: Len = %d, live list has %d", src.name, got, len(live))

@@ -1,7 +1,10 @@
 // Package spatial provides a toroidal spatial index over a camera
-// network. Grid sweeps ask "which cameras cover point P?" for hundreds of
-// thousands of points; the index answers in O(local density) instead of
-// O(n). Results are exactly — bit for bit — what a brute-force scan
+// network. Coverage queries ask "which cameras cover point P?" for
+// hundreds of thousands of points; the index answers in O(local
+// density) instead of O(n), and it answers two shapes of question: one
+// arbitrary point at a time (the point gather, below), and whole rows of
+// the paper's dense grid at a time (the grid raster, see batch.go).
+// Results are exactly — bit for bit — what a brute-force scan
 // through the sensor.Camera.Covers predicate would produce at the
 // wrapped point Torus.Wrap(p), which is how sensor.Network's scans test
 // it: the hot path uses a cheaper algebraic form of the same test and
@@ -33,6 +36,16 @@
 // left of a row is one contiguous slot run, or two where it crosses the
 // seam. Candidate enumeration is closure-free: the gathers walk the runs
 // inline and append into caller-owned scratch buffers.
+//
+// # Grid
+//
+// A dense-grid survey does not ask point by point. AppendGridDirections
+// takes a block of grid rows and walks it camera-major: each candidate
+// camera, found through its tier's bucket columns that reach the
+// block's x-strip, turns its sector into at most two intervals per grid
+// row and runs the same covers test on the points inside them. A point
+// of the block ends with the same directions as its point gather, bit
+// for bit, in another order.
 package spatial
 
 import (
@@ -329,24 +342,21 @@ func (ix *Index) viewedDirection(s int32, px, py float64) float64 {
 }
 
 // window fills runs with the slot runs of tier t that a camera covering
-// some point of the wrapped box [x0, x1]×[y0, y1] can sit in, and
-// returns how many it filled. A point is the box x0 = x1, y0 = y1; a
-// batch group is its bounding box, whose corner (x0, y0) lies in the
-// group's bucket. The box must lie in one bucket.
+// the wrapped point (px, py) can sit in, and returns how many it filled.
 //
 // A whole-tier tier yields its one run. Otherwise the rows and columns
-// of the (2·reach+1)² window around the corner's cell are walked in the
+// of the (2·reach+1)² window around the point's cell are walked in the
 // order the untrimmed walk visited them — rows up, columns left to
 // right from the window's left edge, across the seam — but a row whose
-// band lies farther than maxR from the box is skipped, and the others
-// keep only the columns within √(maxR² − h²) of the box, h being the
+// band lies farther than maxR from the point is skipped, and the others
+// keep only the columns within √(maxR² − h²) of the point, h being the
 // row's distance. Both tests widen maxR and shrink h by prefilterSlack,
 // which dwarfs the rounding of the cell arithmetic, so every camera the
-// exact per-point test could accept stays in a run. A box with a NaN
+// exact per-point test could accept stays in a run. A point with a NaN
 // coordinate (Wrap maps ±Inf to NaN) is covered by no camera and yields
 // no run.
-func (ix *Index) window(t *tier, runs *windowRuns, x0, x1, y0, y1 float64) int {
-	if x0 != x0 || x1 != x1 || y0 != y0 || y1 != y1 {
+func (ix *Index) window(t *tier, runs *windowRuns, px, py float64) int {
+	if px != px || py != py {
 		return 0
 	}
 	if t.all {
@@ -356,10 +366,10 @@ func (ix *Index) window(t *tier, runs *windowRuns, x0, x1, y0, y1 float64) int {
 	cs, cells := t.cellSize, t.cells
 	slack := prefilterSlack * ix.side
 	r := t.maxR + slack
-	pcx, pcy := t.cellOf(x0), t.cellOf(y0)
+	pcx, pcy := t.cellOf(px), t.cellOf(py)
 	n := 0
 	for ry := pcy - t.reach; ry <= pcy+t.reach; ry++ {
-		h := max(float64(ry)*cs-y1, y0-float64(ry+1)*cs) - slack
+		h := max(float64(ry)*cs-py, py-float64(ry+1)*cs) - slack
 		if h > r {
 			continue
 		}
@@ -367,8 +377,8 @@ func (ix *Index) window(t *tier, runs *windowRuns, x0, x1, y0, y1 float64) int {
 		if h > 0 {
 			w = math.Sqrt(r*r-h*h) + slack
 		}
-		cLo := max(int(math.Floor((x0-w)/cs)), pcx-t.reach)
-		cHi := min(int(math.Floor((x1+w)/cs)), pcx+t.reach)
+		cLo := max(int(math.Floor((px-w)/cs)), pcx-t.reach)
+		cHi := min(int(math.Floor((px+w)/cs)), pcx+t.reach)
 		row := t.starts[wrapCell(ry, cells)*cells:]
 		switch {
 		case cLo < 0:
@@ -431,15 +441,14 @@ func (ix *Index) AppendViewedDirections(dst []float64, p geom.Vec) []float64 {
 // d is the mutation overlay (nil for a pure Index): a candidate whose
 // removed bit is set is skipped, and the overlay-added cameras are
 // scanned last with the exact sensor predicates, which the algebraic
-// covers test is bit-identical to by contract. The emission order —
-// tier, window row, column, CSR slot, then added cameras — defines the
-// per-point sequence the batch gather reproduces element for element.
+// covers test is bit-identical to by contract. The emission order is
+// tier, window row, column, CSR slot, then added cameras.
 func (ix *Index) appendViewedDirections(dst []float64, p geom.Vec, d *overlay) []float64 {
 	p = ix.torus.Wrap(p)
 	var runs windowRuns
 	var near [nearChunk]int32
 	for ti := range ix.tiers {
-		nr := ix.window(&ix.tiers[ti], &runs, p.X, p.X, p.Y, p.Y)
+		nr := ix.window(&ix.tiers[ti], &runs, p.X, p.Y)
 		for _, r := range runs[:nr] {
 			for lo := r.lo; lo < r.hi; lo += nearChunk {
 				k := ix.nearSlots(&near, lo, min(lo+nearChunk, r.hi), p.X, p.Y)
@@ -469,7 +478,7 @@ func (ix *Index) CountCovering(p geom.Vec) int {
 	var near [nearChunk]int32
 	count := 0
 	for ti := range ix.tiers {
-		nr := ix.window(&ix.tiers[ti], &runs, p.X, p.X, p.Y, p.Y)
+		nr := ix.window(&ix.tiers[ti], &runs, p.X, p.Y)
 		for _, r := range runs[:nr] {
 			for lo := r.lo; lo < r.hi; lo += nearChunk {
 				k := ix.nearSlots(&near, lo, min(lo+nearChunk, r.hi), p.X, p.Y)

@@ -48,12 +48,13 @@ type Source interface {
 	// AppendViewedDirections appends the viewed directions of every
 	// camera covering p.
 	AppendViewedDirections(dst []float64, p geom.Vec) []float64
-	// AppendViewedDirectionsBatch answers AppendViewedDirections for a
-	// whole point batch through the cell-sorted gather:
-	// dirs[offs[i]:offs[i+1]] equals AppendViewedDirections(nil,
-	// points[i]) element for element. The returned slices are owned by
-	// sc and valid until its next batch call.
-	AppendViewedDirectionsBatch(sc *BatchScratch, points []geom.Vec) (dirs []float64, offs []int32)
+	// AppendGridDirections answers AppendViewedDirections for every
+	// point of rows [rowLo, rowHi) of the k×k grid through the
+	// camera-major row raster: dirs[offs[q]:offs[q+1]] holds the same
+	// directions as the point gather at grid point q of the block, in
+	// tier → slot → added order. The returned slices are owned by sc and
+	// valid until its next call.
+	AppendGridDirections(sc *BatchScratch, k, rowLo, rowHi int) (dirs []float64, offs []int32)
 	// CountCovering returns the point's k-coverage multiplicity.
 	CountCovering(p geom.Vec) int
 	// Torus returns the operational region.

@@ -181,7 +181,7 @@ func TestD2000CandidateWindow(t *testing.T) {
 	for i := 0; i < points; i++ {
 		p := geom.V(src.Float64(), src.Float64())
 		for ti := range ix.tiers {
-			nr := ix.window(&ix.tiers[ti], &runs, p.X, p.X, p.Y, p.Y)
+			nr := ix.window(&ix.tiers[ti], &runs, p.X, p.Y)
 			for _, r := range runs[:nr] {
 				visited += int(r.hi - r.lo)
 			}

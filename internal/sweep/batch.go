@@ -10,8 +10,8 @@ import (
 // BatchSize is the number of consecutive points a batch kernel receives
 // per call. It matches cancelCheckInterval — a batch is also the unit of
 // cancellation polling — and is small enough that per-worker batch
-// scratch stays cache-resident while large enough to amortise the
-// cell-sorted gather's per-batch setup.
+// scratch stays cache-resident. Grid surveys raster row blocks of at
+// least BatchSize points.
 const BatchSize = 256
 
 // groupPoints is the sample-point budget of one row group: large
@@ -30,18 +30,8 @@ func GroupRows(grid int) int {
 }
 
 // RunBatch is Run for kernels that evaluate whole point batches at
-// once: each worker walks its contiguous chunk in BatchSize sub-slices
-// and calls kernel(state, acc, lo, pts) per sub-slice, where lo is the
-// global index of pts[0]. Everything else — worker-state factories,
-// chunk-order merging, cancellation (checked before every sub-slice),
-// and panic containment (a *PanicError's Item is the batch's first
-// index) — behaves exactly like Run.
-//
-// Because chunk and batch boundaries only affect how points are grouped
-// (never which points are evaluated, nor their order within the fold),
-// a kernel whose per-point results are grouping-independent and whose
-// merge is exact at chunk boundaries gives results bit-identical to the
-// sequential sweep at any worker count, just like Run.
+// once: RunRanges over the point indices in BatchSize ranges, calling
+// kernel(state, acc, lo, points[lo:hi]) per range.
 func RunBatch[S, T any](
 	ctx context.Context,
 	points []geom.Vec,
@@ -50,29 +40,56 @@ func RunBatch[S, T any](
 	kernel func(state S, acc T, lo int, pts []geom.Vec) T,
 	merge func(dst, src T) T,
 ) (T, error) {
+	return RunRanges(ctx, len(points), BatchSize, workers, newState,
+		func(state S, acc T, lo, hi int) T { return kernel(state, acc, lo, points[lo:hi]) },
+		merge)
+}
+
+// RunRanges is Run for kernels that evaluate whole index ranges at
+// once — point batches, or blocks of grid rows: the items [0, n) are
+// split into contiguous worker chunks as in Run, and each worker walks
+// its chunk in ranges of at most batch items (batch ≥ 1), calling
+// kernel(state, acc, lo, hi) per range [lo, hi). Everything else —
+// worker-state factories, chunk-order merging, cancellation (checked
+// before every range, so a cancelled sweep stops within one range per
+// worker), and panic containment (a *PanicError's Item is the range's
+// first index) — behaves exactly like Run.
+//
+// Because chunk and range boundaries only affect how items are grouped
+// (never which items are evaluated, nor their order within the fold),
+// a kernel whose per-item results are grouping-independent and whose
+// merge is exact at chunk boundaries gives results bit-identical to the
+// sequential sweep at any worker count, just like Run.
+func RunRanges[S, T any](
+	ctx context.Context,
+	n, batch, workers int,
+	newState func() (S, error),
+	kernel func(state S, acc T, lo, hi int) T,
+	merge func(dst, src T) T,
+) (T, error) {
 	var zero T
 	if err := ctx.Err(); err != nil {
 		return zero, err
 	}
-	if len(points) == 0 {
+	if n <= 0 {
 		return zero, nil
 	}
-	workers = normalizeWorkers(workers, len(points))
-	return runParallel(ctx, len(points), workers, merge,
+	batch = max(batch, 1)
+	workers = normalizeWorkers(workers, n)
+	return runParallel(ctx, n, workers, merge,
 		func(ctx context.Context, w, lo, hi int) (T, error) {
-			return runBatchChunk(ctx, w, lo, hi, points, newState, kernel)
+			return runRangeChunk(ctx, w, lo, hi, batch, newState, kernel)
 		})
 }
 
-// runBatchChunk executes one worker's contiguous chunk [lo, hi) in
-// BatchSize sub-slices under the same panic guard as runChunk; the
-// guarded item index is the current batch's first point.
-func runBatchChunk[S, T any](
+// runRangeChunk executes one worker's contiguous chunk [lo, hi) in
+// ranges of at most batch items under the same panic guard as
+// runChunk; the guarded item index is the current range's first item.
+func runRangeChunk[S, T any](
 	ctx context.Context,
-	worker, lo, hi int,
-	points []geom.Vec,
+	worker, lo, hi, batch int,
 	newState func() (S, error),
-	kernel func(state S, acc T, lo int, pts []geom.Vec) T,
+	kernel func(state S, acc T, lo, hi int) T,
 ) (T, error) {
 	var acc, zero T
 	var innerErr error
@@ -83,17 +100,13 @@ func runBatchChunk[S, T any](
 			innerErr = err
 			return
 		}
-		for b := lo; b < hi; b += BatchSize {
+		for b := lo; b < hi; b += batch {
 			if err := ctx.Err(); err != nil {
 				innerErr = err
 				return
 			}
-			e := b + BatchSize
-			if e > hi {
-				e = hi
-			}
 			item = b
-			acc = kernel(state, acc, b, points[b:e])
+			acc = kernel(state, acc, b, min(b+batch, hi))
 		}
 	}); perr != nil {
 		return zero, perr
@@ -104,7 +117,7 @@ func runBatchChunk[S, T any](
 	return acc, nil
 }
 
-// runParallel is the fan-out/merge core shared by Run and RunBatch: it
+// runParallel is the fan-out/merge core shared by Run and RunRanges: it
 // splits n items into at most `workers` contiguous chunks, runs chunkFn
 // per chunk, surfaces the deterministic error choice of selectError,
 // and merges the chunk aggregates in chunk order. workers must already
