@@ -49,25 +49,29 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/fvcbench -quick all
 
-# Short fuzz pass over every fuzz target.
+# Short fuzz pass over every fuzz target; CI runs it with FUZZTIME=10s.
+# go refuses -fuzz patterns matching several targets, so each target is
+# named explicitly (the root package's TestFuzzTargetsInMakefile fails
+# when one is missing).
+FUZZTIME ?= 15s
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzNormalizeAngle -fuzztime=15s ./internal/geom/
-	$(GO) test -run=NONE -fuzz=FuzzAngularDistance -fuzztime=15s ./internal/geom/
-	$(GO) test -run=NONE -fuzz=FuzzSectorContains -fuzztime=15s ./internal/geom/
-	$(GO) test -run=NONE -fuzz=FuzzMinArcCoverageDepth -fuzztime=15s ./internal/geom/
-	$(GO) test -run=NONE -fuzz=FuzzParseProfile -fuzztime=15s ./internal/sensor/
-	$(GO) test -run=NONE -fuzz=FuzzCameraCovers -fuzztime=15s ./internal/sensor/
-	$(GO) test -run=NONE -fuzz=FuzzGather -fuzztime=15s ./internal/spatial/
-	$(GO) test -run=NONE -fuzz=FuzzGridGather -fuzztime=15s ./internal/spatial/
-	$(GO) test -run=NONE -fuzz=FuzzSurveyRows -fuzztime=15s ./internal/core/
-	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=15s ./internal/checkpoint/
-	$(GO) test -run=NONE -fuzz=FuzzReplay -fuzztime=15s ./internal/depjournal/
-	$(GO) test -run=NONE -fuzz=FuzzApply -fuzztime=15s ./internal/depjournal/
-	$(GO) test -run=NONE -fuzz=FuzzReplay -fuzztime=15s ./internal/jobs/
-	$(GO) test -run=NONE -fuzz=FuzzParseDigests -fuzztime=15s ./internal/cluster/
-	$(GO) test -run=NONE -fuzz=FuzzReplay -fuzztime=15s ./internal/jsonlog/
-	$(GO) test -run=NONE -fuzz=FuzzQueryEncoding -fuzztime=15s ./internal/server/
-	$(GO) test -run=NONE -fuzz=FuzzQueryDecode -fuzztime=15s -fuzzminimizetime=1s ./internal/server/
+	$(GO) test -run=NONE -fuzz=FuzzNormalizeAngle -fuzztime=$(FUZZTIME) ./internal/geom/
+	$(GO) test -run=NONE -fuzz=FuzzAngularDistance -fuzztime=$(FUZZTIME) ./internal/geom/
+	$(GO) test -run=NONE -fuzz=FuzzSectorContains -fuzztime=$(FUZZTIME) ./internal/geom/
+	$(GO) test -run=NONE -fuzz=FuzzMinArcCoverageDepth -fuzztime=$(FUZZTIME) ./internal/geom/
+	$(GO) test -run=NONE -fuzz=FuzzParseProfile -fuzztime=$(FUZZTIME) ./internal/sensor/
+	$(GO) test -run=NONE -fuzz=FuzzCameraCovers -fuzztime=$(FUZZTIME) ./internal/sensor/
+	$(GO) test -run=NONE -fuzz=FuzzGather -fuzztime=$(FUZZTIME) ./internal/spatial/
+	$(GO) test -run=NONE -fuzz=FuzzGridGather -fuzztime=$(FUZZTIME) ./internal/spatial/
+	$(GO) test -run=NONE -fuzz=FuzzSurveyRows -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/checkpoint/
+	$(GO) test -run=NONE -fuzz=FuzzReplay -fuzztime=$(FUZZTIME) ./internal/depjournal/
+	$(GO) test -run=NONE -fuzz=FuzzApply -fuzztime=$(FUZZTIME) ./internal/depjournal/
+	$(GO) test -run=NONE -fuzz=FuzzReplay -fuzztime=$(FUZZTIME) ./internal/jobs/
+	$(GO) test -run=NONE -fuzz=FuzzParseDigests -fuzztime=$(FUZZTIME) ./internal/cluster/
+	$(GO) test -run=NONE -fuzz=FuzzReplay -fuzztime=$(FUZZTIME) ./internal/jsonlog/
+	$(GO) test -run=NONE -fuzz=FuzzQueryEncoding -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run=NONE -fuzz=FuzzQueryDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/server/
 
 # Run the fvcd coverage query daemon (see README "Running the service").
 FVCD_ADDR ?= :8080

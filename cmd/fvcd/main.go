@@ -110,8 +110,8 @@ func run(args []string, w io.Writer) error {
 		readTimeout   = fs.Duration("read-timeout", 10*time.Second, "HTTP read timeout (0 = none)")
 		writeTimeout  = fs.Duration("write-timeout", 0, "HTTP write timeout (0 = none; long surveys need headroom)")
 		drainTimeout  = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
-		jobQueue      = fs.Int("job-queue", 0, "pending async jobs per kind before submissions answer 429 (0 = 64)")
-		jobWorkers    = fs.Int("job-concurrency", 0, "job workers per kind (0 = 2)")
+		jobQueue      = fs.Int("job-queue", 0, "pending async jobs before submissions answer 429 (0 = 64)")
+		jobWorkers    = fs.Int("job-concurrency", 0, "job workers (0 = 2)")
 		jobTTL        = fs.Duration("job-ttl", 0, "retention of finished job results before 410 Gone (0 = 15m, negative = forever)")
 		jobThrottle   = fs.Duration("job-throttle", 0, "pause between a job's row groups, for background pacing (0 = none)")
 		clusterFile   = fs.String("cluster", "", "peers file naming the cluster membership (see README \"Running a cluster\")")

@@ -144,23 +144,3 @@ func (c *Checker) KCovered(p geom.Vec, k int) bool {
 	}
 	return c.m.index.CountCovering(p) >= k
 }
-
-// sectorsAllOccupied reports whether every sector contains at least one
-// of the directions. It is the O(sectors·dirs) reference implementation
-// of occupancy.allOccupied, retained as the oracle for the randomized
-// equivalence tests.
-func sectorsAllOccupied(sectors []geom.Sector, dirs []float64) bool {
-	for _, s := range sectors {
-		occupied := false
-		for _, d := range dirs {
-			if s.Contains(d) {
-				occupied = true
-				break
-			}
-		}
-		if !occupied {
-			return false
-		}
-	}
-	return true
-}

@@ -3,11 +3,10 @@ package core
 // Randomized equivalence tests for the allocation-free coverage kernel:
 // every fast-path verdict (spatial CSR gather, guard-band cover test,
 // O(m) sector occupancy, in-place max-gap) is compared against the
-// brute-force O(n·m) oracles retained in the codebase —
-// sensor.Network.ViewedDirections / CoveringIndices, geom.MaxCircularGap
-// and sectorsAllOccupied — on heterogeneous networks whose radii span
-// two orders of magnitude (0.002 … 0.2), plus zero-allocation proofs via
-// testing.AllocsPerRun.
+// brute-force O(n·m) oracles — sensor.Network.ViewedDirections /
+// CoveringIndices, geom.MaxCircularGap and sectorsAllOccupied below — on
+// heterogeneous networks whose radii span two orders of magnitude
+// (0.002 … 0.2), plus zero-allocation proofs via testing.AllocsPerRun.
 
 import (
 	"math"
@@ -18,6 +17,26 @@ import (
 	"fullview/internal/rng"
 	"fullview/internal/sensor"
 )
+
+// sectorsAllOccupied reports whether every sector contains at least one
+// of the directions. It is the O(sectors·dirs) reference implementation
+// of occupancy.allOccupied: the oracle of the randomized equivalence
+// tests.
+func sectorsAllOccupied(sectors []geom.Sector, dirs []float64) bool {
+	for _, s := range sectors {
+		occupied := false
+		for _, d := range dirs {
+			if s.Contains(d) {
+				occupied = true
+				break
+			}
+		}
+		if !occupied {
+			return false
+		}
+	}
+	return true
+}
 
 // wideSpanProfile mixes radii 0.002, 0.02 and 0.2 — a 100× span — so
 // the per-radius tiers of the spatial index all carry cameras and the

@@ -587,17 +587,6 @@ func foldDeployment(reg Record, muts []Record, materialize MaterializeFunc) (Rec
 	}, true
 }
 
-// Compact atomically rewrites the journal as a deduplicated, folded
-// snapshot regardless of size.
-func (j *Journal) Compact() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	return j.compactLocked()
-}
-
 // compactLocked rewrites the file as the snapshot. Deployments whose
 // mutations fold are written as one Folded registration; the rest keep
 // registration + mutations verbatim. In-memory state is committed only

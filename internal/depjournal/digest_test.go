@@ -32,7 +32,7 @@ func TestDigestInvariantAcrossHistories(t *testing.T) {
 	}
 
 	// Compaction folds mutations in place; the digest must not move.
-	if err := j.Compact(); err != nil {
+	if err := compact(j); err != nil {
 		t.Fatal(err)
 	}
 	if got := j.Digests(); !digestsEqual(got, before) {
@@ -316,7 +316,7 @@ func TestVersionCounts(t *testing.T) {
 	if _, ok := versionOf(j, "zzzz"); ok {
 		t.Fatal("version of unknown id reported ok")
 	}
-	if err := j.Compact(); err != nil {
+	if err := compact(j); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := versionOf(j, "aaaa"); v != 2 {

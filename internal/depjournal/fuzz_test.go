@@ -248,7 +248,7 @@ func FuzzApply(f *testing.F) {
 					want = ErrStale
 				}
 			case 3:
-				if err := j.Compact(); err != nil {
+				if err := compact(j); err != nil {
 					t.Fatal(err)
 				}
 			case 4:

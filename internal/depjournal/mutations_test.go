@@ -267,7 +267,7 @@ func TestFoldOnCompaction(t *testing.T) {
 	if err := j.AppendMutations("aaaa", muts); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Compact(); err != nil {
+	if err := compact(j); err != nil {
 		t.Fatal(err)
 	}
 	reg, ok := j.Lookup("aaaa")
@@ -323,7 +323,7 @@ func TestFoldRecipeNeedsMaterialize(t *testing.T) {
 	if err := j.AppendMutations("aaaa", []Record{mut}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Compact(); err != nil {
+	if err := compact(j); err != nil {
 		t.Fatal(err)
 	}
 	if reg, _ := j.Lookup("aaaa"); reg.Folded {
@@ -346,7 +346,7 @@ func TestFoldRecipeNeedsMaterialize(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if err := j2.Compact(); err != nil {
+	if err := compact(j2); err != nil {
 		t.Fatal(err)
 	}
 	reg, _ := j2.Lookup("aaaa")
@@ -378,7 +378,7 @@ func TestFoldFailureKeepsRecords(t *testing.T) {
 	if err := j.AppendMutations("aaaa", []Record{{ID: "aaaa", Op: OpRemove, Remove: []int{0}, BaseVersion: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Compact(); err != nil {
+	if err := compact(j); err != nil {
 		t.Fatal(err)
 	}
 	if reg, _ := j.Lookup("aaaa"); reg.Folded {

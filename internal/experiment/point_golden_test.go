@@ -38,15 +38,22 @@ type goldenOutcome struct {
 	CoveringCount         stats.Summary `json:"coveringCount"`
 }
 
+// counts reads a counter's successes and total off its String form,
+// "successes/total = …": Counter keeps its total unexported.
+func counts(c stats.Counter) [2]int {
+	var n [2]int
+	fmt.Sscanf(c.String(), "%d/%d", &n[0], &n[1])
+	return n
+}
+
 func goldenOf(o PointOutcome) goldenOutcome {
-	pair := func(c stats.Counter) [2]int { return [2]int{c.Successes(), c.Total()} }
 	return goldenOutcome{
-		Necessary:             pair(o.Necessary),
-		Sufficient:            pair(o.Sufficient),
-		FullView:              pair(o.FullView),
-		NecessaryNotFullView:  pair(o.NecessaryNotFullView),
-		FullViewNotSufficient: pair(o.FullViewNotSufficient),
-		KCovered:              pair(o.KCovered),
+		Necessary:             counts(o.Necessary),
+		Sufficient:            counts(o.Sufficient),
+		FullView:              counts(o.FullView),
+		NecessaryNotFullView:  counts(o.NecessaryNotFullView),
+		FullViewNotSufficient: counts(o.FullViewNotSufficient),
+		KCovered:              counts(o.KCovered),
 		CoveringCount:         o.CoveringCount,
 	}
 }

@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"time"
 
-	"fullview/internal/retry"
-	"fullview/internal/rng"
 	"fullview/internal/sweep"
 )
 
-// ErrTransient marks an error as transient: a trial failing with an
-// error wrapping ErrTransient is eligible for retry under the default
-// RetryPolicy. Wrap with Transient or fmt.Errorf("...: %w", ErrTransient).
+// ErrTransient marks an error as transient: an error wrapping
+// ErrTransient is eligible for retry under the default RetryPolicy.
+// Wrap with Transient or fmt.Errorf("...: %w", ErrTransient).
 var ErrTransient = errors.New("transient")
 
 // Transient marks err as transient for retry classification. A nil err
@@ -25,13 +23,14 @@ func Transient(err error) error {
 	return fmt.Errorf("%w: %w", ErrTransient, err)
 }
 
-// RetryPolicy bounds how trial errors are retried: at most MaxAttempts
-// attempts per trial with exponential backoff capped at MaxDelay, all
-// inside the deadline of the context threaded through RunContext /
-// RunRetry. The zero value retries nothing.
+// RetryPolicy bounds how a failed unit of work is retried: at most
+// MaxAttempts attempts with exponential backoff capped at MaxDelay,
+// and only for errors ShouldRetry accepts. The job manager
+// (internal/jobs) retries a survey job's row group under it. The zero
+// value retries nothing.
 type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts per trial (first run
-	// included); values ≤ 1 disable retries.
+	// MaxAttempts is the total number of attempts (first run included);
+	// values ≤ 1 disable retries.
 	MaxAttempts int
 	// BaseDelay is the backoff before the first retry; it doubles each
 	// further retry. Zero means no waiting between attempts.
@@ -59,50 +58,4 @@ func (p RetryPolicy) ShouldRetry(err error) bool {
 		return p.Retryable(err)
 	}
 	return errors.Is(err, ErrTransient)
-}
-
-// WithRetry wraps a trial function so transient failures are retried
-// under the policy. Every retry re-runs the trial on a freshly
-// reconstructed (seed, trial) RNG stream — the generator handed to the
-// failed attempt is partially consumed — so a retry that succeeds
-// produces exactly the result an untroubled first attempt would have.
-// Backoff waits respect ctx: once the context is cancelled or its
-// deadline passes, the wrapper returns the last trial error joined with
-// ctx.Err() instead of waiting further.
-//
-// Panics are NOT retried: they escape to the sweep engine, which
-// converts them into a *sweep.PanicError and aborts the run.
-func WithRetry[T any](ctx context.Context, policy RetryPolicy, seed uint64, fn TrialFunc[T]) TrialFunc[T] {
-	if policy.MaxAttempts <= 1 {
-		return fn
-	}
-	return func(trial int, r *rng.PCG) (T, error) {
-		out, err := fn(trial, r)
-		for attempt := 0; err != nil && attempt < policy.MaxAttempts-1; attempt++ {
-			if !policy.ShouldRetry(err) {
-				return out, err
-			}
-			if waitErr := retry.Sleep(ctx, retry.Backoff(policy.BaseDelay, policy.MaxDelay, attempt)); waitErr != nil {
-				return out, fmt.Errorf("experiment: retry abandoned: %w", errors.Join(err, waitErr))
-			}
-			out, err = fn(trial, rng.New(seed, uint64(trial)))
-		}
-		if err != nil {
-			return out, fmt.Errorf("experiment: after %d attempts: %w", policy.MaxAttempts, err)
-		}
-		return out, nil
-	}
-}
-
-// RunRetry is RunContext with bounded per-trial retries: fn is wrapped
-// with WithRetry under the policy, and the context's deadline bounds
-// both trial execution and backoff waits.
-func RunRetry[T any](
-	ctx context.Context,
-	policy RetryPolicy,
-	seed uint64,
-	trials, parallelism int,
-	fn TrialFunc[T],
-) ([]T, error) {
-	return RunContext(ctx, seed, trials, parallelism, WithRetry(ctx, policy, seed, fn))
 }

@@ -152,10 +152,6 @@ func Reset() {
 	armed.Store(false)
 }
 
-// Armed reports whether any hook is currently armed (for test sanity
-// checks).
-func Armed() bool { return armed.Load() }
-
 // Error returns a hook that always fails with err.
 func Error(err error) func() error {
 	return func() error { return err }
@@ -166,18 +162,6 @@ func Error(err error) func() error {
 func Sleep(d time.Duration) func() error {
 	return func() error {
 		time.Sleep(d)
-		return nil
-	}
-}
-
-// FailN returns a hook that fails with err for the first n firings and
-// succeeds afterwards — the transient fault for retry tests.
-func FailN(err error, n int64) func() error {
-	var fired atomic.Int64
-	return func() error {
-		if fired.Add(1) <= n {
-			return err
-		}
 		return nil
 	}
 }

@@ -57,23 +57,7 @@ func AngularDistance(a, b float64) float64 {
 	return d
 }
 
-// AngleDiff returns the signed shortest rotation from b to a, in (-π, π].
-func AngleDiff(a, b float64) float64 {
-	d := NormalizeAngle(a - b)
-	if d > math.Pi {
-		d -= TwoPi
-	}
-	return d
-}
-
 // CCWDelta returns the counter-clockwise rotation from b to a, in [0, 2π).
 func CCWDelta(a, b float64) float64 {
 	return NormalizeAngle(a - b)
 }
-
-// Degrees converts radians to degrees. It exists for human-facing report
-// output only; all internal computation stays in radians.
-func Degrees(rad float64) float64 { return rad * 180 / math.Pi }
-
-// Radians converts degrees to radians.
-func Radians(deg float64) float64 { return deg * math.Pi / 180 }

@@ -3,8 +3,20 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
+
+// sortAngles returns a new slice with the angles normalized to [0, 2π)
+// and sorted ascending.
+func sortAngles(angles []float64) []float64 {
+	out := make([]float64, len(angles))
+	for i, a := range angles {
+		out[i] = NormalizeAngle(a)
+	}
+	sort.Float64s(out)
+	return out
+}
 
 // bruteMinDepth samples the circle densely and at interval midpoints to
 // approximate the minimum closed-arc coverage depth.
@@ -28,7 +40,7 @@ func bruteMinDepth(centers []float64, halfWidth float64) int {
 	for _, c := range centers {
 		endpoints = append(endpoints, NormalizeAngle(c-halfWidth), NormalizeAngle(c+halfWidth))
 	}
-	sorted := SortAngles(endpoints)
+	sorted := sortAngles(endpoints)
 	for i := range sorted {
 		next := sorted[(i+1)%len(sorted)]
 		gap := NormalizeAngle(next - sorted[i])

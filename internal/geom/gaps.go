@@ -85,26 +85,3 @@ func gapScanSorted(sorted []float64) (gap, bisector float64) {
 	}
 	return gap, NormalizeAngle(gapStart + gap/2)
 }
-
-// SortAngles returns a new slice with the angles normalized to [0, 2π)
-// and sorted ascending.
-func SortAngles(angles []float64) []float64 {
-	out := make([]float64, len(angles))
-	for i, a := range angles {
-		out[i] = NormalizeAngle(a)
-	}
-	sort.Float64s(out)
-	return out
-}
-
-// CoversAllDirections reports whether every direction on the circle is
-// within tolerance θ of at least one of the given directions — i.e.
-// whether the directions θ-cover the circle. Equivalent to
-// MaxCircularGap(angles) ≤ 2θ.
-func CoversAllDirections(angles []float64, theta float64) bool {
-	if len(angles) == 0 {
-		return false
-	}
-	gap, _ := MaxCircularGap(angles)
-	return gap <= 2*theta
-}

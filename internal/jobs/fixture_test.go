@@ -12,13 +12,15 @@ import (
 // TestReplayFixtures restores committed job journals written by an
 // earlier build of this package, so a change to the reader cannot
 // silently stop accepting journals already on disk: a mid-run sweep
-// (bands 0, 1 and 5 journaled, band 6 torn) and a compacted finished
-// one. The mid-run job must resume from exactly its intact bands and
-// finish bit-identical to an uninterrupted survey.
+// (bands 0, 1 and 5 journaled, band 6 torn), a compacted finished
+// one, and a mid-run survey (its first row group, bands 0-3, and band 4
+// of its second journaled, band 5 torn), whose header keeps
+// "kind":"survey". Each mid-run job must resume from exactly its
+// intact bands and finish bit-identical to an uninterrupted survey.
 func TestReplayFixtures(t *testing.T) {
 	dir := t.TempDir()
 	fixture := map[string][]byte{}
-	for _, id := range []string{"job-fixture-midrun", "job-fixture-done"} {
+	for _, id := range []string{"job-fixture-midrun", "job-fixture-done", "job-fixture-survey-midrun"} {
 		data, err := os.ReadFile(filepath.Join("testdata", id+fileSuffix))
 		if err != nil {
 			t.Fatal(err)
@@ -31,6 +33,8 @@ func TestReplayFixtures(t *testing.T) {
 	net := testNet(t, 600, 19)
 	spec := Spec{Kind: KindSweep, Deployment: "dep-fixture", ThetasPi: []float64{0.25, 0.5}, Grid: 4}
 	want := wholeGrid(t, net, spec)
+	survey := Spec{Kind: KindSurvey, Deployment: "dep-fixture", ThetasPi: []float64{0.25}, Grid: 8}
+	wantSurvey := wholeGrid(t, net, survey)
 
 	// Hold the resumed job at its start until its replayed state is
 	// checked.
@@ -63,10 +67,20 @@ func TestReplayFixtures(t *testing.T) {
 	if !mid.Resumed || mid.BandsDone != 3 || mid.Bands != 8 || !mid.Created.Equal(time.Unix(1700000000, 0)) {
 		t.Fatalf("mid-run job restored as %+v", mid)
 	}
-	data := fixture["job-fixture-midrun"]
-	intact := int64(bytes.LastIndexByte(data, '\n') + 1)
-	if st, err := os.Stat(filepath.Join(dir, "job-fixture-midrun"+fileSuffix)); err != nil || st.Size() != intact {
-		t.Fatalf("torn tail not cut: stat %v, %v; want size %d", st, err, intact)
+	sur, err := m.Get("job-fixture-survey-midrun")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sur.Resumed || sur.BandsDone != 5 || sur.Bands != 8 || sur.Spec.Kind != KindSurvey ||
+		!sur.Created.Equal(time.Unix(1700000300, 0)) {
+		t.Fatalf("mid-run survey restored as %+v", sur)
+	}
+	for _, id := range []string{"job-fixture-midrun", "job-fixture-survey-midrun"} {
+		data := fixture[id]
+		intact := int64(bytes.LastIndexByte(data, '\n') + 1)
+		if st, err := os.Stat(filepath.Join(dir, id+fileSuffix)); err != nil || st.Size() != intact {
+			t.Fatalf("%s: torn tail not cut: stat %v, %v; want size %d", id, st, err, intact)
+		}
 	}
 
 	once.Do(func() { close(release) })
@@ -78,6 +92,11 @@ func TestReplayFixtures(t *testing.T) {
 		if final.Result.Stats[i] != want[i] {
 			t.Fatalf("slot %d: resumed %+v != uninterrupted %+v", i, final.Result.Stats[i], want[i])
 		}
+	}
+	final = waitTerminal(t, m, "job-fixture-survey-midrun")
+	if final.State != StateDone || final.Spec.Kind != KindSurvey || len(final.Result.Stats) != 1 ||
+		final.BandsDone != 8 || final.Result.Stats[0] != wantSurvey[0] {
+		t.Fatalf("resumed survey ended %+v, want result %+v", final, wantSurvey[0])
 	}
 	if bad, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(bad) != 0 {
 		t.Fatalf("quarantined: %v", bad)

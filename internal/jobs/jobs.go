@@ -15,11 +15,11 @@
 //
 //   - a panic inside a group fails only that job (structured *PanicError
 //     with the stack); the manager and its other jobs keep running
-//   - transient group errors (experiment.ErrTransient, or the policy's
-//     own classifier) get bounded retries with capped jittered backoff;
-//     panics and cancellation are never retried
-//   - the per-kind queue is bounded: Submit fails fast with
-//     ErrQueueFull instead of accepting unbounded work
+//   - transient group errors (experiment.ErrTransient) get bounded
+//     retries with capped jittered backoff; panics and cancellation are
+//     never retried
+//   - the queue is bounded: Submit fails fast with ErrQueueFull instead
+//     of accepting unbounded work
 //   - journal-write failure degrades the job to memory-only (JournalErr
 //     reports it for /readyz) — results still complete, they just don't
 //     survive a restart
@@ -52,7 +52,9 @@ import (
 	"fullview/internal/sweep"
 )
 
-// Kind names what a job computes.
+// Kind names what a job was submitted as. A survey is a one-θ sweep:
+// the kind only sets Validate's θ count, and every job runs on the one
+// queue and worker pool.
 type Kind string
 
 const (
@@ -61,10 +63,6 @@ const (
 	// KindSweep surveys the same k×k grid at each θ in a list.
 	KindSweep Kind = "sweep"
 )
-
-// Kinds lists every job kind, in a fixed order (metrics registration
-// iterates it).
-func Kinds() []Kind { return []Kind{KindSurvey, KindSweep} }
 
 // State is a job's lifecycle state: queued → running → one of the
 // terminal states done / failed / cancelled.
@@ -255,30 +253,28 @@ var (
 type Hooks struct {
 	// JobDone fires once per job reaching a terminal state, with the
 	// wall time from run start (or creation, if it never ran).
-	JobDone func(kind Kind, state State, elapsed time.Duration)
+	JobDone func(state State, elapsed time.Duration)
 	// GroupDone fires once per row group computed by this process, with
 	// the number of sample points its sweep evaluated, counted once per
 	// θ slot, and the group's wall time (including retries). Groups
 	// wholly restored from the journal on resume do not fire — they did
 	// no work here.
-	GroupDone func(kind Kind, points int, elapsed time.Duration)
+	GroupDone func(points int, elapsed time.Duration)
 }
 
 // Config tunes a Manager. The zero value works (memory-only jobs).
 type Config struct {
 	// Dir is the job-journal directory; empty disables durability.
 	Dir string
-	// QueueDepth bounds each kind's pending queue (default 64).
+	// QueueDepth bounds the pending queue, which survey and sweep jobs
+	// share (default 64).
 	QueueDepth int
-	// Concurrency is the number of workers per kind (default 2).
+	// Concurrency is the number of workers, which run survey and sweep
+	// jobs alike (default 2).
 	Concurrency int
 	// TTL is how long terminal jobs are retained for polling before
 	// garbage collection (default 15m; negative retains forever).
 	TTL time.Duration
-	// Retry bounds per-group retries of transient errors. A zero
-	// MaxAttempts selects the default {3 attempts, 25ms base, 250ms
-	// cap}; delays are jittered ±20%.
-	Retry experiment.RetryPolicy
 	// Throttle inserts a pause after every completed row group — a test
 	// and ops knob that makes mid-job crashes reproducible.
 	Throttle time.Duration
@@ -298,14 +294,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TTL == 0 {
 		c.TTL = 15 * time.Minute
-	}
-	if c.Retry.MaxAttempts == 0 {
-		c.Retry = experiment.RetryPolicy{
-			MaxAttempts: 3,
-			BaseDelay:   25 * time.Millisecond,
-			MaxDelay:    250 * time.Millisecond,
-			Retryable:   c.Retry.Retryable,
-		}
 	}
 	if c.Logger == nil {
 		c.Logger = log.Default()
@@ -340,11 +328,15 @@ type job struct {
 	subs      map[chan Event]struct{}
 }
 
-// Manager owns the job table, the per-kind worker pools and bounded
-// queues, the journal directory, and the TTL garbage collector.
+// Manager owns the job table, the worker pool and its bounded queue,
+// the journal directory, and the TTL garbage collector.
 type Manager struct {
 	cfg  Config
 	exec Exec
+	// retry bounds per-group retries of transient errors: 3 attempts,
+	// 25ms base, 250ms cap, delays jittered ±20%. In-package tests
+	// shorten it before Start.
+	retry experiment.RetryPolicy
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -353,7 +345,7 @@ type Manager struct {
 	mu      sync.Mutex
 	jobs    map[string]*job
 	gone    map[string]time.Time
-	queues  map[Kind]chan *job
+	queue   chan *job
 	closed  bool
 	started bool
 
@@ -363,7 +355,7 @@ type Manager struct {
 	inflight  atomic.Int64
 	bandsDone atomic.Int64
 	resumes   atomic.Int64
-	counts    map[Kind]map[State]*atomic.Int64
+	counts    map[State]*atomic.Int64
 }
 
 // New builds a Manager. exec is consulted when a job starts running.
@@ -380,26 +372,23 @@ func New(cfg Config, exec Exec) (*Manager, error) {
 	m := &Manager{
 		cfg:        cfg,
 		exec:       exec,
+		retry:      experiment.RetryPolicy{MaxAttempts: 3, BaseDelay: 25 * time.Millisecond, MaxDelay: 250 * time.Millisecond},
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*job),
 		gone:       make(map[string]time.Time),
-		queues:     make(map[Kind]chan *job),
-		counts:     make(map[Kind]map[State]*atomic.Int64),
+		queue:      make(chan *job, cfg.QueueDepth),
+		counts:     make(map[State]*atomic.Int64),
 	}
-	for _, k := range Kinds() {
-		m.queues[k] = make(chan *job, cfg.QueueDepth)
-		m.counts[k] = make(map[State]*atomic.Int64)
-		for _, s := range States() {
-			m.counts[k][s] = new(atomic.Int64)
-		}
+	for _, s := range States() {
+		m.counts[s] = new(atomic.Int64)
 	}
 	return m, nil
 }
 
 // Start replays the journal directory — restoring terminal results and
 // re-queueing incomplete jobs for resumption — and then launches the
-// worker pools and the TTL garbage collector. It is called once, from
+// worker pool and the TTL garbage collector. It is called once, from
 // the server's warmup goroutine, so replay cost never delays listening.
 func (m *Manager) Start() {
 	m.mu.Lock()
@@ -419,12 +408,9 @@ func (m *Manager) Start() {
 		resumed = m.replay()
 	}
 
-	for _, k := range Kinds() {
-		q := m.queues[k]
-		for i := 0; i < m.cfg.Concurrency; i++ {
-			m.wg.Add(1)
-			go m.worker(q)
-		}
+	for i := 0; i < m.cfg.Concurrency; i++ {
+		m.wg.Add(1)
+		go m.worker()
 	}
 	if m.cfg.TTL > 0 {
 		m.wg.Add(1)
@@ -437,16 +423,15 @@ func (m *Manager) Start() {
 	sort.Slice(resumed, func(i, j int) bool { return resumed[i].created.Before(resumed[j].created) })
 	for _, j := range resumed {
 		m.resumes.Add(1)
-		m.bumpState(j.spec.Kind, StateQueued)
-		q := m.queues[j.spec.Kind]
+		m.bumpState(StateQueued)
 		select {
-		case q <- j:
+		case m.queue <- j:
 		default:
 			m.wg.Add(1)
 			go func(j *job) {
 				defer m.wg.Done()
 				select {
-				case q <- j:
+				case m.queue <- j:
 				case <-m.baseCtx.Done():
 				}
 			}(j)
@@ -562,7 +547,7 @@ func (m *Manager) Close() {
 }
 
 // Submit validates and enqueues a new job, returning its initial
-// snapshot. ErrQueueFull reports a saturated kind queue (retryable);
+// snapshot. ErrQueueFull reports a saturated queue (retryable);
 // ErrClosed a shut-down manager.
 func (m *Manager) Submit(spec Spec) (Snapshot, error) {
 	if err := spec.Validate(); err != nil {
@@ -586,7 +571,6 @@ func (m *Manager) Submit(spec Spec) (Snapshot, error) {
 		subs:    make(map[chan Event]struct{}),
 	}
 	m.jobs[id] = j
-	q := m.queues[spec.Kind]
 	m.mu.Unlock()
 
 	if m.cfg.Dir != "" {
@@ -608,7 +592,7 @@ func (m *Manager) Submit(spec Spec) (Snapshot, error) {
 	}
 
 	select {
-	case q <- j:
+	case m.queue <- j:
 	default:
 		m.mu.Lock()
 		delete(m.jobs, id)
@@ -621,7 +605,7 @@ func (m *Manager) Submit(spec Spec) (Snapshot, error) {
 		j.mu.Unlock()
 		return Snapshot{}, ErrQueueFull
 	}
-	m.bumpState(spec.Kind, StateQueued)
+	m.bumpState(StateQueued)
 	return m.snapshot(j), nil
 }
 
@@ -706,9 +690,9 @@ func (m *Manager) JournalErr() error {
 }
 
 // StateCount returns the number of jobs that have entered the given
-// state (monotonic; backs fvcd_jobs_total{kind,state}).
-func (m *Manager) StateCount(kind Kind, state State) int64 {
-	return m.counts[kind][state].Load()
+// state (monotonic; backs fvcd_jobs_total{state}).
+func (m *Manager) StateCount(state State) int64 {
+	return m.counts[state].Load()
 }
 
 // Inflight returns the number of currently running jobs.
@@ -752,20 +736,18 @@ func (m *Manager) snapshot(j *job) Snapshot {
 	}
 }
 
-func (m *Manager) bumpState(kind Kind, state State) {
-	if c, ok := m.counts[kind][state]; ok {
-		c.Add(1)
-	}
+func (m *Manager) bumpState(state State) {
+	m.counts[state].Add(1)
 }
 
-// worker drains one kind's queue until shutdown.
-func (m *Manager) worker(q chan *job) {
+// worker drains the queue until shutdown.
+func (m *Manager) worker() {
 	defer m.wg.Done()
 	for {
 		select {
 		case <-m.baseCtx.Done():
 			return
-		case j := <-q:
+		case j := <-m.queue:
 			m.runJob(j)
 		}
 	}
@@ -789,7 +771,7 @@ func (m *Manager) runJob(j *job) {
 	j.started = time.Now()
 	j.mu.Unlock()
 	defer cancel()
-	m.bumpState(j.spec.Kind, StateRunning)
+	m.bumpState(StateRunning)
 	m.inflight.Add(1)
 	defer m.inflight.Add(-1)
 	m.emitState(j, StateRunning)
@@ -863,7 +845,7 @@ func (m *Manager) abandon(j *job) {
 // errors never retry. first is the group's first missing band, which a
 // *PanicError names.
 func (m *Manager) runGroup(ctx context.Context, runner BandRunner, first, lo, hi int) ([]core.RegionStats, error) {
-	pol := m.cfg.Retry
+	pol := m.retry
 	for attempt := 1; ; attempt++ {
 		stats, err := m.groupAttempt(ctx, runner, first, lo, hi)
 		if err == nil {
@@ -929,7 +911,7 @@ func (m *Manager) completeGroup(j *job, lo, hi int, missing []int, stats []core.
 		for _, s := range stats {
 			points += s.Points
 		}
-		m.cfg.Hooks.GroupDone(j.spec.Kind, points, elapsed)
+		m.cfg.Hooks.GroupDone(points, elapsed)
 	}
 	for i, band := range missing {
 		m.emit(j, Event{
@@ -991,7 +973,7 @@ func (m *Manager) finishJob(j *job, state State, errMsg string, result *Result) 
 	j.perBand = nil
 	j.mu.Unlock()
 
-	m.bumpState(j.spec.Kind, state)
+	m.bumpState(state)
 	if file != nil {
 		rec := record{State: state, Error: errMsg, Result: result, FinishedNS: now.UnixNano()}
 		if err := file.append(rec); err != nil {
@@ -1020,7 +1002,7 @@ func (m *Manager) finishJob(j *job, state State, errMsg string, result *Result) 
 		if from.IsZero() {
 			from = j.created
 		}
-		m.cfg.Hooks.JobDone(j.spec.Kind, state, now.Sub(from))
+		m.cfg.Hooks.JobDone(state, now.Sub(from))
 	}
 }
 

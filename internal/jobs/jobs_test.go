@@ -142,8 +142,8 @@ func TestSurveyJobMatchesLibrary(t *testing.T) {
 	if len(final.Result.Stats) != 1 || final.Result.Stats[0] != want[0] {
 		t.Fatalf("job result %+v != library %+v", final.Result.Stats, want)
 	}
-	if got := m.StateCount(KindSurvey, StateDone); got != 1 {
-		t.Fatalf("StateCount(survey, done) = %d, want 1", got)
+	if got := m.StateCount(StateDone); got != 1 {
+		t.Fatalf("StateCount(done) = %d, want 1", got)
 	}
 	if m.BandsDone() != 12 || final.BandsDone != 12 {
 		t.Fatalf("BandsDone = %d, snapshot %d, want 12", m.BandsDone(), final.BandsDone)
@@ -364,7 +364,7 @@ func TestCancelBeforeStartAndDoubleCancel(t *testing.T) {
 	if again.State != StateCancelled || !again.Finished.Equal(got.Finished) {
 		t.Fatalf("double cancel not idempotent: %+v vs %+v", again, got)
 	}
-	if n := m.StateCount(KindSurvey, StateCancelled); n != 1 {
+	if n := m.StateCount(StateCancelled); n != 1 {
 		t.Fatalf("StateCount(cancelled) = %d, want 1", n)
 	}
 }
@@ -450,12 +450,17 @@ func TestQueueFull(t *testing.T) {
 func TestTransientBandRetry(t *testing.T) {
 	defer faultinject.Reset()
 	flaky := fmt.Errorf("disk hiccup: %w", experiment.ErrTransient)
-	remove := faultinject.Set(faultinject.JobBand, faultinject.FailN(flaky, 2))
+	var fired atomic.Int64
+	remove := faultinject.Set(faultinject.JobBand, func() error {
+		if fired.Add(1) <= 2 {
+			return flaky
+		}
+		return nil
+	})
 	defer remove()
 	net := testNet(t, 80, 13)
-	m := newManager(t, Config{
-		Retry: experiment.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
-	}, realExec(t, net))
+	m := newManager(t, Config{}, realExec(t, net))
+	m.retry = experiment.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
 	m.Start()
 	spec := surveySpec(5)
 	snap, err := m.Submit(spec)
@@ -476,9 +481,8 @@ func TestTransientRetriesExhausted(t *testing.T) {
 	flaky := fmt.Errorf("still down: %w", experiment.ErrTransient)
 	remove := faultinject.Set(faultinject.JobBand, faultinject.Error(flaky))
 	defer remove()
-	m := newManager(t, Config{
-		Retry: experiment.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond},
-	}, realExec(t, testNet(t, 30, 2)))
+	m := newManager(t, Config{}, realExec(t, testNet(t, 30, 2)))
+	m.retry = experiment.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}
 	m.Start()
 	snap, err := m.Submit(surveySpec(4))
 	if err != nil {

@@ -1,11 +1,10 @@
 // Package report renders the benchmark harness's output: aligned ASCII
-// tables, CSV export, and ASCII line charts for the figure
-// reproductions. Everything writes to an io.Writer so CLIs and tests
-// share the same rendering path.
+// tables and ASCII line charts for the figure reproductions. Everything
+// writes to an io.Writer so CLIs and tests share the same rendering
+// path.
 package report
 
 import (
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
@@ -42,20 +41,6 @@ func (t *Table) AddRow(cells ...string) error {
 	t.rows = append(t.rows, row)
 	return nil
 }
-
-// MustAddRow is AddRow for construction paths where a mismatch is a
-// programming error.
-func (t *Table) MustAddRow(cells ...string) {
-	if err := t.AddRow(cells...); err != nil {
-		panic(err)
-	}
-}
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
-// Title returns the table title.
-func (t *Table) Title() string { return t.title }
 
 // WriteTo renders the table with aligned columns.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
@@ -109,24 +94,6 @@ func (t *Table) String() string {
 		return fmt.Sprintf("report: render failed: %v", err)
 	}
 	return b.String()
-}
-
-// WriteCSV emits the table (header + rows, no title) as CSV.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.headers); err != nil {
-		return fmt.Errorf("report: write csv header: %w", err)
-	}
-	for i, row := range t.rows {
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("report: write csv row %d: %w", i, err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("report: flush csv: %w", err)
-	}
-	return nil
 }
 
 // F formats a float compactly for table cells (6 significant digits).

@@ -30,12 +30,6 @@ var (
 	ErrInfeasible  = errors.New("schedule: the full network does not satisfy the sufficient condition everywhere")
 )
 
-// coverElement is one (grid point, sector) requirement.
-type coverElement struct {
-	point  int
-	sector int
-}
-
 // instance is the prepared set-cover problem.
 type instance struct {
 	numElements int

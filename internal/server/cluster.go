@@ -448,13 +448,3 @@ func (s *Server) newAntiEntropy() {
 	}
 	ae.Start()
 }
-
-// AntiEntropyRound runs one reconciliation pass immediately and
-// returns the number of deployments repaired. Deterministic driver for
-// tests and operational tooling; returns 0 on non-clustered servers.
-func (s *Server) AntiEntropyRound(ctx context.Context) int {
-	if s.cluster == nil || s.cluster.antientropy == nil {
-		return 0
-	}
-	return s.cluster.antientropy.Round(ctx).Pulled
-}

@@ -13,7 +13,6 @@ import (
 	"fullview/internal/depjournal"
 	"fullview/internal/faultinject"
 	"fullview/internal/geom"
-	"fullview/internal/jobs"
 	"fullview/internal/retry"
 	"fullview/internal/spatial"
 	"fullview/internal/sweep"
@@ -379,7 +378,7 @@ func (s *Server) handleSurvey(w http.ResponseWriter, r *http.Request) {
 	// The inline survey reads a negative worker count as the server
 	// default, where the job rule refuses it.
 	view := entry.Index.Snapshot()
-	spec, err := s.surveySpec(entry.Fingerprint, view, jobs.KindSurvey, []float64{req.ThetaPi}, req.Grid, max(req.Workers, 0))
+	spec, err := s.surveySpec(entry.Fingerprint, view, []float64{req.ThetaPi}, req.Grid, max(req.Workers, 0))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

@@ -23,10 +23,11 @@ import (
 const jobsDirName = "jobs"
 
 // jobSubmitRequest asks for an asynchronous survey or sweep. A survey
-// takes one angle (thetaPi); a sweep a θ-list (thetasPi). Grid and
-// Workers follow the inline survey conventions: Grid 0 selects the
-// paper's dense grid for the deployment size, Workers may only lower
-// the server's per-group parallelism.
+// takes exactly one angle, a sweep a θ-list; either takes its angles
+// as thetaPi (one) or thetasPi (a list), not both. Grid and Workers
+// follow the inline survey conventions: Grid 0 selects the paper's
+// dense grid for the deployment size, Workers may only lower the
+// server's per-group parallelism.
 type jobSubmitRequest struct {
 	Kind       string    `json:"kind"`
 	Deployment string    `json:"deployment"`
@@ -93,12 +94,8 @@ func (s *Server) openJobs() error {
 	if s.cfg.StateDir != "" {
 		dir = filepath.Join(s.cfg.StateDir, jobsDirName)
 	}
-	durations := make(map[jobs.Kind]*telemetry.Histogram)
-	for _, k := range jobs.Kinds() {
-		durations[k] = s.m.reg.Histogram("fvcd_job_duration_ns",
-			"Job wall time from run start to terminal state, by kind.",
-			nil, telemetry.L("kind", string(k)))
-	}
+	duration := s.m.reg.Histogram("fvcd_job_duration_ns",
+		"Job wall time from run start to terminal state.", nil)
 	logger := s.cfg.Logger
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
@@ -111,10 +108,10 @@ func (s *Server) openJobs() error {
 		Throttle:    s.cfg.JobThrottle,
 		Logger:      logger,
 		Hooks: jobs.Hooks{
-			JobDone: func(k jobs.Kind, _ jobs.State, elapsed time.Duration) {
-				durations[k].Observe(elapsed.Nanoseconds())
+			JobDone: func(_ jobs.State, elapsed time.Duration) {
+				duration.Observe(elapsed.Nanoseconds())
 			},
-			GroupDone: func(_ jobs.Kind, points int, elapsed time.Duration) {
+			GroupDone: func(points int, elapsed time.Duration) {
 				s.m.surveyPoints.Add(int64(points))
 				if points > 0 {
 					s.m.pointCost["job"].Observe(elapsed.Nanoseconds() / int64(points))
@@ -126,14 +123,9 @@ func (s *Server) openJobs() error {
 		return fmt.Errorf("server: open job state: %w", err)
 	}
 	s.jobs = mgr
-	for _, k := range jobs.Kinds() {
-		for _, st := range jobs.States() {
-			k, st := k, st
-			s.m.reg.CounterFunc("fvcd_jobs_total",
-				"Job state transitions by kind and state.",
-				func() int64 { return mgr.StateCount(k, st) },
-				telemetry.L("kind", string(k)), telemetry.L("state", string(st)))
-		}
+	for _, st := range jobs.States() {
+		s.m.reg.CounterFunc("fvcd_jobs_total", "Job state transitions by state.",
+			func() int64 { return mgr.StateCount(st) }, telemetry.L("state", string(st)))
 	}
 	s.m.reg.GaugeFunc("fvcd_jobs_inflight", "Jobs currently running.",
 		func() float64 { return float64(mgr.Inflight()) })
@@ -166,10 +158,11 @@ func (s *Server) execJob(spec jobs.Spec) (jobs.BandRunner, error) {
 // deployment id at the pinned view. It resolves the grid side (the
 // paper's dense grid for the deployment size when grid ≤ 0), vets k×k
 // against MaxBatchPoints, caps the θ-list, pins the view's version and
-// holds the result to the job rule (jobs.Spec.Validate). The grid is
-// vetted by arithmetic before anything is materialised: a hostile
-// {"grid": 100000} is a 400, not an allocation.
-func (s *Server) surveySpec(id string, view spatial.Source, kind jobs.Kind, thetasPi []float64, grid, workers int) (jobs.Spec, error) {
+// holds the result to the job rule (jobs.Spec.Validate) as a sweep: a
+// survey is its one-θ case. The grid is vetted by arithmetic before
+// anything is materialised: a hostile {"grid": 100000} is a 400, not an
+// allocation.
+func (s *Server) surveySpec(id string, view spatial.Source, thetasPi []float64, grid, workers int) (jobs.Spec, error) {
 	k := grid
 	if k <= 0 {
 		var err error
@@ -186,7 +179,7 @@ func (s *Server) surveySpec(id string, view spatial.Source, kind jobs.Kind, thet
 		return jobs.Spec{}, err
 	}
 	spec := jobs.Spec{
-		Kind:       kind,
+		Kind:       jobs.KindSweep,
 		Deployment: id,
 		ThetasPi:   thetasPi,
 		Grid:       k,
@@ -254,11 +247,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("deployment %q not registered (or evicted); re-register it", req.Deployment))
 		return
 	}
-	spec, err := s.surveySpec(entry.Fingerprint, entry.Index.Snapshot(), jobs.Kind(req.Kind), thetas, req.Grid, req.Workers)
+	spec, err := s.surveySpec(entry.Fingerprint, entry.Index.Snapshot(), thetas, req.Grid, req.Workers)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	// Job bodies echo the submitted kind; Submit holds the spec to that
+	// kind's θ count and refuses an unknown kind.
+	spec.Kind = jobs.Kind(req.Kind)
 	snap, err := s.jobs.Submit(spec)
 	switch {
 	case err == nil:

@@ -137,6 +137,42 @@ func libStats(t *testing.T, net *sensor.Network, thetasPi []float64, grid int) [
 	return stats
 }
 
+// TestJobSubmitWire pins POST /v1/jobs on the wire: a survey takes
+// exactly one angle, a sweep any non-empty θ-list, either θ field
+// serves both, and an accepted job's body echoes the submitted kind.
+func TestJobSubmitWire(t *testing.T) {
+	srv := mustNewStopped(t, Config{})
+	h := srv.Handler()
+	waitReadyz(t, h, ReadyOK)
+	id := registerNet(t, h, testNetwork(t, 60, 3))
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		kind       string
+	}{
+		{"survey thetaPi", `"kind":"survey","thetaPi":0.25`, http.StatusAccepted, "survey"},
+		{"survey two thetasPi", `"kind":"survey","thetasPi":[0.25,0.5]`, http.StatusBadRequest, ""},
+		{"survey no theta", `"kind":"survey"`, http.StatusBadRequest, ""},
+		{"sweep thetaPi", `"kind":"sweep","thetaPi":0.25`, http.StatusAccepted, "sweep"},
+		{"sweep thetasPi", `"kind":"sweep","thetasPi":[0.25,0.5]`, http.StatusAccepted, "sweep"},
+		{"unknown kind", `"kind":"scan","thetaPi":0.25`, http.StatusBadRequest, ""},
+		{"empty kind", `"kind":"","thetaPi":0.25`, http.StatusBadRequest, ""},
+		{"both theta fields", `"kind":"sweep","thetaPi":0.25,"thetasPi":[0.5]`, http.StatusBadRequest, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := do(t, h, "POST", "/v1/jobs", []byte(`{"deployment":"`+id+`","grid":8,`+tc.body+`}`))
+			if rec.Code != tc.status {
+				t.Fatalf("status %d, want %d: %s", rec.Code, tc.status, rec.Body.String())
+			}
+			var out jobResponse
+			decode(t, rec, &out)
+			if out.Kind != tc.kind {
+				t.Fatalf("echoed kind %q, want %q", out.Kind, tc.kind)
+			}
+		})
+	}
+}
+
 // TestJobSurveyMatchesLibrary submits a survey job and asserts the
 // asynchronous, band-partitioned result is bit-identical (struct
 // equality on the exact-integer RegionStats) to the library's
@@ -160,7 +196,7 @@ func TestJobSurveyMatchesLibrary(t *testing.T) {
 	if len(final.Result.Stats) != 1 || final.Result.Stats[0] != want[0] {
 		t.Fatalf("job result %+v != library %+v", final.Result.Stats, want)
 	}
-	if line := metricLine(t, h, `fvcd_jobs_total{kind="survey",state="done"}`); !strings.HasSuffix(line, " 1") {
+	if line := metricLine(t, h, `fvcd_jobs_total{state="done"}`); !strings.HasSuffix(line, " 1") {
 		t.Fatalf("done counter line = %q, want value 1", line)
 	}
 	if line := metricLine(t, h, "fvcd_job_bands_total"); !strings.HasSuffix(line, " 24") {
@@ -390,7 +426,7 @@ func TestJobPanicFailsOnlyThatJob(t *testing.T) {
 	if final.State != "failed" || !strings.Contains(final.Error, "panic in band") {
 		t.Fatalf("panicked job: state %q error %q, want failed with panic error", final.State, final.Error)
 	}
-	if line := metricLine(t, h, `fvcd_jobs_total{kind="survey",state="failed"}`); !strings.HasSuffix(line, " 1") {
+	if line := metricLine(t, h, `fvcd_jobs_total{state="failed"}`); !strings.HasSuffix(line, " 1") {
 		t.Fatalf("failed counter line = %q, want value 1", line)
 	}
 

@@ -13,7 +13,6 @@ import (
 
 	"fullview/internal/core"
 	"fullview/internal/geom"
-	"fullview/internal/jobs"
 	"fullview/internal/rng"
 	"fullview/internal/spatial"
 	"fullview/internal/sweep"
@@ -156,7 +155,7 @@ func TestSurveyKernelPanicContained(t *testing.T) {
 	h := srv.Handler()
 	waitReadyz(t, h, ReadyOK)
 	src := panickingSource{spatial.NewIndex(testNetwork(t, 300, 3))}
-	spec, err := srv.surveySpec("panicky", src, jobs.KindSurvey, []float64{0.25}, 32, 0)
+	spec, err := srv.surveySpec("panicky", src, []float64{0.25}, 32, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ package server
 // injected at 100%, then a partitioned owner — and holds the cluster
 // to the bit-identical-with-oracle standard throughout. Deterministic
 // on purpose: mirror loss comes from the faultinject.MirrorDrop point,
-// repair from explicitly driven AntiEntropyRound calls (no timing
+// repair from explicitly driven antiEntropyRound calls (no timing
 // races on a background loop).
 
 import (
@@ -24,6 +24,16 @@ import (
 	"fullview/internal/depjournal"
 	"fullview/internal/faultinject"
 )
+
+// antiEntropyRound runs one reconciliation pass immediately and
+// returns the number of deployments repaired, so a test repairs at a
+// point it chooses. It returns 0 on non-clustered servers.
+func (s *Server) antiEntropyRound(ctx context.Context) int {
+	if s.cluster == nil || s.cluster.antientropy == nil {
+		return 0
+	}
+	return s.cluster.antientropy.Round(ctx).Pulled
+}
 
 // flushAll drains every replica's mirror queues.
 func flushAll(t *testing.T, reps []*replica) {
@@ -136,7 +146,7 @@ func TestClusterSelfHealsAfterSustainedMirrorLoss(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, r := range reps {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			r.srv.AntiEntropyRound(ctx)
+			r.srv.antiEntropyRound(ctx)
 			cancel()
 		}
 	}

@@ -154,10 +154,11 @@ type Config struct {
 	// background (0 selects spatial.DefaultRebuildFraction; negative
 	// disables automatic rebuilds).
 	RebuildFraction float64
-	// JobQueue bounds each job kind's pending queue; a full queue
-	// rejects submissions with 429 (default 64).
+	// JobQueue bounds the pending job queue, which survey and sweep
+	// jobs share; a full queue rejects submissions with 429 (default 64).
 	JobQueue int
-	// JobConcurrency is the number of job workers per kind (default 2).
+	// JobConcurrency is the number of job workers, which run survey and
+	// sweep jobs alike (default 2).
 	JobConcurrency int
 	// JobTTL is how long terminal job results are retained for polling
 	// before garbage collection (default 15m; negative retains forever).
@@ -178,8 +179,8 @@ type Config struct {
 	// rounds, in which a clustered replica diffs its per-deployment
 	// journal digests against each peer's GET /v1/internal/digest and
 	// pulls any deployment it is missing or behind on. Zero (the
-	// default) disables the periodic loop — repairs then run only when
-	// driven explicitly (AntiEntropyRound). Only meaningful with
+	// default) disables the periodic loop — repairs then run only in
+	// the boot warm round of an empty replica. Only meaningful with
 	// PeerURLs.
 	AntiEntropyInterval time.Duration
 	// Logger receives operational log lines; nil discards them.

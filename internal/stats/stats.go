@@ -55,21 +55,6 @@ func Summarize(xs []float64) Summary {
 // StdDev returns the sample standard deviation.
 func (s Summary) StdDev() float64 { return math.Sqrt(s.Variance) }
 
-// StdErr returns the standard error of the mean, 0 for empty samples.
-func (s Summary) StdErr() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	return s.StdDev() / math.Sqrt(float64(s.N))
-}
-
-// CI95 returns the normal-approximation 95% confidence interval for the
-// mean.
-func (s Summary) CI95() (lo, hi float64) {
-	half := Z95 * s.StdErr()
-	return s.Mean - half, s.Mean + half
-}
-
 // String implements fmt.Stringer.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.6g sd=%.3g min=%.6g max=%.6g",
@@ -139,9 +124,6 @@ func (c *Counter) AddN(successes, n int) {
 
 // Successes returns the success count.
 func (c *Counter) Successes() int { return c.successes }
-
-// Total returns the observation count.
-func (c *Counter) Total() int { return c.total }
 
 // Fraction returns the empirical success proportion.
 func (c *Counter) Fraction() float64 { return Proportion(c.successes, c.total) }

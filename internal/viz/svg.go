@@ -91,14 +91,6 @@ func (s *Scene) AddBarrier(waypoints []geom.Vec) {
 		strings.Join(points, " ")))
 }
 
-// AddMarker overlays a labelled point of interest.
-func (s *Scene) AddMarker(p geom.Vec, label string) {
-	x, y := s.toPx(p)
-	s.extra = append(s.extra, fmt.Sprintf(
-		`<circle cx="%.1f" cy="%.1f" r="6" fill="#9467bd"/><text x="%.1f" y="%.1f" font-size="14" fill="#9467bd">%s</text>`,
-		x, y, x+9, y+5, escapeText(label)))
-}
-
 // toPx maps torus coordinates to pixels (y flipped so north is up).
 func (s *Scene) toPx(p geom.Vec) (x, y float64) {
 	side := s.net.Torus().Side()
@@ -201,9 +193,4 @@ func heatColor(depth, maxDepth int) string {
 	// Interpolate #e8f5e9 → #1b5e20.
 	lerp := func(a, b int) int { return a + int(f*float64(b-a)) }
 	return fmt.Sprintf("#%02x%02x%02x", lerp(0xe8, 0x1b), lerp(0xf5, 0x5e), lerp(0xe9, 0x20))
-}
-
-func escapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
 }

@@ -127,21 +127,17 @@ func TestRenderEmptyNetworkAllHoles(t *testing.T) {
 	}
 }
 
-func TestBarrierAndMarkerOverlays(t *testing.T) {
+func TestBarrierOverlay(t *testing.T) {
 	net := testNetwork(t, 20)
 	s, err := NewScene(net, math.Pi/4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.AddBarrier([]geom.Vec{geom.V(0, 0.5), geom.V(1, 0.5)})
-	s.AddMarker(geom.V(0.3, 0.7), `watering <hole> & "spring"`)
 	svg := render(t, s)
 	assertWellFormed(t, svg)
 	if !strings.Contains(svg, "<polyline") {
 		t.Error("barrier polyline missing")
-	}
-	if !strings.Contains(svg, "&lt;hole&gt;") || !strings.Contains(svg, "&amp;") {
-		t.Error("marker label not escaped")
 	}
 	// Degenerate barrier is ignored.
 	s.AddBarrier([]geom.Vec{geom.V(0, 0)})

@@ -32,8 +32,9 @@ type (
 	// appends and fsyncs one line, and a torn final line left by a crash
 	// mid-append is cut when the journal is reopened.
 	Journal = checkpoint.Journal
-	// RetryPolicy bounds per-trial retries with capped exponential
-	// backoff; see Transient and ErrTransient for classification.
+	// RetryPolicy bounds retries with capped exponential backoff, and
+	// its ShouldRetry classifies which errors to retry; see Transient
+	// and ErrTransient.
 	RetryPolicy = experiment.RetryPolicy
 )
 
